@@ -35,7 +35,6 @@ from .fundsol import (
     FundamentalSolutionEvaluator,
     critical_exponent,
     divergence_exponent,
-    eval_Y,
     exponent_report,
     kappa,
     log_growth_fit,

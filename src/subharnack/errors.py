@@ -26,7 +26,7 @@ class SingularStepError(SubharnackError, RuntimeError):
 
 
 class LinearSolveError(SubharnackError, RuntimeError):
-    """The sparse linear solver did not converge to the requested tolerance."""
+    """The sparse direct solver could not factorize a level operator."""
 
 
 class QuadratureTailError(SubharnackError, RuntimeError):

@@ -21,7 +21,6 @@ __all__ = [
     "ExponentReport",
     "exponent_report",
     "FundamentalSolutionEvaluator",
-    "eval_Y",
     "spatial_mass",
     "optimality_experiment",
     "loglog_slope",
@@ -272,11 +271,6 @@ class FundamentalSolutionEvaluator:
             )
         rho = float(np.linalg.norm(xv))
         return float(self.profile(t, [rho])[0])
-
-
-def eval_Y(evaluator: FundamentalSolutionEvaluator, t: float, x) -> float:
-    """Functional form of FundamentalSolutionEvaluator.evaluate."""
-    return evaluator.evaluate(t, x)
 
 
 def spatial_mass(evaluator: FundamentalSolutionEvaluator, t: float,

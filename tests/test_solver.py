@@ -8,7 +8,7 @@ import scipy.sparse.linalg as spl
 from scipy.special import erfcx
 
 from subharnack import solver as S
-from subharnack.errors import DomainError, GridMismatchError
+from subharnack.errors import DomainError, GridMismatchError, LinearSolveError
 from subharnack.fracops import TimeGrid
 from subharnack.kernels import mittag_leffler
 
@@ -273,3 +273,177 @@ def test_binary_export_layout(tmp_path):
     assert lower == 0.0 and h == pytest.approx(0.25)
     data = np.frombuffer(blob, dtype="<f8", offset=44).reshape(3, 5)
     assert np.array_equal(data, res.u)
+
+
+# ---------------------------------------------------------------------------
+# sparse LU solve path and input checks
+# ---------------------------------------------------------------------------
+
+def rect_spec(time_flip=None, m=12, **kw):
+    g = S.SpaceGrid.rectangle((0.0, 0.0), (1.0, 1.5), (12, 10))
+    defaults = dict(u0=np.zeros(g.shape), boundary=0.0,
+                    coefficients=S.checkerboard_coefficients(
+                        g, 2, 0.5, 4.0, time_flip=time_flip))
+    defaults.update(kw)
+    return S.ProblemSpec(alpha=0.4, space=g,
+                         time=TimeGrid.from_horizon(0.3, m), **defaults)
+
+
+def count_splu(monkeypatch):
+    calls = []
+
+    def counting(A, *args, **kwargs):
+        calls.append(A.shape)
+        return spl.splu(A, *args, **kwargs)
+
+    monkeypatch.setattr(S, "splu", counting)
+    return calls
+
+
+def loop_operator(space, faces, c0):
+    """Reference assembly, node by node: the interior matrix c0*I + L and
+    the interior-to-boundary coupling, both dense, nodes in C order."""
+    shape = space.shape
+    nodes = list(np.ndindex(shape))
+    inside = [all(0 < i < n - 1 for i, n in zip(idx, shape)) for idx in nodes]
+    pos_in = {idx: k for k, idx in enumerate(i for i, ok in zip(nodes, inside) if ok)}
+    pos_out = {idx: k for k, idx in
+               enumerate(i for i, ok in zip(nodes, inside) if not ok)}
+    A = np.zeros((len(pos_in), len(pos_in)))
+    B = np.zeros((len(pos_in), len(pos_out)))
+    for idx, k in pos_in.items():
+        A[k, k] = c0
+        for ax, (kf, h) in enumerate(zip(faces, space.h)):
+            for step, face in ((-1, idx[ax] - 1), (1, idx[ax])):
+                w = kf[idx[:ax] + (face,) + idx[ax + 1:]] / h ** 2
+                nb = idx[:ax] + (idx[ax] + step,) + idx[ax + 1:]
+                A[k, k] += w
+                if nb in pos_in:
+                    A[k, pos_in[nb]] -= w
+                else:
+                    B[k, pos_out[nb]] -= w
+    return A, B
+
+
+def anisotropic_field(dim):
+    def evaluate(ti, pts):
+        return 1.5 + np.stack([np.sin(3.0 * pts[..., 0] + ax + ti)
+                               for ax in range(dim)], axis=-1)
+
+    return S.CoefficientField(evaluate=evaluate, nu=0.5,
+                              lambda_bound=2.5 * np.sqrt(dim))
+
+
+@pytest.mark.parametrize("make", [interval_spec, rect_spec])
+@pytest.mark.parametrize("field", ["default", "anisotropic"])
+def test_level_operator_matches_node_loop(make, field):
+    spec = make()
+    space = spec.space
+    if field == "anisotropic":
+        spec = make(coefficients=anisotropic_field(space.dimension))
+    faces = S._face_coefficients(spec, 2)
+    bmask = space.boundary_mask().ravel()
+    inner, outer = np.flatnonzero(~bmask), np.flatnonzero(bmask)
+    _, A, B = S._level_operator(space, faces, 7.5, inner, outer, 2)
+    A_ref, B_ref = loop_operator(space, faces, 7.5)
+    # off-diagonal entries are single terms; the diagonal sums 2N+1 of them
+    # in another order, so it may differ by a few ulps
+    tol = 8 * np.finfo(float).eps
+    np.testing.assert_allclose(A.toarray(), A_ref, rtol=tol, atol=0.0)
+    np.testing.assert_array_equal(B.toarray(), B_ref)
+
+
+@pytest.mark.parametrize("make", [interval_spec, rect_spec])
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_nonfinite_u0_rejected(make, bad):
+    u0 = np.zeros(make().space.shape)
+    u0.flat[3] = bad
+    with pytest.raises(DomainError, match="u0"):
+        make(u0=u0)
+
+
+@pytest.mark.parametrize("make", [interval_spec, rect_spec])
+@pytest.mark.parametrize("which", ["boundary", "forcing"])
+def test_nonfinite_level_data_names_the_level(make, which):
+    dt = make().time.dt
+
+    def data(t, pts):
+        return np.full(pts.shape[:-1], np.inf if t > 2.5 * dt else 1.0)
+
+    with pytest.raises(DomainError, match="level 3"):
+        S.solve_subdiffusion(make(**{which: data}))
+
+
+def test_nonfinite_coefficients_rejected():
+    nan_field = S.CoefficientField(
+        evaluate=lambda ti, pts: np.full(pts.shape[:-1], np.nan),
+        nu=1.0, lambda_bound=1.0, time_dependent=False)
+    with pytest.raises(DomainError, match="level 1"):
+        S.solve_subdiffusion(interval_spec(coefficients=nan_field))
+
+
+def test_factorization_failure_is_linear_solve_error(monkeypatch):
+    def singular(A, *args, **kwargs):
+        raise RuntimeError("Factor is exactly singular")
+
+    monkeypatch.setattr(S, "splu", singular)
+    with pytest.raises(LinearSolveError, match="level 1"):
+        S.solve_subdiffusion(rect_spec())
+
+
+def test_static_field_factorized_once(monkeypatch):
+    calls = count_splu(monkeypatch)
+    S.solve_subdiffusion(rect_spec())
+    assert len(calls) == 1
+    # a field flagged time-dependent whose values never change keeps one factor
+    g = S.SpaceGrid.interval(0.0, 1.0, 16)
+    cb = S.checkerboard_coefficients(g, 2, 1.0, 5.0)
+    flagged = S.CoefficientField(evaluate=cb.evaluate, nu=cb.nu,
+                                 lambda_bound=cb.lambda_bound)
+    assert flagged.time_dependent
+    calls.clear()
+    S.solve_subdiffusion(interval_spec(coefficients=flagged))
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("time_flip", [1, 3])
+def test_flipping_field_factorized_twice(monkeypatch, time_flip):
+    calls = count_splu(monkeypatch)
+    S.solve_subdiffusion(rect_spec(time_flip=time_flip, m=12))
+    assert len(calls) == 2
+
+
+@pytest.mark.parametrize("make", [interval_spec, rect_spec])
+def test_level_residuals_are_true_residuals(make):
+    rng = np.random.default_rng(11)
+    shape = make().space.shape
+    spec = make(u0=rng.uniform(-1.0, 2.0, size=shape),
+                boundary=lambda t, pts: np.cos(3.0 * t + pts[..., 0]),
+                forcing=lambda t, pts: np.sin(pts[..., 0] - t),
+                coefficients=(rect_spec(time_flip=2).coefficients
+                              if len(shape) == 2 else None))
+    res = S.solve_subdiffusion(spec)
+    assert len(res.diagnostics) == spec.time.m
+    assert all(0.0 <= r <= 1e-12 for r in res.diagnostics)
+    # measured, not a placeholder: rounding leaves some level nonzero
+    assert max(res.diagnostics) > 0.0
+
+
+def test_comparison_principle_exact_on_flipping_checkerboard_2d():
+    rng = np.random.default_rng(21)
+    shape = rect_spec().space.shape
+    u0 = rng.uniform(-1.0, 1.0, size=shape)
+    gap = np.where(rng.uniform(size=shape) < 0.5, 0.0,
+                   rng.uniform(0.0, 1e-3, size=shape))
+
+    def g(t, pts):
+        return 0.5 * np.sin(4.0 * t + pts[..., 0] - pts[..., 1])
+
+    def h(t, pts):
+        return g(t, pts) + np.where(pts[..., 0] < 0.5, 0.0, 1e-3 * t)
+
+    u = S.solve_subdiffusion(rect_spec(time_flip=2, u0=u0, boundary=g)).u
+    v = S.solve_subdiffusion(
+        rect_spec(time_flip=2, u0=u0 + gap, boundary=h)).u
+    scale = max(np.abs(u).max(), np.abs(v).max())
+    assert (u - v).max() <= 1e-13 * scale
