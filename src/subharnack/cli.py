@@ -15,7 +15,6 @@ import argparse
 import math
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -46,56 +45,70 @@ def _to_float_list(text: str) -> list:
     return [float(tok) for tok in text.split(",") if tok.strip()]
 
 
-# per-experiment schema: key -> (converter, default)
+def _at_least(lo):
+    return (lambda v: v >= lo), f"at least {lo}"
+
+
+def _entries(count, rule):
+    ok, text = rule
+    return ((lambda v: len(v) >= count and all(map(ok, v))),
+            f"a list of {count} or more entries, each {text}")
+
+
+_POSITIVE = (lambda v: v > 0.0), "positive"
+
+# per-experiment schema: key -> (converter, default, (predicate, range text));
+# the range is checked at parse time so a run never starts on a config that
+# cannot produce evidence for its assertions
 _COMMON = {
-    "experiment": (str, None),
-    "alpha": (float, 0.5),
-    "seed": (int, DEFAULT_SEED),
-    "out": (str, "."),
+    "experiment": (str, None, None),
+    "alpha": (float, 0.5, ((lambda a: 0.0 < a <= 1.0), "in (0, 1]")),
+    "seed": (int, DEFAULT_SEED, None),
+    "out": (str, ".", None),
 }
 _SCHEMAS = {
     "identities": {
-        "m": (int, 512),
-        "n_levels": (_to_float_list, [1, 4, 16, 64, 256]),
-        "gnprop_n": (int, 4),
-        "gnprop_m": (int, 512),
+        "m": (int, 512, _at_least(2)),
+        "n_levels": (_to_float_list, [1, 4, 16, 64, 256], _entries(2, _at_least(1))),
+        "gnprop_n": (int, 4, _at_least(1)),
+        "gnprop_m": (int, 512, _at_least(2)),
     },
     "converge": {
-        "sigma": (float, 1.0),
-        "m_list": (_to_float_list, [64, 128, 256]),
+        "sigma": (float, 1.0, _POSITIVE),
+        "m_list": (_to_float_list, [64, 128, 256], _entries(2, _at_least(2))),
     },
     "harnack": {
-        "nx": (int, 160),
-        "m": (int, 64),
-        "period": (int, 8),
-        "low": (float, 1.0),
-        "high": (float, 5.0),
-        "x0": (float, 0.5),
-        "r": (float, 0.2),
-        "delta": (float, 0.5),
-        "eta": (float, 2.0),
-        "tau": (float, 1.0),
-        "t0": (float, 0.0),
-        "p_list": (_to_float_list, [0.5, 1.0, 1.5]),
-        "refine": (int, 1),
+        "nx": (int, 160, _at_least(4)),
+        "m": (int, 64, _at_least(2)),
+        "period": (int, 8, _at_least(1)),
+        "low": (float, 1.0, _POSITIVE),
+        "high": (float, 5.0, _POSITIVE),
+        "x0": (float, 0.5, None),
+        "r": (float, 0.2, _POSITIVE),
+        "delta": (float, 0.5, ((lambda d: 0.0 < d < 1.0), "in (0, 1)")),
+        "eta": (float, 2.0, ((lambda e: e > 1.0), "greater than 1")),
+        "tau": (float, 1.0, _POSITIVE),
+        "t0": (float, 0.0, _at_least(0.0)),
+        "p_list": (_to_float_list, [0.5, 1.0, 1.5], _entries(1, _POSITIVE)),
+        "refine": (int, 1, ((lambda v: v in (0, 1)), "0 or 1")),
     },
     "optimality": {
-        "N": (int, 1),
-        "p": (float, 5.0 / 3.0),
-        "eps_min": (float, 1e-8),
-        "eps_max": (float, 0.1),
-        "eps_count": (int, 15),
+        "N": (int, 1, _at_least(1)),
+        "p": (float, 5.0 / 3.0, _POSITIVE),
+        "eps_min": (float, 1e-8, _POSITIVE),
+        "eps_max": (float, 0.1, _POSITIVE),
+        "eps_count": (int, 15, _at_least(3)),
     },
     "continuity": {
-        "nx": (int, 160),
-        "m": (int, 1024),
-        "r0": (float, 0.3),
-        "eta": (float, 2.0),
-        "x0": (float, 0.62),
-        "levels": (int, 4),
+        "nx": (int, 160, _at_least(4)),
+        "m": (int, 1024, _at_least(2)),
+        "r0": (float, 0.3, _POSITIVE),
+        "eta": (float, 2.0, _POSITIVE),
+        "x0": (float, 0.62, None),
+        "levels": (int, 4, _at_least(2)),
     },
     "maxprinciple": {
-        "runs": (int, 200),
+        "runs": (int, 200, _at_least(1)),
     },
 }
 
@@ -126,7 +139,7 @@ def parse_config(text: str) -> ExperimentConfig:
     if unknown:
         raise ConfigError(f"unknown keys for {exp}: {', '.join(sorted(unknown))}")
     values = {}
-    for key, (conv, default) in schema.items():
+    for key, (conv, default, rule) in schema.items():
         if key in raw:
             try:
                 values[key] = conv(raw[key])
@@ -134,12 +147,11 @@ def parse_config(text: str) -> ExperimentConfig:
                 raise ConfigError(f"bad value for {key!r}: {raw[key]!r}") from exc
         else:
             values[key] = default
-    alpha = values.pop("alpha")
-    if not (0.0 < alpha <= 1.0):
-        raise ConfigError(f"alpha must lie in (0, 1], got {alpha}")
+        if rule is not None and not rule[0](values[key]):
+            raise ConfigError(f"{key} must be {rule[1]}, got {values[key]!r}")
     return ExperimentConfig(
         experiment=values.pop("experiment"),
-        alpha=alpha,
+        alpha=values.pop("alpha"),
         seed=values.pop("seed"),
         out_dir=Path(values.pop("out")),
         params=values,
@@ -164,12 +176,20 @@ def _summary_text(summary: dict) -> str:
 
 
 def _atomic_write_all(out_dir: Path, files: dict) -> None:
+    """Write every file to a temporary name first, then rename them all; a
+    failed write leaves neither final files nor temporaries behind."""
     out_dir.mkdir(parents=True, exist_ok=True)
-    for name, text in files.items():
-        final = out_dir / name
-        tmp = out_dir / f".{name}.tmp{os.getpid()}"
-        tmp.write_text(text)
-        os.replace(tmp, final)
+    staged = []
+    try:
+        for name, text in files.items():
+            tmp = out_dir / f".{name}.tmp{os.getpid()}"
+            staged.append((tmp, out_dir / name))
+            tmp.write_text(text)
+        for tmp, final in staged:
+            os.replace(tmp, final)
+    finally:
+        for tmp, _ in staged:
+            tmp.unlink(missing_ok=True)
 
 
 def _flag(ok: bool) -> str:
@@ -184,7 +204,7 @@ def _fmt(x) -> str:
 # experiment families
 # ---------------------------------------------------------------------------
 
-def _run_identities(cfg: ExperimentConfig, threads: int):
+def _run_identities(cfg: ExperimentConfig):
     alpha = cfg.alpha
     m = cfg.params["m"]
     summary = {}
@@ -196,7 +216,7 @@ def _run_identities(cfg: ExperimentConfig, threads: int):
     for a in (0.25, alpha, 0.75):
         ka = kernels.rl_kernel_table(a, dt, m)
         kb = kernels.rl_kernel_table(1.0 - a, dt, m)
-        conv = np.convolve(ka.cell_values(), kb.cell_values())[:m] * dt
+        conv = fracops.causal_sum(ka.cell_values(), kb.cell_values()) * dt
         worst = max(worst, float(np.abs(conv - 1.0).max()))
     summary["g_conv_residual"] = _fmt(worst)
     summary["g_conv_identity"] = _flag(worst <= 1e-12)
@@ -221,7 +241,7 @@ def _run_identities(cfg: ExperimentConfig, threads: int):
         g_t, h_t = kernels.yosida_kernels(alpha, n_y, dtm, mm)
         gc = kernels.rl_kernel_table(1.0 - alpha, dtm, mm,
                                      sampling="cell_average")
-        conv = np.convolve(gc.cell_values(), h_t.values[1:])[:mm] * dtm
+        conv = fracops.causal_sum(gc.cell_values(), h_t.values[1:]) * dtm
         t = np.arange(1, mm + 1) * dtm
         resid = np.abs(conv - g_t.values[1:])
         res.append(float(resid[t >= 0.1].max()))
@@ -252,7 +272,7 @@ def _run_identities(cfg: ExperimentConfig, threads: int):
     return files, summary, passed
 
 
-def _run_converge(cfg: ExperimentConfig, threads: int):
+def _run_converge(cfg: ExperimentConfig):
     alpha, sigma = cfg.alpha, cfg.params["sigma"]
     ms = [int(m) for m in cfg.params["m_list"]]
     exact = kernels.mittag_leffler(alpha, 1.0, -sigma)
@@ -290,7 +310,7 @@ def _harnack_bench(cfg: ExperimentConfig, nx: int, m: int, period: int):
     return solver.solve_subdiffusion(spec)
 
 
-def _run_harnack(cfg: ExperimentConfig, threads: int):
+def _run_harnack(cfg: ExperimentConfig):
     p = cfg.params
     config = harnack.HarnackConfig(delta=p["delta"], eta=p["eta"],
                                    tau=p["tau"], t0=p["t0"], x0=(p["x0"],),
@@ -298,8 +318,7 @@ def _run_harnack(cfg: ExperimentConfig, threads: int):
     grids = [(p["nx"], p["m"], p["period"])]
     if p["refine"]:
         grids.append((2 * p["nx"], 2 * p["m"], 2 * p["period"]))
-    with ThreadPoolExecutor(max_workers=max(1, threads)) as pool:
-        results = list(pool.map(lambda g: _harnack_bench(cfg, *g), grids))
+    results = [_harnack_bench(cfg, *g) for g in grids]
     sweeps = [harnack.harnack_ratio_sweep(res, config, p["p_list"])
               for res in results]
     rows = [(r.p, r.lp_mean, r.essinf, r.ratio, r.grid)
@@ -326,34 +345,40 @@ def _run_harnack(cfg: ExperimentConfig, threads: int):
     return files, summary, bool(ok)
 
 
-def _run_optimality(cfg: ExperimentConfig, threads: int):
+def _run_optimality(cfg: ExperimentConfig):
     p = cfg.params
     alpha, N = cfg.alpha, p["N"]
-    eps = list(np.geomspace(p["eps_min"], p["eps_max"], p["eps_count"]))
-    pairs = fundsol.optimality_experiment(alpha, N, p["p"], eps)
-    files = {"optimality.csv": _csv_text("epsilon,integral", pairs)}
-    e = np.array([x for x, _ in pairs])
-    I = np.array([v for _, v in pairs])
+    e = np.geomspace(p["eps_min"], p["eps_max"], p["eps_count"])
     crit = fundsol.critical_exponent(alpha, N)
+    at_crit = abs(p["p"] - crit) <= 1e-3
+    if at_crit:
+        sel = e <= 1e-2
+    else:
+        sel = e <= e.min() * (10.0 if p["p"] < crit else 100.0)
+    if np.count_nonzero(sel) < 3:
+        raise ConfigError(
+            f"the eps grid puts {np.count_nonzero(sel)} points in the fit "
+            "window; at least 3 are needed")
+    pairs = fundsol.optimality_experiment(alpha, N, p["p"], list(e))
+    files = {"optimality.csv": _csv_text("epsilon,integral", pairs)}
+    I = np.array([v for _, v in pairs])
     e_div = fundsol.divergence_exponent(alpha, N, p["p"])
     summary = {
         "critical_p": _fmt(crit),
         "divergence_exponent": _fmt(e_div),
     }
-    if abs(p["p"] - crit) <= 1e-3:
-        _, b, resid = fundsol.log_growth_fit(e[e <= 1e-2], I[e <= 1e-2])
+    if at_crit:
+        _, b, resid = fundsol.log_growth_fit(e[sel], I[sel])
         summary["log_slope"] = _fmt(b)
         summary["log_fit_residual"] = _fmt(resid)
         ok = resid < 0.05 and b > 0.0
         summary["log_fit"] = _flag(ok)
     elif p["p"] < crit:
-        sel = e <= e.min() * 10.0
         change = float((I[sel].max() - I[sel].min()) / I[sel].min())
         summary["last_decade_change"] = _fmt(change)
         ok = change < 0.02
         summary["stabilizes"] = _flag(ok)
     else:
-        sel = e <= e.min() * 100.0
         slope = fundsol.loglog_slope(e[sel], I[sel])
         expected = -(1.0 + e_div)
         summary["growth_slope"] = _fmt(slope)
@@ -363,7 +388,7 @@ def _run_optimality(cfg: ExperimentConfig, threads: int):
     return files, summary, bool(ok)
 
 
-def _run_continuity(cfg: ExperimentConfig, threads: int):
+def _run_continuity(cfg: ExperimentConfig):
     p = cfg.params
     alpha = cfg.alpha
     r0, eta = p["r0"], p["eta"]
@@ -395,8 +420,7 @@ def _run_continuity(cfg: ExperimentConfig, threads: int):
     return files, summary, bool(ok)
 
 
-def _one_maxprinciple_run(args):
-    seed, = args
+def _one_maxprinciple_run(seed: int):
     rng = np.random.default_rng(seed)
     dim = int(rng.integers(1, 3))
     alpha = float(rng.uniform(0.15, 0.95))
@@ -436,14 +460,10 @@ def _one_maxprinciple_run(args):
             rep.bounds_ok, nonneg_ok)
 
 
-def _run_maxprinciple(cfg: ExperimentConfig, threads: int):
+def _run_maxprinciple(cfg: ExperimentConfig):
     n_runs = cfg.params["runs"]
-    seeds = [(cfg.seed + 1000 * k,) for k in range(n_runs)]
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            outcomes = list(pool.map(_one_maxprinciple_run, seeds))
-    else:
-        outcomes = [_one_maxprinciple_run(s) for s in seeds]
+    outcomes = [_one_maxprinciple_run(cfg.seed + 1000 * k)
+                for k in range(n_runs)]
     rows = [(k, *o) for k, o in enumerate(outcomes)]
     files = {"maxprinciple_runs.csv": _csv_text(
         "run,dim,alpha,min_u,max_u,lower,upper,bounds_ok,nonneg_ok", rows)}
@@ -466,13 +486,16 @@ _RUNNERS = {
 }
 
 
-def run(cfg: ExperimentConfig, threads: int = 1, verbose: bool = False) -> int:
+def run(cfg: ExperimentConfig, verbose: bool = False) -> int:
     """Execute one experiment; returns the process exit status."""
     if verbose:
         print(f"[subharnack] running {cfg.experiment} "
               f"(alpha={cfg.alpha}, seed={cfg.seed})", file=sys.stderr)
     try:
-        files, summary, passed = _RUNNERS[cfg.experiment](cfg, threads)
+        files, summary, passed = _RUNNERS[cfg.experiment](cfg)
+    except ConfigError as exc:
+        print(f"[subharnack] config error: {exc}", file=sys.stderr)
+        return 2
     except (SubharnackError, FloatingPointError, np.linalg.LinAlgError) as exc:
         print(f"[subharnack] numerical failure: {exc}", file=sys.stderr)
         return 3
@@ -497,7 +520,8 @@ def main(argv=None) -> int:
     parser.add_argument("--out", default=None,
                         help="output directory (overrides the config)")
     parser.add_argument("--threads", type=int, default=None,
-                        help="worker threads (fallback: SUBHARNACK_THREADS)")
+                        help="accepted for compatibility; has no effect "
+                             "(every run is single-threaded)")
     parser.add_argument("--verbose", action="store_true")
     args = parser.parse_args(argv)
     try:
@@ -512,10 +536,7 @@ def main(argv=None) -> int:
         return 2
     if args.out is not None:
         cfg.out_dir = Path(args.out)
-    threads = args.threads
-    if threads is None:
-        threads = int(os.environ.get("SUBHARNACK_THREADS", "1"))
-    return run(cfg, threads=max(1, threads), verbose=args.verbose)
+    return run(cfg, verbose=args.verbose)
 
 
 if __name__ == "__main__":

@@ -7,6 +7,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.fft import irfft, next_fast_len, rfft
 from scipy.special import gamma as gamma_fn
 
 from .errors import DomainError, GridMismatchError, SingularKernelError
@@ -15,6 +16,7 @@ from .kernels import KernelTable, _as_alpha, rl_kernel_table
 __all__ = [
     "TimeGrid",
     "SampledPath",
+    "causal_sum",
     "causal_convolve",
     "l1_weights",
     "rl_derivative",
@@ -68,10 +70,6 @@ class SampledPath:
         vals.setflags(write=False)
         object.__setattr__(self, "values", vals)
 
-    @classmethod
-    def from_function(cls, grid: TimeGrid, fn) -> "SampledPath":
-        return cls(grid, np.asarray([fn(t) for t in grid.nodes], dtype=float))
-
 
 def _match_grids(k: KernelTable, grid: TimeGrid) -> None:
     if k.m != grid.m or abs(k.dt - grid.dt) > 1e-12 * grid.dt:
@@ -86,6 +84,26 @@ def _match_grids_path(v: SampledPath, w: SampledPath) -> None:
         raise GridMismatchError("paths live on different grids")
 
 
+def causal_sum(w, x) -> np.ndarray:
+    """Causal sum out[n] = sum_{j<=n} w[j] * x[n-j] along axis 0.
+
+    ``x`` may carry trailing space axes.  A 1-D ``x`` is summed directly
+    (exact products in a fixed order, so results are reproducible bit for
+    bit); a space-time ``x`` goes through one real FFT along time, whose
+    rounding is a few ulps of sum_j |w[j]| * max |x| at every output.
+    """
+    x = np.asarray(x, dtype=float)
+    n = x.shape[0]
+    if x.ndim == 1:
+        return np.convolve(w, x)[:n]
+    size = next_fast_len(2 * n - 1, real=True)
+    spec = rfft(x, size, axis=0)
+    spec *= rfft(np.asarray(w, dtype=float)[:n], size).reshape(
+        (-1,) + (1,) * (x.ndim - 1))
+    # copy, so the zero-padded tail is freed with the transform buffer
+    return irfft(spec, size, axis=0, overwrite_x=True)[:n].copy()
+
+
 def causal_convolve(k: KernelTable, v: SampledPath) -> SampledPath:
     """Product-integration approximation of (k * v) at the grid nodes.
 
@@ -98,7 +116,7 @@ def causal_convolve(k: KernelTable, v: SampledPath) -> SampledPath:
     m = v.grid.m
     cells = k.cell_values()
     out = np.zeros(m + 1)
-    out[1:] = np.convolve(cells, v.values[1:])[:m] * v.grid.dt
+    out[1:] = causal_sum(cells, v.values[1:]) * v.grid.dt
     return SampledPath(v.grid, out)
 
 
@@ -122,7 +140,7 @@ def rl_derivative(v: SampledPath, v0: float, alpha) -> SampledPath:
     b = l1_weights(a, grid.m)
     c0 = grid.dt ** (-a) / gamma_fn(2.0 - a)
     out = np.zeros(grid.m + 1)
-    out[1:] = c0 * np.convolve(b, np.diff(vals))[: grid.m]
+    out[1:] = c0 * causal_sum(b, np.diff(vals))
     return SampledPath(grid, out)
 
 
@@ -150,8 +168,7 @@ def _centered(y: np.ndarray, dt: float) -> np.ndarray:
 
 
 def _trapezoid_convolve(k: np.ndarray, v: np.ndarray, dt: float) -> np.ndarray:
-    full = np.convolve(k, v)[: v.size]
-    return dt * (full - 0.5 * k * v[0] - 0.5 * k[0] * v)
+    return dt * (causal_sum(k, v) - 0.5 * k * v[0] - 0.5 * k[0] * v)
 
 
 def _interior_mask(grid: TimeGrid, t_min: float) -> np.ndarray:
@@ -165,22 +182,18 @@ def fundamental_identity_history(u: SampledPath, k: KernelTable, H, Hp) -> np.nd
 
     Discretized by the trapezoid rule on the lag variable with the kernel
     derivative taken by centered differences; term-by-term nonnegative when
-    H is convex and the kernel table is nonincreasing.
+    H is convex and the kernel table is nonincreasing.  The bracket is
+    expanded into trapezoidal causal sums of -k' against 1, H(u) and u.
     """
     kv = _require_regular(k)
     _match_grids(k, u.grid)
-    dt, m = u.grid.dt, u.grid.m
+    dt = u.grid.dt
     uu = u.values
-    kdot = _centered(kv, dt)
-    out = np.zeros(m + 1)
-    for j in range(1, m + 1):
-        lag = np.arange(0, j + 1)
-        bracket = H(uu[j - lag]) - H(uu[j]) - Hp(uu[j]) * (uu[j - lag] - uu[j])
-        w = np.ones(j + 1)
-        w[0] = 0.5
-        w[-1] = 0.5
-        out[j] = dt * np.dot(w, bracket * (-kdot[lag]))
-    return out
+    neg_kdot = -_centered(kv, dt)
+    S = _trapezoid_convolve(neg_kdot, np.ones_like(uu), dt)
+    T1 = _trapezoid_convolve(neg_kdot, H(uu), dt)
+    T2 = _trapezoid_convolve(neg_kdot, uu, dt)
+    return T1 - H(uu) * S - Hp(uu) * (T2 - uu * S)
 
 
 def fundamental_identity_residual(
@@ -242,25 +255,22 @@ def _comm1_terms(v: SampledPath, phi: SampledPath, alpha: float):
     gcells = rl_kernel_table(a, dt, m, sampling="cell_average").cell_values()
 
     def conv_mid(data):
-        mid = 0.5 * (data[:-1] + data[1:])
         out = np.zeros(m + 1)
-        out[1:] = np.convolve(gcells, mid)[:m] * dt
+        out[1:] = causal_sum(gcells, 0.5 * (data[:-1] + data[1:])) * dt
         return out
 
     lhs = conv_mid(ph * vdot)
     term1 = ph * conv_mid(vdot)
     corr2 = conv_mid(phid * vv)
+    # corr1[j] = w_first D(1) + sum_{l=1}^{j-1} D(l) (M0 - M1/dt)[l-1]
+    # + D(l+1) M1[l-1]/dt with D(l) = (phi_j - phi_{j-l}) v_{j-l}; the lag-j
+    # term of the (M0 - M1/dt) part is left out, so that part runs on v_0 := 0
     M0, M1, w_first = _neg_gdot_pi(a, dt, m)
-    corr1 = np.zeros(m + 1)
-    for j in range(1, m + 1):
-        lag = np.arange(0, j + 1)
-        D = (ph[j] - ph[j - lag]) * vv[j - lag]  # D[0] = 0
-        acc = w_first * D[1]
-        if j >= 2:
-            ll = np.arange(1, j)
-            DL, DR = D[ll], D[ll + 1]
-            acc += np.dot(DL, M0[ll - 1]) + np.dot((DR - DL) / dt, M1[ll - 1])
-        corr1[j] = acc
+    k_in = np.concatenate([[0.0], M0 - M1 / dt])
+    k_end = np.concatenate([[0.0, w_first], M1[:-1] / dt])
+    v_in = np.concatenate([[0.0], vv[1:]])
+    corr1 = (ph * (causal_sum(k_in, v_in) + causal_sum(k_end, vv))
+             - causal_sum(k_in, ph * v_in) - causal_sum(k_end, ph * vv))
     return lhs, term1, corr1, corr2
 
 
@@ -300,19 +310,14 @@ def commutation_residual_2(k: KernelTable, v: SampledPath, phi: SampledPath,
     kv = _require_regular(k)
     _match_grids(k, v.grid)
     _match_grids_path(v, phi)
-    dt, m = v.grid.dt, v.grid.m
+    dt = v.grid.dt
     vv, ph = v.values, phi.values
     kdot = _centered(kv, dt)
     lhs = ph * _centered(_trapezoid_convolve(kv, vv, dt), dt)
     d2 = _centered(_trapezoid_convolve(kv, ph * vv, dt), dt)
-    corr = np.zeros(m + 1)
-    for j in range(1, m + 1):
-        lag = np.arange(0, j + 1)
-        integrand = kdot[lag] * (ph[j] - ph[j - lag]) * vv[j - lag]
-        w = np.ones(j + 1)
-        w[0] = 0.5
-        w[-1] = 0.5
-        corr[j] = dt * np.dot(w, integrand)
+    # trapezoid rule for int k'(s) (phi(t) - phi(t-s)) v(t-s) ds
+    corr = (ph * _trapezoid_convolve(kdot, vv, dt)
+            - _trapezoid_convolve(kdot, ph * vv, dt))
     rhs = d2 + corr
     mask = _interior_mask(v.grid, t_min)
     return float(np.abs(lhs - rhs)[mask].max())

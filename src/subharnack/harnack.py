@@ -119,6 +119,16 @@ def _check_region_inside(result: SolveResult, region: BoxRegion) -> None:
         raise DomainError("region extends past the solved time horizon")
 
 
+def _dist2(coords, center) -> np.ndarray:
+    """Squared distance to ``center`` of every point of the tensor grid
+    spanned by the per-axis ``coords`` (1 or 2 axes)."""
+    c = np.asarray(center)
+    if len(coords) == 1:
+        return (coords[0] - c[0]) ** 2
+    return ((coords[0][:, None] - c[0]) ** 2
+            + (coords[1][None, :] - c[1]) ** 2)
+
+
 def _cell_midpoint_values(result: SolveResult, region: BoxRegion):
     """Midpoint-rule cells intersecting the region: multilinear-center values
     of u and the (constant) cell measure."""
@@ -128,13 +138,7 @@ def _cell_midpoint_values(result: SolveResult, region: BoxRegion):
     t_mid = 0.5 * (time.nodes[:-1] + time.nodes[1:])
     tmask = (t_mid > region.t_lo) & (t_mid < region.t_hi)
     mids = [0.5 * (ax[:-1] + ax[1:]) for ax in axes]
-    c = np.asarray(region.center)
-    if dim == 1:
-        dist2 = (mids[0] - c[0]) ** 2
-    else:
-        dist2 = ((mids[0][:, None] - c[0]) ** 2
-                 + (mids[1][None, :] - c[1]) ** 2)
-    smask = dist2 < region.radius ** 2
+    smask = _dist2(mids, region.center) < region.radius ** 2
     if not np.any(tmask) or not np.any(smask):
         raise EmptyRegionError("no grid cells have midpoints inside the region")
     u = result.u
@@ -174,14 +178,7 @@ def essinf(result: SolveResult, region: BoxRegion) -> float:
     space, time = result.spec.space, result.spec.time
     tmask = (time.nodes >= region.t_lo - 1e-14) & \
             (time.nodes <= region.t_hi + 1e-14)
-    axes = space.axes()
-    c = np.asarray(region.center)
-    if space.dimension == 1:
-        dist2 = (axes[0] - c[0]) ** 2
-    else:
-        dist2 = ((axes[0][:, None] - c[0]) ** 2
-                 + (axes[1][None, :] - c[1]) ** 2)
-    smask = dist2 <= region.radius ** 2 + 1e-14
+    smask = _dist2(space.axes(), region.center) <= region.radius ** 2 + 1e-14
     if not np.any(tmask) or not np.any(smask):
         raise EmptyRegionError("region contains no grid nodes")
     return float(result.u[tmask][:, smask].min())
@@ -221,14 +218,7 @@ def harnack_ratio_sweep(result: SolveResult, config: HarnackConfig,
                          center=config.x0, radius=config.eta * config.r)
     _check_region_inside(result, big_ball)
     scale = max(float(np.abs(result.u).max()), 1.0)
-    axes = space.axes()
-    c = np.asarray(config.x0)
-    if space.dimension == 1:
-        dist2 = (axes[0] - c[0]) ** 2
-    else:
-        dist2 = ((axes[0][:, None] - c[0]) ** 2
-                 + (axes[1][None, :] - c[1]) ** 2)
-    ball_mask = dist2 <= (config.eta * config.r) ** 2
+    ball_mask = _dist2(space.axes(), config.x0) <= (config.eta * config.r) ** 2
     if np.any(spec.u0[ball_mask] < -tol * scale):
         raise DomainError("initial data must be nonnegative on the large ball")
     if float(result.u.min()) < -tol * scale:
@@ -287,14 +277,7 @@ def oscillation_decay(result: SolveResult, x0, r_list, eta: float = 1.0,
         _check_region_inside(result, region)
         space, time = spec.space, spec.time
         tmask = time.nodes <= region.t_hi + 1e-14
-        axes = space.axes()
-        c = np.asarray(region.center)
-        if space.dimension == 1:
-            dist2 = (axes[0] - c[0]) ** 2
-        else:
-            dist2 = ((axes[0][:, None] - c[0]) ** 2
-                     + (axes[1][None, :] - c[1]) ** 2)
-        smask = dist2 <= region.radius ** 2 + 1e-14
+        smask = _dist2(space.axes(), region.center) <= region.radius ** 2 + 1e-14
         if not np.any(smask):
             raise EmptyRegionError(f"no nodes inside the r={r} ball")
         block = result.u[tmask][:, smask]

@@ -1,4 +1,5 @@
 import os
+from pathlib import Path
 
 import pytest
 
@@ -98,6 +99,12 @@ def test_converge_run(tmp_path):
     assert len(body) == 3
 
 
+def test_threads_env_is_not_read(tmp_path, monkeypatch):
+    cfg = write_cfg(tmp_path, "experiment=maxprinciple\nruns=2\n")
+    monkeypatch.setenv("SUBHARNACK_THREADS", "abc")
+    assert cli.main([cfg, "--out", str(tmp_path / "out")]) == 0
+
+
 def test_maxprinciple_run_and_threads_env(tmp_path, monkeypatch):
     cfg = write_cfg(tmp_path, "experiment=maxprinciple\nruns=8\n")
     out = tmp_path / "out"
@@ -113,6 +120,30 @@ def test_deterministic_output(tmp_path):
     assert cli.main([cfg, "--out", str(out_a)]) == 0
     assert cli.main([cfg, "--out", str(out_b), "--threads", "3"]) == 0
     for name in ("maxprinciple_runs.csv", "maxprinciple_summary.txt"):
+        assert (out_a / name).read_bytes() == (out_b / name).read_bytes()
+
+
+TINY_CONFIGS = {
+    "identities": "m=64\nn_levels=1,4\ngnprop_m=32\n",
+    "converge": "m_list=16,32\n",
+    "harnack": "nx=40\nm=12\nperiod=4\np_list=0.5,1.0\n",
+    "optimality": "eps_count=4\n",
+    "continuity": "nx=32\nm=64\nlevels=2\n",
+}
+
+
+@pytest.mark.parametrize("experiment", sorted(TINY_CONFIGS))
+def test_every_family_reruns_byte_identical(tmp_path, experiment):
+    cfg = write_cfg(tmp_path, f"experiment={experiment}\n"
+                              + TINY_CONFIGS[experiment])
+    out_a, out_b = tmp_path / "a", tmp_path / "b"
+    status = cli.main([cfg, "--out", str(out_a)])
+    assert status in (0, 1)
+    assert cli.main([cfg, "--out", str(out_b)]) == status
+    names = sorted(p.name for p in out_a.iterdir())
+    assert f"{experiment}_summary.txt" in names and len(names) >= 2
+    assert names == sorted(p.name for p in out_b.iterdir())
+    for name in names:
         assert (out_a / name).read_bytes() == (out_b / name).read_bytes()
 
 
@@ -156,3 +187,40 @@ def test_numerical_failure_exits_3(tmp_path):
     status = cli.main([cfg, "--out", str(out)])
     assert status == 3
     assert not out.exists()
+
+
+@pytest.mark.parametrize("experiment,setting", [
+    ("identities", "m=0"),
+    ("harnack", "nx=2"),
+    ("converge", "m_list=64"),
+    ("maxprinciple", "runs=0"),
+    ("continuity", "levels=1"),
+    ("optimality", "eps_count=1"),
+    # a valid count whose grid leaves one point in the last decade
+    ("optimality", "p=1.0\neps_count=3"),
+])
+def test_out_of_range_config_exits_2_without_files(tmp_path, experiment,
+                                                   setting):
+    cfg = write_cfg(tmp_path, f"experiment={experiment}\n{setting}\n")
+    out = tmp_path / "out"
+    assert cli.main([cfg, "--out", str(out)]) == 2
+    assert not out.exists()
+
+
+def test_failed_write_leaves_no_files(tmp_path, monkeypatch):
+    writes = []
+    real_write = Path.write_text
+
+    def failing_second_write(self, text, *args, **kwargs):
+        writes.append(self.name)
+        if len(writes) == 2:
+            raise OSError("disk full")
+        return real_write(self, text, *args, **kwargs)
+
+    monkeypatch.setattr(Path, "write_text", failing_second_write)
+    out = tmp_path / "out"
+    with pytest.raises(OSError):
+        cli._atomic_write_all(out, {"a.csv": "1\n", "b.csv": "2\n",
+                                    "c.txt": "3\n"})
+    assert len(writes) == 2
+    assert list(out.iterdir()) == []

@@ -17,6 +17,36 @@ def make_grid(m, T=1.0):
 # causal convolution
 # ---------------------------------------------------------------------------
 
+def naive_causal_sum(w, x):
+    out = np.zeros_like(x)
+    for n in range(x.shape[0]):
+        for j in range(n + 1):
+            out[n] += w[j] * x[n - j]
+    return out
+
+
+def test_causal_sum_direct_in_1d_is_exact():
+    # small integers: every product and partial sum is exact in any order
+    rng = np.random.default_rng(0)
+    w = rng.integers(-8, 9, size=97).astype(float)
+    x = rng.integers(-8, 9, size=97).astype(float)
+    got = F.causal_sum(w, x)
+    assert got.shape == x.shape
+    assert np.array_equal(got, naive_causal_sum(w, x))
+
+
+@pytest.mark.parametrize("shape", [(65, 7), (33, 5, 4)])
+def test_causal_sum_space_time_matches_loop(shape):
+    rng = np.random.default_rng(1)
+    w = rng.uniform(-1.0, 1.0, size=shape[0])
+    x = rng.uniform(-1.0, 1.0, size=shape)
+    got = F.causal_sum(w, x)
+    assert got.shape == x.shape
+    # FFT rounding is global: relative to sum |w| max |x|, not per output
+    bound = np.abs(w).sum() * np.abs(x).max()
+    assert np.abs(got - naive_causal_sum(w, x)).max() <= 1e-13 * bound
+
+
 def test_convolve_inverse_identity():
     m = 512
     grid = make_grid(m)
@@ -180,6 +210,29 @@ def test_fundamental_identity_history_nonnegative_for_convex_h():
     assert hist.min() >= -1e-12
 
 
+def loop_identity_history(u, k, H, Hp):
+    """Trapezoid rule over the lag, one node at a time, on the bracket
+    H(u_{j-l}) - H(u_j) - H'(u_j) (u_{j-l} - u_j)."""
+    dt, m, uu = u.grid.dt, u.grid.m, u.values
+    kdot = F._centered(k.values, dt)
+    out = np.zeros(m + 1)
+    for j in range(1, m + 1):
+        lag = np.arange(0, j + 1)
+        bracket = H(uu[j - lag]) - H(uu[j]) - Hp(uu[j]) * (uu[j - lag] - uu[j])
+        w = np.ones(j + 1)
+        w[0] = w[-1] = 0.5
+        out[j] = dt * np.dot(w, bracket * (-kdot[lag]))
+    return out
+
+
+def test_fundamental_identity_history_matches_lag_loop():
+    grid = make_grid(512)
+    g_t, _ = K.yosida_kernels(0.5, 4, grid.dt, grid.m)
+    u = smooth_path(grid)
+    got = F.fundamental_identity_history(u, g_t, *H2)
+    assert np.abs(got - loop_identity_history(u, g_t, *H2)).max() <= 1e-13
+
+
 def test_fundamental_identity_rejects_singular_kernel():
     grid = make_grid(64)
     raw = K.rl_kernel_table(0.5, grid.dt, grid.m)
@@ -231,6 +284,54 @@ def test_commutation_1_inequality_margin():
         v = F.SampledPath(grid, grid.nodes + 0.3 * np.sin(2.0 * grid.nodes))
         phi = F.SampledPath(grid, 1.0 + 0.5 * grid.nodes ** 2)
         assert F.commutation_inequality_margin(v, phi, 0.5) >= -5.0 * grid.dt
+
+
+def loop_comm1_correction(v, phi, alpha):
+    """Linear product integration of int -g'(s) (phi_j - phi(t_j - s))
+    v(t_j - s) ds with exact derivative moments, one node at a time."""
+    dt, m = v.grid.dt, v.grid.m
+    vv, ph = v.values, phi.values
+    M0, M1, w_first = F._neg_gdot_pi(alpha, dt, m)
+    out = np.zeros(m + 1)
+    for j in range(1, m + 1):
+        lag = np.arange(0, j + 1)
+        D = (ph[j] - ph[j - lag]) * vv[j - lag]
+        acc = w_first * D[1]
+        if j >= 2:
+            ll = np.arange(1, j)
+            DL, DR = D[ll], D[ll + 1]
+            acc += np.dot(DL, M0[ll - 1]) + np.dot((DR - DL) / dt, M1[ll - 1])
+        out[j] = acc
+    return out
+
+
+def test_commutation_1_correction_matches_lag_loop():
+    grid = make_grid(512)
+    v = F.SampledPath(grid, grid.nodes + 0.3 * np.sin(2.0 * grid.nodes))
+    phi = F.SampledPath(grid, 1.0 + 0.5 * grid.nodes ** 2)
+    _, _, corr1, _ = F._comm1_terms(v, phi, 0.5)
+    want = loop_comm1_correction(v, phi, 0.5)
+    assert np.abs(corr1 - want).max() <= 1e-13
+
+
+def test_commutation_2_matches_lag_loop():
+    grid = make_grid(512)
+    dt, m = grid.dt, grid.m
+    g_t, _ = K.yosida_kernels(0.5, 2, dt, m)
+    v = F.SampledPath(grid, 1.0 + 0.5 * np.cos(3.0 * grid.nodes))
+    phi = F.SampledPath(grid, 1.0 + 0.5 * grid.nodes ** 2)
+    vv, ph, kv = v.values, phi.values, g_t.values
+    kdot = F._centered(kv, dt)
+    corr = np.zeros(m + 1)
+    for j in range(1, m + 1):
+        lag = np.arange(0, j + 1)
+        w = np.ones(j + 1)
+        w[0] = w[-1] = 0.5
+        corr[j] = dt * np.dot(w, kdot[lag] * (ph[j] - ph[j - lag]) * vv[j - lag])
+    lhs = ph * F._centered(F._trapezoid_convolve(kv, vv, dt), dt)
+    d2 = F._centered(F._trapezoid_convolve(kv, ph * vv, dt), dt)
+    want = np.abs(lhs - d2 - corr)[1:m].max()
+    assert abs(F.commutation_residual_2(g_t, v, phi) - want) <= 1e-13
 
 
 def test_commutation_2_constant_multiplier_collapses():

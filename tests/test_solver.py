@@ -9,6 +9,7 @@ from scipy.special import erfcx
 
 from subharnack import solver as S
 from subharnack.errors import DomainError, GridMismatchError, LinearSolveError
+from subharnack import fracops as F
 from subharnack.fracops import TimeGrid
 from subharnack.kernels import mittag_leffler
 
@@ -232,6 +233,57 @@ def test_weak_form_detects_supersolution():
 def test_weak_form_detects_non_supersolution():
     res = S.solve_subdiffusion(weak_spec(-1.0))
     assert S.supersolution_residual(res) < 0.0
+
+
+def loop_supersolution_values(result, test_fields):
+    """Per-field weak form by the level-by-level, axis-by-axis definition:
+    the L1 memory derivative paired with eta plus the face energy."""
+    spec = result.spec
+    space, time = spec.space, spec.time
+    dt, m, alpha = time.dt, time.m, spec.alpha
+    c0 = dt ** (-alpha) / math.gamma(2.0 - alpha)
+    b = F.l1_weights(alpha, m)
+    hN = float(np.prod(space.h))
+    U = result.u
+    out = []
+    for eta in test_fields:
+        total = 0.0
+        for n in range(1, m + 1):
+            deriv = c0 * sum(b[j] * (U[n - j] - U[n - j - 1]) for j in range(n))
+            faces = S._face_coefficients(spec, n)
+            energy = 0.0
+            for ax in range(space.dimension):
+                du = np.diff(U[n], axis=ax)
+                de = np.diff(eta[n], axis=ax)
+                energy += np.sum(faces[ax] * du * de) * hN / space.h[ax] ** 2
+            total += dt * (np.sum(deriv * eta[n]) * hN + energy)
+        out.append(total / (np.sum(np.abs(eta)) * hN * dt))
+    return np.array(out)
+
+
+def weak_form_cases():
+    rng = np.random.default_rng(5)
+    x = np.linspace(0.0, 1.0, 65)
+    one_d = interval_spec(nx=64, m=40, T=0.2, u0=np.sin(np.pi * x),
+                          forcing=lambda t, p: np.cos(3.0 * p[..., 0]) - t,
+                          coefficients=S.checkerboard_coefficients(
+                              S.SpaceGrid.interval(0.0, 1.0, 64), 4, 1.0, 5.0))
+    shape = rect_spec().space.shape
+    two_d = rect_spec(time_flip=2, m=16, u0=rng.uniform(0.0, 1.0, shape),
+                      boundary=lambda t, p: 0.5 + 0.5 * np.sin(4.0 * t + p[..., 0]))
+    return [one_d, two_d]
+
+
+@pytest.mark.parametrize("case", [0, 1], ids=["1d_static", "2d_time_flip"])
+def test_weak_form_matches_level_loop(case):
+    spec = weak_form_cases()[case]
+    res = S.solve_subdiffusion(spec)
+    rng = np.random.default_rng(case)
+    fields = [*S.tent_test_fields(spec), rng.uniform(-1.0, 1.0, res.u.shape)]
+    want = loop_supersolution_values(res, fields)
+    got = np.array([S.supersolution_residual(res, [eta]) for eta in fields])
+    assert np.abs(got - want).max() <= 1e-12 * max(1.0, np.abs(want).max())
+    assert S.supersolution_residual(res, fields) == got.min()
 
 
 def test_tent_fields_shape_and_sign():
