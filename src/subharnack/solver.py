@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable, Iterator, Optional, Union
 
 import numpy as np
@@ -247,7 +248,8 @@ class ProblemSpec:
 @dataclass
 class SolveResult:
     """Space-time solution array plus the problem that produced it;
-    ``diagnostics`` holds each level's relative residual."""
+    ``diagnostics`` holds each level's relative residual.  The coefficient
+    states' operators are walked once, on first use, for solve and weak form."""
 
     spec: ProblemSpec
     u: np.ndarray
@@ -256,6 +258,10 @@ class SolveResult:
     @property
     def times(self) -> np.ndarray:
         return self.spec.time.nodes
+
+    @cached_property
+    def _operators(self):
+        return _level_operators(self.spec)
 
     def export_csv(self, path) -> None:
         """Long-format CSV: t,x[,y],u with one row per space-time node."""
@@ -316,38 +322,37 @@ def _face_coefficients(spec: ProblemSpec, time_index: int) -> list:
     return out
 
 
-def _level_operator(space: SpaceGrid, faces, c0: float, inner, outer,
-                    level: int):
-    """Factor and blocks of the level operator c0*I + L on the full nodes.
-
-    L sums, over every face, the face coefficient over h^2 times the jump
-    across the face, for any dimension.  Returns (lu, A, B): the sparse LU
-    factor of the interior block A, A itself (for residuals), and the
-    interior-to-boundary block B that carries the Dirichlet values into the
-    interior right-hand side.
-    """
-    if not all(np.all(np.isfinite(kf) & (kf > 0.0)) for kf in faces):
-        raise DomainError(
-            f"face coefficients at level {level} are not finite and positive")
+def _level_operators(spec: ProblemSpec):
+    """Distinct full-node operators L (no c0 term) of levels 1..m, and the
+    index of the one in force at each level.  L sums, over every face, the
+    face coefficient over h^2 times the jump across it.  Faces are evaluated
+    at level 1 for a static field, else at every level, keyed by their bytes."""
+    space, m = spec.space, spec.time.m
     nodes = np.arange(int(np.prod(space.shape))).reshape(space.shape)
-    rows, cols, vals = [nodes.ravel()], [nodes.ravel()], [np.full(nodes.size, c0)]
-    for ax, (kf, h) in enumerate(zip(faces, space.h)):
-        w = (kf / (h * h)).ravel()
-        lo = np.delete(nodes, -1, axis=ax).ravel()
-        hi = np.delete(nodes, 0, axis=ax).ravel()
-        rows += [lo, hi, lo, hi]
-        cols += [hi, lo, lo, hi]
-        vals += [-w, -w, w, w]
-    full = sp.csr_matrix((np.concatenate(vals),
-                          (np.concatenate(rows), np.concatenate(cols))),
-                         shape=(nodes.size, nodes.size))[inner]
-    A = full[:, inner]
-    try:
-        lu = splu(A.tocsc())
-    except RuntimeError as exc:
-        raise LinearSolveError(
-            f"sparse LU failed at level {level}: {exc}") from exc
-    return lu, A, full[:, outer]
+    levels = range(1, m + 1) if spec.coefficients.time_dependent else (1,)
+    keys, ops, state = {}, [], []
+    for n in levels:
+        faces = _face_coefficients(spec, n)
+        key = b"".join(kf.tobytes() for kf in faces)
+        if key not in keys:
+            if not all(np.all(np.isfinite(kf) & (kf > 0.0)) for kf in faces):
+                raise DomainError(
+                    f"face coefficients at level {n} are not finite and positive")
+            rows, cols, vals = [], [], []
+            for ax, (kf, h) in enumerate(zip(faces, space.h)):
+                w = (kf / (h * h)).ravel()
+                lo = np.delete(nodes, -1, axis=ax).ravel()
+                hi = np.delete(nodes, 0, axis=ax).ravel()
+                rows += [lo, hi, lo, hi]
+                cols += [hi, lo, lo, hi]
+                vals += [-w, -w, w, w]
+            keys[key] = len(ops)
+            ops.append(sp.csr_matrix(
+                (np.concatenate(vals),
+                 (np.concatenate(rows), np.concatenate(cols))),
+                shape=(nodes.size, nodes.size)))
+        state.append(keys[key])
+    return ops, np.resize(state, m)
 
 
 def solve_subdiffusion(spec: ProblemSpec) -> SolveResult:
@@ -357,17 +362,17 @@ def solve_subdiffusion(spec: ProblemSpec) -> SolveResult:
     L^n is the five-point (three-point) operator with harmonic-mean faces.
     The matrix is strictly diagonally dominant with nonpositive off-diagonal
     entries, and the history weights are a convex combination, which gives
-    the discrete comparison principle.  The interior block is factorized
-    once per coefficient state (factors are keyed by the face values) and
-    back-substituted at every level.  ``diagnostics`` holds each level's
-    relative residual ||A u - b|| / ||b||.
+    the discrete comparison principle.  L^n comes from the result's one
+    operator walk, which the weak form reuses; each state's interior block
+    is factorized when a level first needs it and back-substituted at every
+    level in that state.  ``diagnostics`` holds ||A u - b|| / ||b|| per level.
     """
     space, time = spec.space, spec.time
     alpha = spec.alpha
     dt, m = time.dt, time.m
     c0 = dt ** (-alpha) / gamma_fn(2.0 - alpha)
     b = l1_weights(alpha, m)
-    db = b[:-1] - b[1:]
+    db_rev = np.ascontiguousarray((b[:-1] - b[1:])[::-1])
 
     bmask = space.boundary_mask().ravel()
     inner = np.flatnonzero(~bmask)
@@ -377,22 +382,25 @@ def solve_subdiffusion(spec: ProblemSpec) -> SolveResult:
 
     U = np.zeros((m + 1,) + space.shape)
     U[0] = spec.u0
-    diagnostics = []
-
-    factors = {}
-    op = None
-    for n in range(1, m + 1):
+    result = SolveResult(spec=spec, u=U)
+    ops, state = result._operators
+    factors = [None] * len(ops)
+    for n, s in enumerate(state, start=1):
         t = n * dt
-        if op is None or spec.coefficients.time_dependent:
-            faces = _face_coefficients(spec, n)
-            key = b"".join(kf.tobytes() for kf in faces)
-            if key not in factors:
-                factors[key] = _level_operator(space, faces, c0, inner, outer, n)
-            op = factors[key]
-        lu, A, B = op
+        if factors[s] is None:
+            full = ops[s][inner]
+            A = full[:, inner] + c0 * sp.identity(inner.size, format="csr")
+            try:
+                factors[s] = (splu(A.tocsc()), A, full[:, outer])
+            except RuntimeError as exc:
+                raise LinearSolveError(
+                    f"sparse LU failed at level {n}: {exc}") from exc
+        lu, A, B = factors[s]
         hist = b[n - 1] * U[0]
         if n >= 2:
-            hist = hist + np.tensordot(db[: n - 1], U[n - 1:0:-1], axes=(0, 0))
+            # history weights b_{j-1} - b_j pair with U[n-j], j = 1..n-1
+            hist = hist + (db_rev[m - n:] @ U[1:n].reshape(n - 1, -1)
+                           ).reshape(space.shape)
         g = np.broadcast_to(spec.boundary_values(t, pts_out), outer.shape)
         f = spec.forcing_values(t, pts_in)
         if not (np.all(np.isfinite(g)) and np.all(np.isfinite(f))):
@@ -400,12 +408,12 @@ def solve_subdiffusion(spec: ProblemSpec) -> SolveResult:
                 f"boundary or forcing values at level {n} (t={t!r}) are not finite")
         rhs = c0 * hist.reshape(-1)[inner] + f - B @ g
         sol = lu.solve(rhs)
-        diagnostics.append(float(np.linalg.norm(A @ sol - rhs)
-                                 / max(np.linalg.norm(rhs), 1e-300)))
+        result.diagnostics.append(float(np.linalg.norm(A @ sol - rhs)
+                                        / max(np.linalg.norm(rhs), 1e-300)))
         level = U[n].reshape(-1)
         level[outer] = g
         level[inner] = sol
-    return SolveResult(spec=spec, u=U, diagnostics=diagnostics)
+    return result
 
 
 def solve_scalar_relaxation(alpha, sigma: float, u0: float,
@@ -474,28 +482,24 @@ def supersolution_residual(result: SolveResult, test_fields=None) -> float:
     discrete Dirichlet energy; by exact summation by parts it equals the
     forcing paired with the test field, so it is nonnegative (up to
     rounding) exactly when the run is a supersolution.  The memory
-    derivative and the face fluxes (summed by parts onto the nodes) form one
-    residual array R, and each test field eta contributes <R, eta>.
+    derivative plus L u, with each level's operator L from the same walk
+    the solve factorized, forms one residual array R, and each test field
+    eta contributes <R, eta>.
     """
     spec = result.spec
-    space, time = spec.space, spec.time
-    dt, m = time.dt, time.m
+    dt, m = spec.time.dt, spec.time.m
     alpha = spec.alpha
     c0 = dt ** (-alpha) / gamma_fn(2.0 - alpha)
     U = result.u
 
-    R = causal_sum(l1_weights(alpha, m), np.diff(U, axis=0))
+    R = causal_sum(l1_weights(alpha, m), np.diff(U, axis=0)).reshape(m, -1)
     R *= c0
-    levels = range(1, m + 1) if spec.coefficients.time_dependent else (1,)
-    faces = [np.stack(kf) for kf in
-             zip(*(_face_coefficients(spec, n) for n in levels))]
-    for ax, (kf, h) in enumerate(zip(faces, space.h)):
-        flux = np.diff(U[1:], axis=ax + 1)
-        flux *= kf
-        flux /= h * h
-        # node j gains the flux of face j-1 and loses that of face j
-        R -= np.diff(flux, axis=ax + 1, prepend=0.0, append=0.0)
-        del flux
+    V = U[1:].reshape(m, -1)
+    ops, state = result._operators
+    # runs of consecutive levels in one state: slices, not gathered copies
+    edges = [0, *(np.flatnonzero(np.diff(state)) + 1), m]
+    for lo, hi in zip(edges[:-1], edges[1:]):
+        R[lo:hi] += (ops[state[lo]] @ V[lo:hi].T).T
 
     if test_fields is None:
         test_fields = tent_test_fields(spec)

@@ -304,6 +304,21 @@ def test_max_principle_rejects_forcing():
         H.max_principle_check(res)
 
 
+def test_max_principle_probes_every_level():
+    nx, m = 16, 8
+    time = TimeGrid.from_horizon(0.1, m)
+
+    def first_level_only(t, pts):
+        return np.full(pts.shape[:-1], -1.0 if t == time.dt else 0.0)
+
+    spec = S.ProblemSpec(alpha=0.5, space=S.SpaceGrid.interval(0.0, 1.0, nx),
+                         time=time, u0=np.zeros(nx + 1),
+                         forcing=first_level_only)
+    res = S.solve_subdiffusion(spec)
+    with pytest.raises(DomainError, match="zero forcing"):
+        H.max_principle_check(res)
+
+
 # ---------------------------------------------------------------------------
 # weighted Poincare inequality
 # ---------------------------------------------------------------------------

@@ -274,11 +274,16 @@ def weak_form_cases():
     return [one_d, two_d]
 
 
-@pytest.mark.parametrize("case", [0, 1], ids=["1d_static", "2d_time_flip"])
+@pytest.mark.parametrize("case", [0, 1, 2],
+                         ids=["1d_static", "2d_time_flip", "2d_hand_made"])
 def test_weak_form_matches_level_loop(case):
-    spec = weak_form_cases()[case]
+    spec = weak_form_cases()[min(case, 1)]
     res = S.solve_subdiffusion(spec)
     rng = np.random.default_rng(case)
+    if case == 2:
+        # built by hand, so the weak form walks the operators itself
+        res = S.SolveResult(spec=spec,
+                            u=res.u + rng.uniform(-1.0, 1.0, res.u.shape))
     fields = [*S.tent_test_fields(spec), rng.uniform(-1.0, 1.0, res.u.shape)]
     want = loop_supersolution_values(res, fields)
     got = np.array([S.supersolution_residual(res, [eta]) for eta in fields])
@@ -393,16 +398,18 @@ def test_level_operator_matches_node_loop(make, field):
     space = spec.space
     if field == "anisotropic":
         spec = make(coefficients=anisotropic_field(space.dimension))
-    faces = S._face_coefficients(spec, 2)
     bmask = space.boundary_mask().ravel()
     inner, outer = np.flatnonzero(~bmask), np.flatnonzero(bmask)
-    _, A, B = S._level_operator(space, faces, 7.5, inner, outer, 2)
-    A_ref, B_ref = loop_operator(space, faces, 7.5)
+    ops, state = S._level_operators(spec)
+    L = ops[state[1]][inner]
+    # the interior block the solve factorizes at level 2
+    A = L[:, inner] + 7.5 * sp.identity(inner.size)
+    A_ref, B_ref = loop_operator(space, S._face_coefficients(spec, 2), 7.5)
     # off-diagonal entries are single terms; the diagonal sums 2N+1 of them
     # in another order, so it may differ by a few ulps
     tol = 8 * np.finfo(float).eps
     np.testing.assert_allclose(A.toarray(), A_ref, rtol=tol, atol=0.0)
-    np.testing.assert_array_equal(B.toarray(), B_ref)
+    np.testing.assert_array_equal(L[:, outer].toarray(), B_ref)
 
 
 @pytest.mark.parametrize("make", [interval_spec, rect_spec])
@@ -463,6 +470,25 @@ def test_flipping_field_factorized_twice(monkeypatch, time_flip):
     calls = count_splu(monkeypatch)
     S.solve_subdiffusion(rect_spec(time_flip=time_flip, m=12))
     assert len(calls) == 2
+
+
+@pytest.mark.parametrize("time_flip", [None, 3])
+def test_faces_evaluated_once_per_state_walk(time_flip):
+    spec = rect_spec(time_flip=time_flip, m=12)
+    field = spec.coefficients
+    evaluate, calls = field.evaluate, []
+
+    def counting(ti, pts):
+        calls.append(ti)
+        return evaluate(ti, pts)
+
+    field.evaluate = counting
+    res = S.solve_subdiffusion(spec)
+    S.supersolution_residual(res)
+    S.supersolution_residual(res)
+    # two quarter points per axis, at level 1 or at every level
+    levels = spec.time.m if time_flip else 1
+    assert len(calls) == 2 * spec.space.dimension * levels
 
 
 @pytest.mark.parametrize("make", [interval_spec, rect_spec])
