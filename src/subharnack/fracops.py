@@ -4,6 +4,7 @@ operators d/dt (k * u) with regular kernels."""
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -38,6 +39,11 @@ class TimeGrid:
     def __post_init__(self):
         if self.dt <= 0.0:
             raise DomainError(f"dt must be positive, got {self.dt}")
+        m = self.m
+        if not (isinstance(m, numbers.Integral)
+                or (isinstance(m, numbers.Real) and float(m).is_integer())):
+            raise DomainError(f"the step count must be an integer, got {m!r}")
+        object.__setattr__(self, "m", int(m))
         if self.m < 2:
             raise DomainError(f"need at least 2 steps, got {self.m}")
 
@@ -84,24 +90,33 @@ def _match_grids_path(v: SampledPath, w: SampledPath) -> None:
         raise GridMismatchError("paths live on different grids")
 
 
-def causal_sum(w, x) -> np.ndarray:
-    """Causal sum out[n] = sum_{j<=n} w[j] * x[n-j] along axis 0.
+def causal_sum(w, x, lo: int = 0, hi: int | None = None) -> np.ndarray:
+    """Causal sum out[n] = sum_{j<=n} w[j] * x[n-j] along axis 0, for
+    lo <= n < hi (by default the len(x) outputs x covers).
 
-    ``x`` may carry trailing space axes.  A 1-D ``x`` is summed directly
+    ``x`` may carry trailing space axes and is taken as zero past its end;
+    ``w`` holds at least ``hi`` weights.  A 1-D ``x`` is summed directly
     (exact products in a fixed order, so results are reproducible bit for
     bit); a space-time ``x`` goes through one real FFT along time, whose
-    rounding is a few ulps of sum_j |w[j]| * max |x| at every output.
+    rounding is a few ulps of sum_j |w[j]| * max |x| at every output.  The
+    transform is circular: once ``lo >= len(x) - 1`` the outputs wanted
+    are free of wrap-around at length ``hi``, else it pads to the full
+    ``hi + len(x) - 1``.
     """
     x = np.asarray(x, dtype=float)
     n = x.shape[0]
+    hi = n if hi is None else hi
     if x.ndim == 1:
-        return np.convolve(w, x)[:n]
-    size = next_fast_len(2 * n - 1, real=True)
+        return np.convolve(w, x)[lo:hi]
+    size = next_fast_len(hi if lo >= n - 1 else hi + n - 1, real=True)
     spec = rfft(x, size, axis=0)
-    spec *= rfft(np.asarray(w, dtype=float)[:n], size).reshape(
+    spec *= rfft(np.asarray(w, dtype=float)[:hi], size).reshape(
         (-1,) + (1,) * (x.ndim - 1))
-    # copy, so the zero-padded tail is freed with the transform buffer
-    return irfft(spec, size, axis=0, overwrite_x=True)[:n].copy()
+    out = irfft(spec, size, axis=0, overwrite_x=True)
+    # the spectrum is freed before the window is copied out, and the copy
+    # lets the rest of the transform buffer go with it
+    del spec
+    return out[lo:hi].copy()
 
 
 def causal_convolve(k: KernelTable, v: SampledPath) -> SampledPath:

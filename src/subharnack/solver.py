@@ -355,6 +355,15 @@ def _level_operators(spec: ProblemSpec):
     return ops, np.resize(state, m)
 
 
+# levels whose history is summed directly; a longer span is marched in
+# halves, and the first half's share of the second half's history is added
+# by one FFT, which makes the history O(m log^2 m) per node, not O(m^2)
+_BLOCK = 64
+# levels per pass over the boundary and forcing data and the residuals: the
+# passes' buffers stay a few levels deep whatever m is
+_CHUNK = 16
+
+
 def solve_subdiffusion(spec: ProblemSpec) -> SolveResult:
     """March the implicit scheme through all time levels.
 
@@ -365,14 +374,26 @@ def solve_subdiffusion(spec: ProblemSpec) -> SolveResult:
     the discrete comparison principle.  L^n comes from the result's one
     operator walk, which the weak form reuses; each state's interior block
     is factorized when a level first needs it and back-substituted at every
-    level in that state.  ``diagnostics`` holds ||A u - b|| / ||b|| per level.
+    level in that state.
+
+    Only the history and the back-substitution depend on earlier levels.
+    The history of level n, b_{n-1} u0 + sum_j (b_{j-1} - b_j) u_{n-j},
+    accumulates in the not yet solved row n of the result: blocks of up to
+    ``_BLOCK`` levels sum it directly, and a longer span is marched in
+    halves, the finished first half adding its share to the second half by
+    one ``causal_sum`` FFT, with the same weights.  The boundary and forcing
+    values (each called once per level, in level order), their finiteness
+    check, the boundary flux and the residuals ||A u - b|| / ||b|| per level,
+    kept in ``diagnostics``, are whole-array passes over ``_CHUNK`` levels.
     """
     space, time = spec.space, spec.time
     alpha = spec.alpha
     dt, m = time.dt, time.m
     c0 = dt ** (-alpha) / gamma_fn(2.0 - alpha)
     b = l1_weights(alpha, m)
-    db_rev = np.ascontiguousarray((b[:-1] - b[1:])[::-1])
+    # d[j] = b_{j-1} - b_j weighs level n - j in the history of level n
+    d = np.concatenate(([0.0], b[:-1] - b[1:]))
+    d_rev = np.ascontiguousarray(d[:0:-1])
 
     bmask = space.boundary_mask().ravel()
     inner = np.flatnonzero(~bmask)
@@ -380,13 +401,15 @@ def solve_subdiffusion(spec: ProblemSpec) -> SolveResult:
     pts = space.node_points().reshape(-1, space.dimension)
     pts_in, pts_out = pts[inner], pts[outer]
 
-    U = np.zeros((m + 1,) + space.shape)
+    U = np.empty((m + 1,) + space.shape)
     U[0] = spec.u0
+    np.multiply.outer(b, spec.u0, out=U[1:])
+    rows = U.reshape(m + 1, -1)
     result = SolveResult(spec=spec, u=U)
     ops, state = result._operators
     factors = [None] * len(ops)
-    for n, s in enumerate(state, start=1):
-        t = n * dt
+
+    def factor(s, n):
         if factors[s] is None:
             full = ops[s][inner]
             A = full[:, inner] + c0 * sp.identity(inner.size, format="csr")
@@ -395,25 +418,74 @@ def solve_subdiffusion(spec: ProblemSpec) -> SolveResult:
             except RuntimeError as exc:
                 raise LinearSolveError(
                     f"sparse LU failed at level {n}: {exc}") from exc
-        lu, A, B = factors[s]
-        hist = b[n - 1] * U[0]
-        if n >= 2:
-            # history weights b_{j-1} - b_j pair with U[n-j], j = 1..n-1
-            hist = hist + (db_rev[m - n:] @ U[1:n].reshape(n - 1, -1)
-                           ).reshape(space.shape)
-        g = np.broadcast_to(spec.boundary_values(t, pts_out), outer.shape)
-        f = spec.forcing_values(t, pts_in)
-        if not (np.all(np.isfinite(g)) and np.all(np.isfinite(f))):
-            raise DomainError(
-                f"boundary or forcing values at level {n} (t={t!r}) are not finite")
-        rhs = c0 * hist.reshape(-1)[inner] + f - B @ g
-        sol = lu.solve(rhs)
-        result.diagnostics.append(float(np.linalg.norm(A @ sol - rhs)
-                                        / max(np.linalg.norm(rhs), 1e-300)))
-        level = U[n].reshape(-1)
-        level[outer] = g
-        level[inner] = sol
+        return factors[s]
+
+    def data(lo, hi):
+        G = np.empty((hi - lo, outer.size))
+        F = np.empty((hi - lo, inner.size))
+        for i, n in enumerate(range(lo, hi)):
+            t = n * dt
+            for what, buf, vals in (
+                    ("boundary", G, spec.boundary_values(t, pts_out)),
+                    ("forcing", F, spec.forcing_values(t, pts_in))):
+                try:
+                    buf[i] = vals
+                except ValueError:
+                    raise GridMismatchError(
+                        f"{what} values at level {n} have shape "
+                        f"{np.shape(vals)}; expected {buf.shape[1:]} or a "
+                        f"scalar") from None
+        ok = np.isfinite(G).all(axis=1) & np.isfinite(F).all(axis=1)
+        if not ok.all():
+            n = lo + int(np.argmin(ok))
+            raise DomainError(f"boundary or forcing values at level {n} "
+                              f"(t={n * dt!r}) are not finite")
+        return G, F
+
+    def leaf(lo, hi):
+        for c in range(lo, hi, _CHUNK):
+            e = min(c + _CHUNK, hi)
+            G, F = data(c, e)
+            # runs of consecutive levels in one state
+            cuts = [c, *(c + 1 + np.flatnonzero(np.diff(state[c - 1:e - 1]))), e]
+            for a, z in zip(cuts[:-1], cuts[1:]):
+                lu, A, B = factor(state[a - 1], a)
+                BG = (B @ G[a - c:z - c].T).T
+                for n in range(a, z):
+                    hist = rows[n]
+                    if n > lo:
+                        hist = hist + d_rev[m - 1 - (n - lo):] @ rows[lo:n]
+                    # the forcing row becomes the right-hand side, kept
+                    # for the residual
+                    rhs = F[n - c]
+                    np.add(c0 * hist[inner], rhs, out=rhs)
+                    rhs -= BG[n - a]
+                    rows[n, inner] = lu.solve(rhs)
+                # set after the run: a history's boundary columns are unused
+                rows[a:z, outer] = G[a - c:z - c]
+                rhs = F[a - c:z - c]
+                res = A @ rows[a:z, inner].T
+                res -= rhs.T
+                result.diagnostics.extend(
+                    (np.linalg.norm(res, axis=0)
+                     / np.maximum(np.linalg.norm(rhs, axis=1), 1e-300)).tolist())
+
+    _march(1, m + 1, leaf, rows, d)
     return result
+
+
+def _march(lo, hi, leaf, rows, d):
+    """March levels lo..hi-1 whose rows hold the history of every level
+    before lo: a span of up to ``_BLOCK`` levels is one leaf, a longer one
+    is marched in halves with the first half's share added to the second's
+    rows in between.  Module-level, so no closure refers to itself and the
+    solve's buffers are freed with its result, not by the cycle collector."""
+    if hi - lo <= _BLOCK:
+        return leaf(lo, hi)
+    mid = (lo + hi) // 2
+    _march(lo, mid, leaf, rows, d)
+    rows[mid:hi] += causal_sum(d, rows[lo:mid], mid - lo, hi - lo)
+    _march(mid, hi, leaf, rows, d)
 
 
 def solve_scalar_relaxation(alpha, sigma: float, u0: float,

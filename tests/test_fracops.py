@@ -47,6 +47,37 @@ def test_causal_sum_space_time_matches_loop(shape):
     assert np.abs(got - naive_causal_sum(w, x)).max() <= 1e-13 * bound
 
 
+@pytest.mark.parametrize("lo,hi", [(40, 100), (39, 100), (10, 70), (0, 40)],
+                         ids=["past_end", "last_row", "overlap", "default"])
+@pytest.mark.parametrize("ndim", [1, 2])
+def test_causal_sum_window_matches_loop(lo, hi, ndim):
+    # x of 40 rows, zero past its end: the window from lo >= len(x) - 1 uses
+    # a circular transform of length hi, the others pad
+    rng = np.random.default_rng(2)
+    w = rng.uniform(-1.0, 1.0, size=100)
+    x = rng.uniform(-1.0, 1.0, size=(40, 6)[:ndim])
+    padded = np.zeros((100,) + x.shape[1:])
+    padded[:40] = x
+    want = naive_causal_sum(w, padded)[lo:hi]
+    got = F.causal_sum(w, x, lo, hi)
+    assert got.shape == want.shape
+    bound = np.abs(w).sum() * np.abs(x).max()
+    assert np.abs(got - want).max() <= 1e-13 * bound
+    if (lo, hi) == (0, 40):
+        assert np.array_equal(got, F.causal_sum(w, x))
+
+
+def test_time_grid_step_count_must_be_integral():
+    for m in (2.5, 4.000001, float("nan"), np.float32(3.5), "4"):
+        with pytest.raises(DomainError, match="integer"):
+            F.TimeGrid(0.1, m)
+    for m in (4, 4.0, np.int64(4), np.float64(4.0)):
+        grid = F.TimeGrid(0.1, m)
+        assert type(grid.m) is int and grid.m == 4
+        assert grid.nodes.shape == (5,)
+    assert F.TimeGrid(0.1, np.int32(4)) == F.TimeGrid(0.1, 4)
+
+
 def test_convolve_inverse_identity():
     m = 512
     grid = make_grid(m)

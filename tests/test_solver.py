@@ -1,5 +1,7 @@
+import gc
 import math
 import struct
+import weakref
 
 import numpy as np
 import pytest
@@ -525,3 +527,158 @@ def test_comparison_principle_exact_on_flipping_checkerboard_2d():
         rect_spec(time_flip=2, u0=u0 + gap, boundary=h)).u
     scale = max(np.abs(u).max(), np.abs(v).max())
     assert (u - v).max() <= 1e-13 * scale
+
+
+# ---------------------------------------------------------------------------
+# blocked history and the data pass
+# ---------------------------------------------------------------------------
+
+def direct_march(spec):
+    """Level-by-level reference march with the full direct history sum:
+    (c0 I + L) u_n = c0 (b_{n-1} u_0 + sum_j (b_{j-1} - b_j) u_{n-j}) + f
+    on the interior, u_n = g on the boundary."""
+    space, time = spec.space, spec.time
+    dt, m, alpha = time.dt, time.m, spec.alpha
+    c0 = dt ** (-alpha) / math.gamma(2.0 - alpha)
+    b = F.l1_weights(alpha, m)
+    bmask = space.boundary_mask().ravel()
+    inner, outer = np.flatnonzero(~bmask), np.flatnonzero(bmask)
+    pts = space.node_points().reshape(-1, space.dimension)
+    ops, state = S._level_operators(spec)
+    U = np.zeros((m + 1, bmask.size))
+    U[0] = spec.u0.ravel()
+    for n in range(1, m + 1):
+        t = n * dt
+        hist = b[n - 1] * U[0]
+        for j in range(1, n):
+            hist = hist + (b[j - 1] - b[j]) * U[n - j]
+        L = ops[state[n - 1]][inner]
+        U[n, outer] = spec.boundary_values(t, pts[outer])
+        rhs = (c0 * hist[inner] + spec.forcing_values(t, pts[inner])
+               - L[:, outer] @ U[n, outer])
+        A = L[:, inner] + c0 * sp.identity(inner.size)
+        U[n, inner] = spl.spsolve(A.tocsc(), rhs)
+    return U.reshape((m + 1,) + space.shape)
+
+
+# several base blocks, a length that halves unevenly, and a flip period
+# that divides neither the base block nor the data chunk
+LONG_M = 5 * S._BLOCK + 13
+
+
+def long_spec(dim, **kw):
+    rng = np.random.default_rng(40 + dim)
+    if dim == 1:
+        g = S.SpaceGrid.interval(0.0, 1.0, 16)
+        defaults = dict(
+            u0=rng.uniform(-1.0, 2.0, size=g.shape),
+            boundary=lambda t, p: np.cos(3.0 * t + p[..., 0]),
+            forcing=lambda t, p: np.sin(2.0 * p[..., 0] - t),
+            coefficients=S.checkerboard_coefficients(g, 2, 0.5, 4.0))
+        defaults.update(kw)
+        return interval_spec(nx=16, m=LONG_M, T=2.0, **defaults)
+    shape = rect_spec().space.shape
+    defaults = dict(
+        u0=rng.uniform(-1.0, 2.0, size=shape),
+        boundary=lambda t, p: 0.5 * np.sin(4.0 * t + p[..., 0] - p[..., 1]),
+        forcing=lambda t, p: np.cos(p[..., 1] + t))
+    defaults.update(kw)
+    return rect_spec(time_flip=7, m=LONG_M, **defaults)
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_blocked_history_matches_direct_march(dim):
+    spec = long_spec(dim)
+    assert spec.time.m > 4 * S._BLOCK
+    res = S.solve_subdiffusion(spec)
+    want = direct_march(spec)
+    scale = np.abs(want).max()
+    assert np.abs(res.u - want).max() <= 1e-12 * scale
+    assert len(res.diagnostics) == spec.time.m
+    assert all(0.0 <= r <= 1e-12 for r in res.diagnostics)
+    assert max(res.diagnostics) > 0.0
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_comparison_principle_exact_on_long_run(dim):
+    rng = np.random.default_rng(50 + dim)
+    base = long_spec(dim)
+    shape = base.space.shape
+    gap = np.where(rng.uniform(size=shape) < 0.5, 0.0,
+                   rng.uniform(0.0, 1e-3, size=shape))
+
+    def h(t, pts):
+        return base.boundary(t, pts) + np.where(pts[..., 0] < 0.5, 0.0, 1e-3 * t)
+
+    u = S.solve_subdiffusion(base).u
+    v = S.solve_subdiffusion(long_spec(dim, u0=base.u0 + gap, boundary=h)).u
+    scale = max(np.abs(u).max(), np.abs(v).max())
+    assert (u - v).max() <= 1e-13 * scale
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_level_data_called_once_per_level_in_order(dim):
+    calls = []
+
+    def logged(name, fn):
+        def data(t, pts):
+            calls.append((name, t))
+            return fn(t, pts)
+        return data
+
+    base = long_spec(dim)
+    spec = long_spec(dim, boundary=logged("g", base.boundary),
+                     forcing=logged("f", base.forcing))
+    S.solve_subdiffusion(spec)
+    want = [(name, t) for t in spec.time.nodes[1:] for name in ("g", "f")]
+    assert calls == want
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+@pytest.mark.parametrize("which", ["boundary", "forcing"])
+@pytest.mark.parametrize("bad_level", [17, 3 * S._BLOCK + 5])
+def test_nonfinite_data_on_long_run_names_the_level(dim, which, bad_level):
+    base = long_spec(dim)
+    dt = base.time.dt
+    good = getattr(base, which)
+
+    def data(t, pts):
+        vals = good(t, pts)
+        return vals * np.nan if abs(t - bad_level * dt) < 0.5 * dt else vals
+
+    with pytest.raises(DomainError, match=rf"level {bad_level} \("):
+        S.solve_subdiffusion(long_spec(dim, **{which: data}))
+
+
+@pytest.mark.parametrize("make", [interval_spec, rect_spec])
+@pytest.mark.parametrize("which", ["boundary", "forcing"])
+def test_wrong_shape_level_data_is_grid_mismatch(make, which):
+    spec = make()
+    dt = spec.time.dt
+    n_out = int(spec.space.boundary_mask().sum())
+    n_in = spec.u0.size - n_out
+    # too many boundary entries; a trailing axis on the interior
+    wrong = np.zeros(n_out + 3) if which == "boundary" else np.zeros((n_in, 2))
+
+    def data(t, pts):
+        return wrong if t > 2.5 * dt else np.zeros(pts.shape[:-1])
+
+    with pytest.raises(GridMismatchError, match=f"{which} values at level 3"):
+        S.solve_subdiffusion(make(**{which: data}))
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_solve_buffers_freed_with_result(dim):
+    # no reference cycle may hold the solution, the factors or the history
+    # rows after the result is dropped: they are freed at once, not when
+    # the cycle collector next runs
+    res = S.solve_subdiffusion(long_spec(dim))
+    S.supersolution_residual(res)
+    refs = [weakref.ref(res), weakref.ref(res.u)]
+    gc.collect()
+    gc.disable()
+    try:
+        del res
+        assert all(r() is None for r in refs)
+    finally:
+        gc.enable()
