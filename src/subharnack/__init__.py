@@ -1,8 +1,8 @@
 """Numerical toolkit for time-fractional (subdiffusion) evolution equations
 with discontinuous coefficients: convolution-kernel calculus, monotone
-implicit solvers, the spectral fundamental solution, and the measurement
-harnesses for averaged-value-to-infimum ratios, oscillation decay at t = 0,
-and maximum principles."""
+implicit solvers, the fundamental solution as a heat-kernel mixture, and
+the measurement harnesses for averaged-value-to-infimum ratios, oscillation
+decay at t = 0, and maximum principles."""
 
 from .errors import (
     AccuracyError,
@@ -13,7 +13,6 @@ from .errors import (
     GridMismatchError,
     InvalidWeightError,
     LinearSolveError,
-    QuadratureTailError,
     SingularKernelError,
     SingularStepError,
     SubharnackError,

@@ -29,10 +29,6 @@ class LinearSolveError(SubharnackError, RuntimeError):
     """The sparse direct solver could not factorize a level operator."""
 
 
-class QuadratureTailError(SubharnackError, RuntimeError):
-    """The frequency cutoff could not be grown enough to certify the tail bound."""
-
-
 class EmptyRegionError(SubharnackError, ValueError):
     """A space-time region contains no grid cells or nodes."""
 

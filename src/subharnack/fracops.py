@@ -29,6 +29,15 @@ __all__ = [
 ]
 
 
+def _as_count(value, what: str) -> int:
+    """An integral count as int; floats like 4.0 pass, 2.5, NaN and strings
+    raise ``DomainError`` instead of being truncated."""
+    if not (isinstance(value, numbers.Integral)
+            or (isinstance(value, numbers.Real) and float(value).is_integer())):
+        raise DomainError(f"{what} must be an integer, got {value!r}")
+    return int(value)
+
+
 @dataclass(frozen=True)
 class TimeGrid:
     """Uniform time grid 0, dt, ..., m*dt."""
@@ -39,11 +48,7 @@ class TimeGrid:
     def __post_init__(self):
         if self.dt <= 0.0:
             raise DomainError(f"dt must be positive, got {self.dt}")
-        m = self.m
-        if not (isinstance(m, numbers.Integral)
-                or (isinstance(m, numbers.Real) and float(m).is_integer())):
-            raise DomainError(f"the step count must be an integer, got {m!r}")
-        object.__setattr__(self, "m", int(m))
+        object.__setattr__(self, "m", _as_count(self.m, "the step count"))
         if self.m < 2:
             raise DomainError(f"need at least 2 steps, got {self.m}")
 

@@ -1,18 +1,17 @@
 """Whole-space fundamental solution of the forced time-fractional heat
-equation via its spectral representation, and the critical-exponent
-algebra with the borderline-integral experiment."""
+equation as a positive mixture of heat kernels over the M-Wright measure,
+and the critical-exponent algebra with the borderline-integral experiment."""
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy.special import j0, rgamma
 
-from .errors import DomainError, QuadratureTailError
-from .kernels import _as_alpha, ml_on_negative_axis
+from .errors import DomainError
+from .kernels import _as_alpha, _exp_mixture, _gauss_panels, m_wright_rule
 
 __all__ = [
     "critical_exponent",
@@ -77,190 +76,44 @@ def exponent_report(alpha, N: int, p: float) -> ExponentReport:
 
 
 # ---------------------------------------------------------------------------
-# spectral evaluation of Y
+# Y as a heat-kernel mixture
 # ---------------------------------------------------------------------------
-
-def _aux_coefficient(alpha: float) -> float:
-    """Leading algebraic coefficient of E_{a,a}(-s) ~ c2 / s^2; zero at a=1."""
-    return -rgamma(-alpha)
-
-
-def _remainder_envelope(alpha: float) -> list:
-    """(k, c_k) pairs bounding |E_{a,a}(-s) - c2/(1+s)^2| by sum c_k s^-k.
-
-    Subtracting the rational surrogate cancels the s^-2 part, so the
-    remainder decays one power faster and its transforms have fast tails;
-    validated numerically over the working range of alpha and s.
-    """
-    c2 = _aux_coefficient(alpha)
-    c3 = abs(rgamma(alpha - 3.0 * alpha))
-    return [(3, 1.5 * (2.0 * c2 + c3)), (4, 8.0)]
-
-
-def _remainder_env_value(alpha: float, s: float) -> float:
-    return sum(c * s ** (-k) for k, c in _remainder_envelope(alpha))
-
-
-def _plain_tail(alpha: float, t: float, N: int, xi: float) -> float:
-    """Bound on the tail of int xi^(N-1) * remainder(xi^2 t^alpha) dxi."""
-    total = 0.0
-    for k, c in _remainder_envelope(alpha):
-        power = 2 * k - N
-        if power <= 0:
-            return math.inf
-        total += c * t ** (-alpha * k) * xi ** (-power) / power
-    return total
-
-
-def _osc_tail(alpha: float, t: float, N: int, xi: float,
-              rho: np.ndarray) -> np.ndarray:
-    """Oscillation-aware tail bound (second-mean-value form for the monotone
-    enveloped amplitude beyond the cutoff)."""
-    rho = np.asarray(rho, dtype=float)
-    out = np.full(rho.shape, math.inf)
-    pos = rho > 0.0
-    env = _remainder_env_value(alpha, xi * xi * t ** alpha)
-    if N == 1:
-        out[pos] = 2.0 * env / rho[pos]
-    elif N == 3:
-        out[pos] = 2.0 * xi * env / rho[pos] ** 2
-    elif N == 2:
-        # |J0(x)| <= sqrt(2/(pi x)); integrate the enveloped amplitude
-        amp = 0.0
-        for k, c in _remainder_envelope(alpha):
-            power = 2 * k - 1.5
-            amp += c * t ** (-alpha * k) * xi ** (-power) / power
-        out[pos] = math.sqrt(2.0 / math.pi) * amp / np.sqrt(rho[pos])
-    return out
-
-
-def _aux_transform(alpha: float, t: float, N: int, rho: np.ndarray) -> np.ndarray:
-    """Closed-form inverse transform of the rational surrogate symbol
-    t^(a-1) c2 / (1 + xi^2 t^a)^2 (a Bessel/Matern kernel)."""
-    c2 = _aux_coefficient(alpha)
-    if c2 == 0.0:
-        return np.zeros_like(np.asarray(rho, dtype=float))
-    mu = t ** (-alpha / 2.0)
-    C = t ** (alpha - 1.0) * c2 * t ** (-2.0 * alpha)
-    rho = np.asarray(rho, dtype=float)
-    z = mu * rho
-    if N == 1:
-        return C * (1.0 + z) * np.exp(-z) / (4.0 * mu ** 3)
-    if N == 3:
-        return C * np.exp(-z) / (8.0 * math.pi * mu)
-    from scipy.special import k1
-
-    out = np.empty_like(rho)
-    pos = rho > 0.0
-    out[pos] = C * rho[pos] * k1(z[pos]) / (4.0 * math.pi * mu)
-    out[~pos] = C / (4.0 * math.pi * mu * mu)
-    return out
-
 
 @dataclass
 class FundamentalSolutionEvaluator:
-    """Evaluates the forced-problem kernel by radially symmetric inverse
-    Fourier transform of its spectral symbol.
+    """Evaluates the forced-problem kernel Y as a positive mixture of heat
+    kernels G over the M-Wright measure (Mainardi, Mura & Pagnini 2010):
 
-    The frequency cutoff grows geometrically until the certified tail bound
-    drops below ``rel_tail_tol`` of the computed value at the evaluation
-    point, or below an absolute floor tied to the natural magnitude scale
-    (the crude algebraic bound cannot follow the subexponential far field).
+        Y(t, x) = alpha t^(alpha-1) int r M_alpha(r) G(r t^alpha, x) dr,
+
+    summed over ``kernels.m_wright_rule``.  Every term is positive, so
+    Y >= 0 holds by construction; its spatial mass is t^(alpha-1)/Gamma(alpha)
+    and its Fourier symbol t^(alpha-1) E_{alpha,alpha}(-|xi|^2 t^alpha).
+    At alpha = 1 the rule is one node and Y is the heat kernel.
     """
 
     alpha: float
     dimension: int
-    xi_cutoff: Optional[float] = None
-    panel_nodes: int = 16
-    rel_tail_tol: float = 1e-8
-    abs_tail_floor: Optional[float] = None
-    max_growth: int = 12
-    _gl: tuple = field(init=False, repr=False, default=None)
 
     def __post_init__(self):
         self.alpha = _as_alpha(self.alpha, classical_ok=True)
         if self.dimension not in (1, 2, 3):
             raise DomainError(f"dimension must be 1, 2 or 3, got {self.dimension}")
-        self._gl = np.polynomial.legendre.leggauss(self.panel_nodes)
-
-    # -- internals ---------------------------------------------------------
-
-    def _kernel_matrix(self, xi: np.ndarray, rho: np.ndarray) -> np.ndarray:
-        """Angular factor of the inverse transform: shape (len(rho), len(xi))."""
-        N = self.dimension
-        xr = np.outer(rho, xi)
-        if N == 1:
-            return np.cos(xr) / math.pi
-        if N == 2:
-            return j0(xr) * xi[None, :] / (2.0 * math.pi)
-        out = np.empty_like(xr)
-        pos = rho > 0.0
-        with np.errstate(invalid="ignore", divide="ignore"):
-            out[pos, :] = np.sin(xr[pos, :]) / xr[pos, :]
-        out[~pos, :] = 1.0
-        return out * xi[None, :] ** 2 / (2.0 * math.pi ** 2)
-
-    def _integrate_band(self, t: float, rho: np.ndarray, lo: float,
-                        hi: float, width: float) -> np.ndarray:
-        """Quadrature of the remainder symbol (full symbol minus the rational
-        surrogate, whose transform is added in closed form)."""
-        a = self.alpha
-        ray = ml_on_negative_axis(a, a)
-        c2 = _aux_coefficient(a)
-        xg, wg = self._gl
-        n_panels = max(1, int(math.ceil((hi - lo) / width)))
-        edges = np.linspace(lo, hi, n_panels + 1)
-        acc = np.zeros(rho.size)
-        chunk = max(1, 4096 // self.panel_nodes)
-        for start in range(0, n_panels, chunk):
-            sel = edges[start: start + chunk + 1]
-            mid = 0.5 * (sel[:-1] + sel[1:])
-            half = 0.5 * (sel[1:] - sel[:-1])
-            nodes = (mid[:, None] + half[:, None] * xg[None, :]).ravel()
-            weights = (half[:, None] * wg[None, :]).ravel()
-            s = nodes * nodes * t ** a
-            sym = t ** (a - 1.0) * (ray(s) - c2 / (1.0 + s) ** 2)
-            acc += self._kernel_matrix(nodes, rho) @ (weights * sym)
-        return acc
 
     def profile(self, t: float, rho) -> np.ndarray:
-        """Y(t, |x| = rho) for an array of radii, sharing one quadrature."""
-        if t <= 0.0:
-            raise DomainError(f"t must be positive, got {t}")
+        """Y(t, |x| = rho) for an array of radii, one rule sum per radius."""
+        t = float(t)
+        if not 0.0 < t < math.inf:
+            raise DomainError(f"t must be positive and finite, got {t}")
         rho = np.atleast_1d(np.asarray(rho, dtype=float))
-        if np.any(rho < 0.0):
-            raise DomainError("radii must be nonnegative")
+        if not np.all((rho >= 0.0) & (rho < math.inf)):
+            raise DomainError("radii must be finite and nonnegative")
         a, N = self.alpha, self.dimension
-        xi_scale = t ** (-a / 2.0)
-        rho_max = float(rho.max())
-        width = xi_scale / 8.0
-        if rho_max > 0.0:
-            width = min(width, math.pi / (2.0 * rho_max))
-        xi = self.xi_cutoff if self.xi_cutoff is not None else 16.0 * xi_scale
-        floor = self.abs_tail_floor
-        if floor is None:
-            floor = 1e-10 * t ** (a - 1.0) * xi_scale ** N
-        vals = self._integrate_band(t, rho, 0.0, xi, width) \
-            + _aux_transform(a, t, N, rho)
-        pref = {1: 1.0 / math.pi, 2: 1.0 / (2.0 * math.pi),
-                3: 1.0 / (2.0 * math.pi ** 2)}[N]
-        for _ in range(self.max_growth):
-            plain = pref * t ** (a - 1.0) * _plain_tail(a, t, N, xi)
-            osc = pref * t ** (a - 1.0) * _osc_tail(a, t, N, xi, rho)
-            tail = np.minimum(plain, osc)
-            ok = (tail <= self.rel_tail_tol * np.abs(vals)) | (tail <= floor)
-            if np.all(ok):
-                return vals
-            new_xi = 1.8 * xi
-            ext_width = min(width * 4.0, max(width, (new_xi - xi) / 48.0))
-            if rho.max() > 0.0:
-                ext_width = min(ext_width, math.pi / (2.0 * rho.max()))
-            vals = vals + self._integrate_band(t, rho, xi, new_xi, ext_width)
-            xi = new_xi
-        raise QuadratureTailError(
-            f"tail bound not certified at t={t} after {self.max_growth} "
-            f"cutoff extensions (xi={xi:.3g})"
-        )
+        nodes, weights = m_wright_rule(a)
+        tau = nodes * t ** a                      # heat-kernel times r t^alpha
+        coef = (a * t ** (a - 1.0) * weights * nodes
+                * (4.0 * math.pi * tau) ** (-0.5 * N))
+        return _exp_mixture(rho * rho, 0.25 / tau, coef)
 
     def evaluate(self, t: float, x) -> float:
         """Y(t, x); x may be a scalar or an N-vector."""
@@ -284,11 +137,7 @@ def spatial_mass(evaluator: FundamentalSolutionEvaluator, t: float,
         np.linspace(0.0, 2.0 * r_scale, n_panels // 2 + 1),
         np.geomspace(2.0 * r_scale, r_max, n_panels // 2 + 1)[1:],
     ])
-    xg, wg = np.polynomial.legendre.leggauss(16)
-    mid = 0.5 * (edges[:-1] + edges[1:])
-    half = 0.5 * np.diff(edges)
-    nodes = (mid[:, None] + half[:, None] * xg[None, :]).ravel()
-    weights = (half[:, None] * wg[None, :]).ravel()
+    nodes, weights = _gauss_panels(edges, 16)
     vals = evaluator.profile(t, nodes)
     integrand = _SPHERE_AREA[N] * nodes ** (N - 1) * vals
     return float(np.dot(weights, integrand))
@@ -306,10 +155,7 @@ def _profile_cumulative(evaluator: FundamentalSolutionEvaluator, p: float,
         np.linspace(0.0, 2.0, n_nodes // 2),
         np.geomspace(2.0, rho_max, n_nodes // 2 + 1)[1:],
     ])
-    phi = np.maximum(evaluator.profile(1.0, nodes), 0.0)
-    # quadrature noise floor: zero out the unresolvable far field
-    phi[phi < 1e-13 * phi.max()] = 0.0
-    integrand = nodes ** (N - 1) * phi ** p
+    integrand = nodes ** (N - 1) * evaluator.profile(1.0, nodes) ** p
     cumulative = np.concatenate([[0.0], np.cumsum(
         0.5 * (integrand[1:] + integrand[:-1]) * np.diff(nodes))])
     return nodes, cumulative
@@ -340,15 +186,10 @@ def optimality_experiment(alpha, N: int, p: float, epsilon_list,
     cap = cumulative[-1]
     e_p = divergence_exponent(a, N, p)
     area = _SPHERE_AREA[N]
-    xg, wg = np.polynomial.legendre.leggauss(16)
 
     def integral(eps: float) -> float:
         n_panels = max(8, int(12 * math.log10(1.0 / eps)) + 8)
-        edges = np.geomspace(eps, 1.0, n_panels + 1)
-        mid = 0.5 * (edges[:-1] + edges[1:])
-        half = 0.5 * np.diff(edges)
-        tq = (mid[:, None] + half[:, None] * xg[None, :]).ravel()
-        wq = (half[:, None] * wg[None, :]).ravel()
+        tq, wq = _gauss_panels(np.geomspace(eps, 1.0, n_panels + 1), 16)
         radius = tq ** (-a / 2.0)
         phi_cum = np.where(radius >= nodes[-1], cap,
                            np.interp(radius, nodes, cumulative))

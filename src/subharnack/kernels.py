@@ -4,6 +4,11 @@ Power kernels t^(beta-1)/Gamma(beta), the generalized Mittag-Leffler function,
 Yosida-regularized kernels obtained from scalar Volterra equations, and the
 bounded resolvent kernel.  A generic product-integration Volterra solver acts
 as the brute-force cross-check for every closed form in this module.
+
+The Mittag-Leffler rays E_alpha(-s) and E_{alpha,alpha}(-s), and the
+fundamental solution in ``fundsol``, are positive mixtures of the M-Wright
+density M_alpha; ``m_wright_rule`` is the one positive quadrature for that
+measure behind all three, certified at build time by its exact moments.
 """
 
 from __future__ import annotations
@@ -15,8 +20,6 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
-from scipy.integrate import IntegrationWarning, quad
-from scipy.interpolate import CubicSpline
 from scipy.special import gamma as gamma_fn
 from scipy.special import gammaln, rgamma
 
@@ -33,8 +36,8 @@ __all__ = [
     "rl_kernel",
     "rl_kernel_table",
     "mittag_leffler",
+    "m_wright_rule",
     "ml_on_negative_axis",
-    "ml_negative_tail_bound",
     "solve_volterra",
     "yosida_kernels",
     "yosida_l1_distance",
@@ -149,16 +152,17 @@ class KernelTable:
 
     @classmethod
     def from_csv(cls, path, kind: str = "custom", sampling: str = "node") -> "KernelTable":
-        t, v = [], []
         with open(path, newline="") as fh:
-            r = csv.reader(fh)
-            header = next(r)
-            if header[:2] != ["t", "value"]:
-                raise ValueError(f"expected header t,value, got {header}")
-            for row in r:
-                t.append(float(row[0]))
-                v.append(float(row[1]))
-        t = np.asarray(t)
+            rows = list(csv.reader(fh))
+        if not rows:
+            raise ValueError(f"{path}: empty file, expected header t,value")
+        if rows[0][:2] != ["t", "value"]:
+            raise ValueError(f"expected header t,value, got {rows[0]}")
+        if len(rows) < 3:
+            raise ValueError(f"{path}: a table needs at least two rows after "
+                             f"the header, got {len(rows) - 1}")
+        t = np.array([float(row[0]) for row in rows[1:]])
+        v = [float(row[1]) for row in rows[1:]]
         dts = np.diff(t)
         if not np.allclose(dts, dts[0], rtol=1e-12, atol=0.0):
             raise ValueError("grid in CSV is not uniform")
@@ -285,6 +289,9 @@ def _ml_integral(alpha: float, beta: float, z: float, rtol: float) -> float:
     spba = math.sin(math.pi * (1.0 - beta + alpha))
     cpa = math.cos(math.pi * alpha)
     z2 = z * z
+    # the only user of scipy.integrate: importing it here keeps it out of
+    # ``import subharnack``
+    from scipy.integrate import IntegrationWarning, quad
 
     def regular_part(u):
         ua = u ** alpha
@@ -355,75 +362,170 @@ def mittag_leffler(alpha: float, beta: float, z: float, rtol: float = 1e-11) -> 
     )
 
 
-def ml_negative_tail_bound(alpha: float, beta: float, s: float) -> float:
-    """Conservative envelope for |E_{alpha,beta}(-s)|, valid for large s."""
-    if s <= 0.0:
-        raise DomainError("tail bound needs s > 0")
-    b = 0.0
-    for k in (1, 2, 3):
-        b += abs(rgamma(beta - alpha * k)) / s ** k
-    return 1.5 * b + 2.0 / s ** 4
+# ---------------------------------------------------------------------------
+# M-Wright rule: the one quadrature behind both rays and the fundamental solution
+# ---------------------------------------------------------------------------
+
+#: levels of the Gumbel variable y = log W in Kanter's representation that
+#: split the angle integral into panels; e^(y - e^y) < 1e-18 above 4 and its
+#: e^y tail below -42 is carried by doubling levels (see ``_kanter_density``)
+_GUMBEL_LEVELS = np.array([4.0, 2.9, 2.1, 1.4, 0.7, 0.0, -0.8, -1.6, -2.5,
+                           -3.5, -4.7, -6.0, -7.5, -9.3, -11.3, -13.5, -16.0,
+                           -19.0, -22.5, -26.5, -31.0, -36.0, -42.0])
+#: the rule starts at r = e^-60, below which M_alpha holds under 1e-12 of
+#: every certified moment
+_LOG_R_MIN = -60.0
+_MOMENT_DELTAS = np.array([-0.5, 0.0, 0.5, 1.0, 2.0])
+_MOMENT_RTOL = 1e-10
+#: rows of s (or radii) per block, so a block's matrix stays near 1 MB
+_BLOCK = 256
 
 
-class _NegativeAxisML:
-    """Fast vectorized evaluator of s -> E_{alpha,beta}(-s) on s >= 0.
+def _exp_mixture(x: np.ndarray, rates: np.ndarray,
+                 weights: np.ndarray) -> np.ndarray:
+    """sum_k weights_k exp(-x rates_k) for each x, in blocks of x."""
+    flat = x.ravel()
+    out = np.empty(flat.shape)
+    for lo in range(0, flat.size, _BLOCK):
+        out[lo:lo + _BLOCK] = np.exp(
+            -np.outer(flat[lo:lo + _BLOCK], rates)) @ weights
+    return out.reshape(x.shape)
 
-    Interpolates log E on a dense grid (E is positive and completely monotone
-    in s) and switches to the algebraic expansion beyond ``s_hi``.
+
+def _gauss_panels(edges: np.ndarray, n: int):
+    """Composite n-point Gauss-Legendre rule on consecutive edges (last axis)."""
+    x, w = np.polynomial.legendre.leggauss(n)
+    mid = 0.5 * (edges[..., 1:] + edges[..., :-1])
+    half = 0.5 * (edges[..., 1:] - edges[..., :-1])
+    shape = edges.shape[:-1] + (-1,)
+    return ((mid[..., None] + half[..., None] * x).reshape(shape),
+            (half[..., None] * w).reshape(shape))
+
+
+def _kanter_log_b(zeta, a: float, slope: bool = False):
+    """log B(phi) at phi = pi - eta, eta = e^zeta, with eta; optionally also
+    d log B / d zeta.
+
+    B(phi) = sin(phi) / (sin(a phi)^a sin((1-a) phi)^(1-a)) decreases from
+    a^-a (1-a)^-(1-a) at phi = 0 to 0 at phi = pi.  Each sine is taken in the
+    variable (phi or eta) that keeps its relative precision.
     """
-
-    def __init__(self, alpha: float, beta: float, s_hi: float = 64.0):
-        self.alpha = alpha
-        self.beta = beta
-        self.s_hi = s_hi
-        if alpha == 1.0 and beta == 1.0:
-            self._spline = None
-            return
-        nodes = np.concatenate([
-            np.linspace(0.0, 4.0, 201),
-            np.geomspace(4.0, s_hi, 220)[1:],
-        ])
-        vals = np.array([mittag_leffler(alpha, beta, -s) for s in nodes])
-        if np.any(vals <= 0.0):
-            raise AccuracyError("Mittag-Leffler ray lost positivity")
-        self._spline = CubicSpline(nodes, np.log(vals))
-
-    def _tail(self, s: np.ndarray) -> np.ndarray:
-        out = np.zeros_like(s)
-        sign = 1.0
-        for k in range(1, 9):
-            out += sign * rgamma(self.beta - self.alpha * k) * s ** (-float(k))
-            sign = -sign
-        return out
-
-    def __call__(self, s) -> np.ndarray:
-        s_in = np.asarray(s, dtype=float)
-        s1 = np.atleast_1d(s_in)
-        if np.any(s1 < 0.0):
-            raise DomainError("negative-axis evaluator takes s >= 0")
-        if self._spline is None:
-            out = np.exp(-s1)
-        else:
-            out = np.empty_like(s1)
-            low = s1 <= self.s_hi
-            out[low] = np.exp(self._spline(s1[low]))
-            if np.any(~low):
-                out[~low] = self._tail(s1[~low])
-        return out.reshape(s_in.shape)
+    e = 1.0 - a
+    eta = np.exp(zeta)
+    phi = np.maximum(math.pi - eta, 1e-200)
+    near = phi <= 0.5 * math.pi
+    s1 = np.sin(np.where(near, phi, eta))
+    sa = np.where(near, np.sin(a * phi), np.sin(e * math.pi + a * eta))
+    se = np.sin(e * phi)
+    log_b = np.log(s1) - a * np.log(sa) - e * np.log(se)
+    if not slope:
+        return log_b, eta
+    c1 = np.where(near, np.cos(phi), -np.cos(eta))
+    ca = np.where(near, np.cos(a * phi), -np.cos(e * math.pi + a * eta))
+    d_phi = c1 / s1 - a * a * ca / sa - e * e * np.cos(e * phi) / se
+    return log_b, eta, -eta * d_phi
 
 
-@lru_cache(maxsize=32)
-def _ml_ray_cached(alpha_key: float, beta_key: float) -> _NegativeAxisML:
-    return _NegativeAxisML(alpha_key, beta_key)
+def _kanter_density(a: float, edge: float, u: np.ndarray) -> np.ndarray:
+    """Density of log R at u, for R = B(phi) W^(1-a) with phi uniform on
+    (0, pi) and W standard exponential (Kanter 1975), so R ~ M_a(r) dr;
+    ``edge`` is log B(0), the top of the support of log B.
+
+    Given phi, (log R - log B) / (1-a) = y is Gumbel, so the density is
+    (1/(pi (1-a))) int_0^pi exp(y - e^y) dphi.  The angle integral is taken
+    in zeta = log(pi - phi), split where y crosses ``_GUMBEL_LEVELS``; the
+    crossings come from a table of log B, refined by two Newton steps.
+    """
+    e = 1.0 - a
+    log_pi = math.log(math.pi)
+    # below y = -42 the integrand in zeta decays only like e^(a y); doubling
+    # levels carry that tail down to a y < -84
+    deep = -42.0 * 2.0 ** np.arange(1, math.ceil(math.log2(1.0 / a)) + 2)
+    target = u[:, None] - e * np.concatenate([_GUMBEL_LEVELS, deep])
+    z_tab = np.linspace(_LOG_R_MIN - 30.0, log_pi, 2000)[:-1]
+    b_tab = np.maximum.accumulate(_kanter_log_b(z_tab, a)[0])
+    zeta = np.interp(target, b_tab, z_tab, right=log_pi)
+    below = target < b_tab[0]
+    zeta[below] = z_tab[0] + (target[below] - b_tab[0])   # log B ~ zeta there
+    for _ in range(2):
+        log_b, _, d_log_b = _kanter_log_b(zeta, a, slope=True)
+        d_log_b[d_log_b <= 0.0] = np.inf      # flat at phi = 0: stay put
+        zeta = np.minimum(
+            zeta + np.clip((target - log_b) / d_log_b, -1.0, 1.0), log_pi)
+    zeta[target >= edge] = log_pi             # level above log B(0): phi = 0
+    # sorting keeps the panels contiguous should Newton cross two levels
+    z, wz = _gauss_panels(np.sort(zeta, axis=1), 16)
+    log_b, eta = _kanter_log_b(z, a)
+    y = (u[:, None] - log_b) / e
+    gumbel = np.exp(y - np.exp(np.minimum(y, 700.0)))
+    return np.sum(wz * eta * gumbel, axis=1) / (math.pi * e)
 
 
-def ml_on_negative_axis(alpha: float, beta: float) -> _NegativeAxisML:
-    """Cached vectorized evaluator for E_{alpha,beta}(-s), s >= 0."""
-    if not (0.0 < alpha <= 1.0) or beta <= 0.0:
-        raise DomainError("ray evaluator supports 0 < alpha <= 1, beta > 0")
-    if alpha == 1.0 and beta != 1.0:
-        raise DomainError("alpha = 1 ray is only available for beta = 1")
-    return _ml_ray_cached(round(alpha, 12), round(beta, 12))
+@lru_cache(maxsize=64)
+def _m_wright_rule(a: float):
+    if a == 1.0:
+        nodes, weights = np.ones(1), np.ones(1)
+    else:
+        # Gauss panels in u = log r, graded geometrically from width (1-a)/2
+        # at the edge u = log B(0) of M_a's support, where its density falls
+        # off like exp(-e^((u - edge)/(1-a))), to width 2 on the left
+        e = 1.0 - a
+        edge = -a * math.log(a) - e * math.log(e)
+        left, width = [edge], 0.5 * e
+        while left[-1] > _LOG_R_MIN:
+            left.append(left[-1] - width)
+            width = min(2.0 * width, 2.0)
+        right = edge + e * np.array([0.5, 1.0, 1.5, 2.0, 3.0, 4.5])
+        u, wu = _gauss_panels(np.concatenate([left[::-1], right]), 12)
+        weights = wu * _kanter_density(a, edge, u)
+        keep = weights > 0.0
+        nodes, weights = np.exp(u[keep]), weights[keep]
+    got = (nodes[None, :] ** _MOMENT_DELTAS[:, None]) @ weights
+    exact = np.exp(gammaln(1.0 + _MOMENT_DELTAS)
+                   - gammaln(1.0 + a * _MOMENT_DELTAS))
+    miss = float(np.max(np.abs(got / exact - 1.0)))
+    if not miss <= _MOMENT_RTOL:
+        raise AccuracyError(
+            f"M-Wright rule at alpha={a} misses a moment by {miss:.1e}")
+    nodes.setflags(write=False)
+    weights.setflags(write=False)
+    return nodes, weights
+
+
+def m_wright_rule(alpha):
+    """Positive quadrature (nodes r_k > 0, weights W_k > 0) for the M-Wright
+    measure M_alpha(r) dr on r > 0, memoized on alpha.
+
+    sum_k W_k f(r_k) approximates int f(r) M_alpha(r) dr.  The build checks
+    the moments sum_k W_k r_k^d = Gamma(1+d)/Gamma(1+alpha d) for
+    d in {-1/2, 0, 1/2, 1, 2} to 1e-10 relative and raises ``AccuracyError``
+    on a miss.  At alpha = 1 the measure is the unit mass at r = 1.
+    """
+    return _m_wright_rule(_as_alpha(alpha, classical_ok=True))
+
+
+def ml_on_negative_axis(alpha: float, beta: float):
+    """Vectorized s -> E_{alpha,beta}(-s) on s >= 0 for beta in {1, alpha}.
+
+    E_alpha(-s) = int e^(-s r) M_alpha(r) dr and E_{alpha,alpha}(-s) =
+    alpha int r e^(-s r) M_alpha(r) dr, both summed over ``m_wright_rule``
+    in blocks of s; positive and nonincreasing in s by construction.  Any
+    other beta raises ``DomainError``, as does a negative or NaN s.
+    """
+    a = _as_alpha(alpha, classical_ok=True)
+    if beta not in (1.0, a):
+        raise DomainError(f"the ray takes beta = 1 or beta = alpha, got {beta}")
+    nodes, weights = m_wright_rule(a)
+    if beta != 1.0:
+        weights = a * nodes * weights
+
+    def ray(s):
+        s = np.asarray(s, dtype=float)
+        if not np.all(s >= 0.0):
+            raise DomainError("the ray takes s >= 0")
+        return _exp_mixture(s, nodes, weights)
+
+    return ray
 
 
 # ---------------------------------------------------------------------------
@@ -564,19 +666,13 @@ def yosida_l1_distance(alpha, n: int, T: float = 1.0) -> float:
     """
     a = _as_alpha(alpha)
     ray = ml_on_negative_axis(a, 1.0)
-    from numpy.polynomial.legendre import leggauss
-
-    xg, wg = leggauss(40)
     a0 = T * 1e-14
     # analytic head: on [0, a0] the bounded kernel is ~ n, the limit dominates
     head = a0 ** (1.0 - a) / gamma_fn(2.0 - a) - n * a0
-    edges = np.concatenate([[a0], np.geomspace(a0 * 10.0, T, 140)])
-    total = abs(head)
-    for lo, hi in zip(edges[:-1], edges[1:]):
-        tm = 0.5 * (lo + hi) + 0.5 * (hi - lo) * xg
-        diff = tm ** (-a) / gamma_fn(1.0 - a) - n * ray(n * tm ** a)
-        total += 0.5 * (hi - lo) * np.dot(wg, np.abs(diff))
-    return float(total)
+    tm, wm = _gauss_panels(
+        np.concatenate([[a0], np.geomspace(a0 * 10.0, T, 140)]), 40)
+    diff = tm ** (-a) / gamma_fn(1.0 - a) - n * ray(n * tm ** a)
+    return float(abs(head) + np.dot(wm, np.abs(diff)))
 
 
 def resolvent_kernel(alpha, theta: float, dt: float, m: int) -> KernelTable:

@@ -21,7 +21,7 @@ from scipy.sparse.linalg import splu
 from scipy.special import gamma as gamma_fn
 
 from .errors import DomainError, GridMismatchError, LinearSolveError
-from .fracops import SampledPath, TimeGrid, causal_sum, l1_weights
+from .fracops import SampledPath, TimeGrid, _as_count, causal_sum, l1_weights
 from .kernels import _as_alpha, rl_kernel_table, solve_volterra
 
 __all__ = [
@@ -52,7 +52,8 @@ class SpaceGrid:
     def __post_init__(self):
         lo = tuple(float(x) for x in np.atleast_1d(self.lower))
         hi = tuple(float(x) for x in np.atleast_1d(self.upper))
-        nc = tuple(int(n) for n in np.atleast_1d(self.cells))
+        nc = tuple(_as_count(n, "a cell count")
+                   for n in np.atleast_1d(self.cells))
         if not (len(lo) == len(hi) == len(nc)):
             raise DomainError("lower/upper/cells must have matching lengths")
         if len(lo) not in (1, 2):
@@ -194,15 +195,15 @@ def checkerboard_coefficients(
             parity = (parity + (time_index // time_flip)) % 2
         return np.where(parity == 0, low, high)
 
-    fld = CoefficientField(
+    # nu = low and lambda = high * sqrt(N) hold by construction; ProblemSpec
+    # validates the field once
+    return CoefficientField(
         evaluate=evaluate,
         nu=low,
         lambda_bound=high * np.sqrt(space.dimension),
         time_dependent=time_flip is not None,
         name=f"checkerboard(period={period}, low={low}, high={high})",
     )
-    fld.validate(space)
-    return fld
 
 
 @dataclass

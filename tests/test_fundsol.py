@@ -2,10 +2,14 @@ import math
 
 import numpy as np
 import pytest
+from scipy.integrate import quad
+from scipy.special import gammaln
 
 from subharnack import fundsol as FS
 from subharnack.errors import DomainError
-from subharnack.kernels import rl_kernel
+from subharnack.kernels import mittag_leffler, ml_on_negative_axis, rl_kernel
+
+RULE_ALPHAS = (0.1, 0.3, 0.5, 0.7, 0.9, 0.95, 0.99, 0.999)
 
 
 # ---------------------------------------------------------------------------
@@ -96,7 +100,78 @@ def test_nonnegativity_grid(ev_half):
     for t in (0.01, 0.1, 1.0, 4.0):
         vals = ev_half.profile(t, np.linspace(0.0, 4.0, 41))
         worst = min(worst, float(vals.min()))
-    assert worst >= -1e-8
+    assert worst >= 0.0
+
+
+@pytest.mark.parametrize("alpha", RULE_ALPHAS)
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_origin_value_closed_form(alpha, dim):
+    # Y(t, 0) = alpha (4 pi)^(-N/2) t^(alpha-1-alpha N/2) times the
+    # (1 - N/2)-th moment Gamma(2 - N/2) / Gamma(1 + alpha (1 - N/2))
+    ev = FS.FundamentalSolutionEvaluator(alpha=alpha, dimension=dim)
+    d = 1.0 - dim / 2.0
+    for t in (0.01, 1.0, 7.0):
+        exact = (alpha * (4.0 * math.pi) ** (-dim / 2.0)
+                 * t ** (alpha - 1.0 - alpha * dim / 2.0)
+                 * math.exp(gammaln(1.0 + d) - gammaln(1.0 + alpha * d)))
+        assert ev.evaluate(t, 0.0) == pytest.approx(exact, rel=1e-9)
+
+
+def _cosine_oracle(alpha, rho):
+    """Y(1, rho) for N = 1 as (1/pi) int cos(xi rho) E_{a,a}(-xi^2) dxi,
+    from the scalar Mittag-Leffler evaluator."""
+    def symbol(xi):
+        return mittag_leffler(alpha, alpha, -xi * xi)
+    head = quad(symbol, 0.0, 8.0, weight="cos", wvar=rho, epsabs=1e-13,
+                limit=200)[0]
+    tail = quad(symbol, 8.0, np.inf, weight="cos", wvar=rho, epsabs=1e-13,
+                limlst=200)[0]
+    return (head + tail) / math.pi
+
+
+@pytest.mark.parametrize("alpha", RULE_ALPHAS)
+def test_profile_matches_cosine_transform_oracle(alpha):
+    ev = FS.FundamentalSolutionEvaluator(alpha=alpha, dimension=1)
+    rho = np.array([0.3, 1.0, 2.5])
+    want = np.array([_cosine_oracle(alpha, r) for r in rho])
+    scale = ev.evaluate(1.0, 0.0)
+    assert np.abs(ev.profile(1.0, rho) - want).max() <= 1e-8 * scale
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_half_order_profile_matches_m_wright_closed_form(dim):
+    # M_{1/2}(r) = exp(-r^2/4)/sqrt(pi): Y(t, rho) is one smooth integral
+    ev = FS.FundamentalSolutionEvaluator(alpha=0.5, dimension=dim)
+    t = 0.7
+
+    def oracle(rho):
+        def integrand(r):
+            tau = r * t ** 0.5
+            heat = ((4.0 * math.pi * tau) ** (-dim / 2.0)
+                    * math.exp(-rho ** 2 / (4.0 * tau)))
+            return r * math.exp(-r * r / 4.0) / math.sqrt(math.pi) * heat
+        return 0.5 * t ** -0.5 * quad(integrand, 0.0, np.inf, epsabs=0.0,
+                                      epsrel=1e-13, limit=200)[0]
+
+    rho = np.array([0.0, 0.2, 0.6, 1.5, 3.0])
+    want = np.array([oracle(r) for r in rho])
+    got = ev.profile(t, rho)
+    assert np.abs(got - want).max() <= 1e-8 * got.max()
+
+
+@pytest.mark.parametrize("call", [
+    lambda: ml_on_negative_axis(0.5, 0.5)(math.nan),
+    lambda: ml_on_negative_axis(0.5, 0.5)(np.array([1.0, math.nan])),
+    lambda: FS.FundamentalSolutionEvaluator(0.5, 1).profile(math.nan, 0.5),
+    lambda: FS.FundamentalSolutionEvaluator(0.5, 1).profile(math.inf, 0.5),
+    lambda: FS.FundamentalSolutionEvaluator(0.5, 1).profile(1.0, math.inf),
+    lambda: FS.FundamentalSolutionEvaluator(0.5, 1).profile(1.0, math.nan),
+    lambda: FS.FundamentalSolutionEvaluator(0.5, 2).evaluate(1.0, [0.0, math.inf]),
+], ids=["ray-nan", "ray-array-nan", "t-nan", "t-inf", "rho-inf", "rho-nan",
+        "x-inf"])
+def test_nonfinite_arguments_raise_domain_error(call):
+    with pytest.raises(DomainError):
+        call()
 
 
 def test_near_classical_profile_matches_gaussian():

@@ -1,8 +1,12 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
-from scipy.special import erfcx, gamma
+from scipy.special import erfcx, gamma, gammaln
 
 from subharnack import kernels as K
 from subharnack.errors import AccuracyError, DomainError, SingularStepError
@@ -66,6 +70,18 @@ def test_kernel_table_invariants():
     assert tab.m == 8
     with pytest.raises(ValueError):
         tab.values[3] = 0.0  # read-only
+
+
+@pytest.mark.parametrize("text, problem", [
+    ("", "empty"),
+    ("t,value\n", "got 0"),
+    ("t,value\n0.0,1.0\n", "got 1"),
+])
+def test_kernel_table_csv_too_short(tmp_path, text, problem):
+    path = tmp_path / "kernel.csv"
+    path.write_text(text)
+    with pytest.raises(ValueError, match=problem):
+        K.KernelTable.from_csv(path)
 
 
 def test_kernel_table_csv_roundtrip(tmp_path):
@@ -154,18 +170,62 @@ def test_ml_accuracy_error_path():
         K.mittag_leffler(-0.5, 1.0, 1.0)
 
 
+RULE_ALPHAS = (0.1, 0.3, 0.5, 0.7, 0.9, 0.95, 0.99, 0.999)
+
+
+@pytest.mark.parametrize("alpha", RULE_ALPHAS)
+def test_m_wright_rule_moments(alpha):
+    nodes, weights = K.m_wright_rule(alpha)
+    assert nodes.size <= 1000
+    assert np.all(nodes > 0.0) and np.all(weights > 0.0)
+    for d in (-0.5, 0.0, 0.5, 1.0, 2.0):
+        exact = math.exp(gammaln(1.0 + d) - gammaln(1.0 + alpha * d))
+        assert np.dot(weights, nodes ** d) == pytest.approx(exact, rel=1e-9)
+    assert K.m_wright_rule(alpha)[0] is nodes  # memoized on alpha
+
+
+def test_m_wright_rule_classical_limit_is_unit_mass():
+    nodes, weights = K.m_wright_rule(1.0)
+    assert nodes.tolist() == [1.0] and weights.tolist() == [1.0]
+    s = np.array([0.0, 0.5, 30.0])
+    assert np.array_equal(K.ml_on_negative_axis(1.0, 1.0)(s), np.exp(-s))
+
+
+@pytest.mark.parametrize("alpha", RULE_ALPHAS)
+def test_ml_rays_match_scalar_evaluator(alpha):
+    s = np.array([0.0, 0.1, 0.5, 3.0, 30.0, 300.0, 1e4])
+    for beta in (1.0, alpha):
+        got = K.ml_on_negative_axis(alpha, beta)(s)
+        want = np.array([K.mittag_leffler(alpha, beta, -x) for x in s])
+        assert np.abs(got / want - 1.0).max() <= 1e-8
+        assert np.all(np.diff(got) < 0.0)
+
+
+def test_ml_ray_takes_beta_one_or_alpha():
+    for alpha, beta in ((0.5, 0.6), (0.5, 1.5), (1.0, 0.5)):
+        with pytest.raises(DomainError):
+            K.ml_on_negative_axis(alpha, beta)
+    with pytest.raises(DomainError):
+        K.ml_on_negative_axis(0.5, 1.0)(-1.0)
+
+
+def test_import_skips_scipy_integrate_and_interpolate():
+    src = str(Path(K.__file__).resolve().parents[1])
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    code = ("import sys, subharnack; "
+            "print(sorted(m for m in sys.modules if m.startswith("
+            "('scipy.integrate', 'scipy.interpolate'))))")
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "[]"
+
+
 def test_ml_negative_ray_matches_direct():
     ray = K.ml_on_negative_axis(0.5, 0.5)
     for s in (0.0, 0.3, 7.7, 63.5, 64.5, 150.0, 1e4):
         direct = K.mittag_leffler(0.5, 0.5, -s) if s > 0 else 1.0 / gamma(0.5)
         assert float(ray(s)) == pytest.approx(direct, rel=2e-8)
-
-
-def test_ml_tail_bound_is_conservative():
-    for alpha in (0.3, 0.5, 0.7, 0.999):
-        for s in (16.0, 50.0, 400.0, 1e4):
-            val = abs(K.mittag_leffler(alpha, alpha, -s))
-            assert K.ml_negative_tail_bound(alpha, alpha, s) >= val
 
 
 # ---------------------------------------------------------------------------

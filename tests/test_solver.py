@@ -39,6 +39,30 @@ def test_space_grid_validation():
     assert g.shape == (9, 11)
 
 
+def test_space_grid_cell_count_must_be_integral():
+    for cells in (10.5, float("nan"), "10"):
+        with pytest.raises(DomainError, match="integer"):
+            S.SpaceGrid.interval(0.0, 1.0, cells)
+    with pytest.raises(DomainError, match="integer"):
+        S.SpaceGrid.rectangle((0.0, 0.0), (1.0, 1.0), (8, 8.5))
+    for cells in (10, 10.0, np.int64(10)):
+        grid = S.SpaceGrid.interval(0.0, 1.0, cells)
+        assert grid.cells == (10,) and type(grid.cells[0]) is int
+
+
+def test_checkerboard_field_is_validated_once(monkeypatch):
+    calls = []
+    real = S.CoefficientField.validate
+    monkeypatch.setattr(S.CoefficientField, "validate",
+                        lambda self, *a, **k: calls.append(1) or real(self, *a, **k))
+    g = S.SpaceGrid.interval(0.0, 1.0, 16)
+    fld = S.checkerboard_coefficients(g, 2, 1.0, 5.0, time_flip=3)
+    assert calls == []
+    S.ProblemSpec(alpha=0.5, space=g, time=TimeGrid(0.01, 8),
+                  u0=np.zeros(g.shape), boundary=0.0, coefficients=fld)
+    assert calls == [1]
+
+
 def test_checkerboard_constant_case():
     g = S.SpaceGrid.interval(0.0, 1.0, 16)
     fld = S.checkerboard_coefficients(g, 2, 1.0, 1.0)
