@@ -1,6 +1,6 @@
-"""Discrete causal convolution, the fractional time derivative, and
-numerical verifiers for the product-rule identities of convolution
-operators d/dt (k * u) with regular kernels."""
+"""Discrete causal convolution, the blocked march for causal Toeplitz
+systems, the fractional time derivative, and numerical verifiers for the
+product-rule identities of d/dt (k * u) with regular kernels."""
 
 from __future__ import annotations
 
@@ -122,6 +122,26 @@ def causal_sum(w, x, lo: int = 0, hi: int | None = None) -> np.ndarray:
     # lets the rest of the transform buffer go with it
     del spec
     return out[lo:hi].copy()
+
+
+_BLOCK = 64
+
+
+def _causal_march(lo, hi, leaf, rows, w):
+    """Solve levels lo..hi-1 of a causal system whose level n has the
+    history sum_{j>=1} w[j] rows[n-j], kept in its unsolved row n.
+    ``leaf(a, z)`` solves up to ``_BLOCK`` levels, summing the history from
+    within them directly; a longer span is marched in halves, the first
+    adding its share to the second by one windowed ``causal_sum`` (Hairer,
+    Lubich & Schlichte 1985), O(m log^2 m) per column.  A scalar keeps one
+    column, so that sum takes its FFT path.  Module-level: no closure refers
+    to itself, so a solve's buffers are freed with its result at once."""
+    if hi - lo <= _BLOCK:
+        return leaf(lo, hi)
+    mid = (lo + hi) // 2
+    _causal_march(lo, mid, leaf, rows, w)
+    rows[mid:hi] += causal_sum(w, rows[lo:mid], mid - lo, hi - lo)
+    _causal_march(mid, hi, leaf, rows, w)
 
 
 def causal_convolve(k: KernelTable, v: SampledPath) -> SampledPath:

@@ -2,8 +2,8 @@
 
 Power kernels t^(beta-1)/Gamma(beta), the generalized Mittag-Leffler function,
 Yosida-regularized kernels obtained from scalar Volterra equations, and the
-bounded resolvent kernel.  A generic product-integration Volterra solver acts
-as the brute-force cross-check for every closed form in this module.
+bounded resolvent kernel.  A generic product-integration Volterra solver, on
+the blocked causal march of ``fracops``, cross-checks every closed form here.
 
 The Mittag-Leffler rays E_alpha(-s) and E_{alpha,alpha}(-s), and the
 fundamental solution in ``fundsol``, are positive mixtures of the M-Wright
@@ -529,72 +529,68 @@ def ml_on_negative_axis(alpha: float, beta: float):
 
 
 # ---------------------------------------------------------------------------
-# Volterra solver (the brute-force oracle) and the regularized kernels
+# Volterra solver (on the blocked causal march) and the regularized kernels
 # ---------------------------------------------------------------------------
 
-def _pi_moments(kernel: KernelTable, need_first: bool):
-    """Zeroth (and optionally first) moments of the kernel over lag cells.
+def _pi_moments(kernel: KernelTable):
+    """Zeroth and first moments of the kernel over lag cells.
 
-    Exact for power-kernel tables; piecewise-linear reconstruction otherwise.
-    Returns (M0, M1) with M0[l] = int over [l dt, (l+1) dt] of k and
-    M1[l] = int of (s - l dt) k(s) ds.
+    Exact for power-kernel tables; piecewise-linear reconstruction for node
+    tables.  Returns (M0, M1) with M0[l] = int over [l dt, (l+1) dt] of k and
+    M1[l] = int of (s - l dt) k(s) ds; M1 is None for cell tables.
     """
     dt, m = kernel.dt, kernel.m
     if kernel.kind == "riemann_liouville":
         beta, scale = kernel.params
         edges = np.arange(0, m + 2, dtype=float) * dt
         M0 = scale * np.diff(edges ** beta) / gamma_fn(beta + 1.0)
-        if not need_first:
-            return M0, None
         I2 = scale * np.diff(edges ** (beta + 1.0)) / ((beta + 1.0) * gamma_fn(beta))
-        M1 = I2 - np.arange(0, m + 1, dtype=float) * dt * M0
-        return M0, M1
+        return M0, I2 - edges[:-1] * M0
     if kernel.sampling == "node" and np.all(np.isfinite(kernel.values)):
         k = kernel.values
         M0 = dt * 0.5 * (k[:-1] + k[1:])
         M1 = dt * dt * (k[:-1] / 6.0 + k[1:] / 3.0)
-        return M0, (M1 if need_first else None)
+        return M0, M1
     if kernel.sampling in ("cell_average", "grunwald"):
-        if need_first:
-            raise ValueError(
-                "first moments unavailable for cell tables; use rule='rectangle'"
-            )
         return dt * kernel.cell_values(), None
     raise ValueError("kernel table does not support product-integration moments")
 
 
 def _solve_nodes(kernel: KernelTable, f: np.ndarray, rule: str) -> np.ndarray:
+    # fracops imports this module: the march is imported where it is used
+    from .fracops import _causal_march
+
     dt, m = kernel.dt, kernel.m
+    x = np.zeros((m + 1, 1))
+    x[0] = f[0]
+    M0, M1 = _pi_moments(kernel)
     if rule == "trapezoid":
-        M0, M1 = _pi_moments(kernel, need_first=True)
+        if M1 is None:
+            raise ValueError("first moments unavailable for cell tables; "
+                             "use rule='rectangle'")
         # tau-cell at lag l: x is linear between its endpoints; the node at the
-        # smaller lag (s = l dt side) carries weight B, the other one weight A
+        # smaller lag carries weight B = M0 - M1/dt, the other A = M1/dt, so
+        # node i >= 1 weighs w[l] = B[l] + A[l-1] at lag l, x_0 weighs A[n-1]
         A = M1 / dt
-        B = M0 - M1 / dt
-        diag = 1.0 + B[0]
-        if abs(diag) < 1e-13 * max(1.0, abs(B[0])):
-            raise SingularStepError("degenerate diagonal weight in implicit step")
-        x = np.empty(m + 1)
-        x[0] = f[0]
-        for n in range(1, m + 1):
-            lags = n - np.arange(1, n + 1)
-            hist = np.dot(A[lags], x[0:n])
-            if n >= 2:
-                hist += np.dot(B[lags[:-1]], x[1:n])
-            x[n] = (f[n] - hist) / diag
-        return x
-    if rule == "rectangle":
-        M0, _ = _pi_moments(kernel, need_first=False)
-        diag = 1.0 + M0[0]
-        if abs(diag) < 1e-13 * max(1.0, abs(M0[0])):
-            raise SingularStepError("degenerate diagonal weight in implicit step")
-        x = np.empty(m + 1)
-        x[0] = f[0]
-        for n in range(1, m + 1):
-            hist = np.dot(M0[n - 1:0:-1], x[1:n]) if n >= 2 else 0.0
-            x[n] = (f[n] - hist) / diag
-        return x
-    raise ValueError(f"unknown rule {rule!r}")
+        w = M0 - A
+        w[1:m] += A[:m - 1]
+        x[1:, 0] = A[:m] * f[0]
+    elif rule == "rectangle":
+        w = M0
+    else:
+        raise ValueError(f"unknown rule {rule!r}")
+    diag = 1.0 + w[0]
+    if abs(diag) < 1e-13 * max(1.0, abs(w[0])):
+        raise SingularStepError("degenerate diagonal weight in implicit step")
+    w_rev, col = w[m - 1:0:-1], x[:, 0]
+
+    def leaf(lo, hi):
+        for n in range(lo, hi):
+            hist = col[n] + w_rev[m - 1 - (n - lo):] @ col[lo:n]
+            col[n] = (f[n] - hist) / diag
+
+    _causal_march(1, m + 1, leaf, x, w)
+    return col
 
 
 def solve_volterra(kernel: KernelTable, f, rule: str = "trapezoid") -> KernelTable:
@@ -606,8 +602,8 @@ def solve_volterra(kernel: KernelTable, f, rule: str = "trapezoid") -> KernelTab
     and differenced back, so the solution is returned as a cell-average table.
 
     The implicit "trapezoid" rule treats the unknown as piecewise linear with
-    exact kernel moments; "rectangle" treats it as piecewise constant, which
-    preserves positivity and monotonicity for stiff kernels.
+    exact kernel moments, "rectangle" as piecewise constant (positive and
+    monotone for stiff kernels); both march on ``fracops._causal_march``.
     """
     if isinstance(f, KernelTable):
         if f.kind != "riemann_liouville":

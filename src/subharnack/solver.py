@@ -21,7 +21,8 @@ from scipy.sparse.linalg import splu
 from scipy.special import gamma as gamma_fn
 
 from .errors import DomainError, GridMismatchError, LinearSolveError
-from .fracops import SampledPath, TimeGrid, _as_count, causal_sum, l1_weights
+from .fracops import (SampledPath, TimeGrid, _as_count, _causal_march,
+                      causal_sum, l1_weights)
 from .kernels import _as_alpha, rl_kernel_table, solve_volterra
 
 __all__ = [
@@ -356,10 +357,6 @@ def _level_operators(spec: ProblemSpec):
     return ops, np.resize(state, m)
 
 
-# levels whose history is summed directly; a longer span is marched in
-# halves, and the first half's share of the second half's history is added
-# by one FFT, which makes the history O(m log^2 m) per node, not O(m^2)
-_BLOCK = 64
 # levels per pass over the boundary and forcing data and the residuals: the
 # passes' buffers stay a few levels deep whatever m is
 _CHUNK = 16
@@ -379,13 +376,11 @@ def solve_subdiffusion(spec: ProblemSpec) -> SolveResult:
 
     Only the history and the back-substitution depend on earlier levels.
     The history of level n, b_{n-1} u0 + sum_j (b_{j-1} - b_j) u_{n-j},
-    accumulates in the not yet solved row n of the result: blocks of up to
-    ``_BLOCK`` levels sum it directly, and a longer span is marched in
-    halves, the finished first half adding its share to the second half by
-    one ``causal_sum`` FFT, with the same weights.  The boundary and forcing
-    values (each called once per level, in level order), their finiteness
-    check, the boundary flux and the residuals ||A u - b|| / ||b|| per level,
-    kept in ``diagnostics``, are whole-array passes over ``_CHUNK`` levels.
+    accumulates in row n of the result until ``fracops._causal_march``
+    solves it.  The boundary and forcing values (a callable is called once
+    per level, in level order; a constant is one broadcast), their
+    finiteness check, the boundary flux and the residuals ||A u - b|| / ||b||
+    per level, kept in ``diagnostics``, are passes over ``_CHUNK`` levels.
     """
     space, time = spec.space, spec.time
     alpha = spec.alpha
@@ -424,11 +419,17 @@ def solve_subdiffusion(spec: ProblemSpec) -> SolveResult:
     def data(lo, hi):
         G = np.empty((hi - lo, outer.size))
         F = np.empty((hi - lo, inner.size))
+        per_level = []
+        for what, buf, src, values, p in (
+                ("boundary", G, spec.boundary, spec.boundary_values, pts_out),
+                ("forcing", F, spec.forcing, spec.forcing_values, pts_in)):
+            if callable(src):
+                per_level.append((what, buf, values, p))
+            else:
+                buf[...] = 0.0 if src is None else float(src)
         for i, n in enumerate(range(lo, hi)):
-            t = n * dt
-            for what, buf, vals in (
-                    ("boundary", G, spec.boundary_values(t, pts_out)),
-                    ("forcing", F, spec.forcing_values(t, pts_in))):
+            for what, buf, values, p in per_level:
+                vals = values(n * dt, p)
                 try:
                     buf[i] = vals
                 except ValueError:
@@ -471,22 +472,8 @@ def solve_subdiffusion(spec: ProblemSpec) -> SolveResult:
                     (np.linalg.norm(res, axis=0)
                      / np.maximum(np.linalg.norm(rhs, axis=1), 1e-300)).tolist())
 
-    _march(1, m + 1, leaf, rows, d)
+    _causal_march(1, m + 1, leaf, rows, d)
     return result
-
-
-def _march(lo, hi, leaf, rows, d):
-    """March levels lo..hi-1 whose rows hold the history of every level
-    before lo: a span of up to ``_BLOCK`` levels is one leaf, a longer one
-    is marched in halves with the first half's share added to the second's
-    rows in between.  Module-level, so no closure refers to itself and the
-    solve's buffers are freed with its result, not by the cycle collector."""
-    if hi - lo <= _BLOCK:
-        return leaf(lo, hi)
-    mid = (lo + hi) // 2
-    _march(lo, mid, leaf, rows, d)
-    rows[mid:hi] += causal_sum(d, rows[lo:mid], mid - lo, hi - lo)
-    _march(mid, hi, leaf, rows, d)
 
 
 def solve_scalar_relaxation(alpha, sigma: float, u0: float,
@@ -502,12 +489,9 @@ def solve_scalar_relaxation(alpha, sigma: float, u0: float,
     a = _as_alpha(alpha, classical_ok=True)
     if sigma < 0.0:
         raise DomainError(f"sigma must be nonnegative, got {sigma}")
-    if sigma == 0.0:
-        return SampledPath(time, np.full(time.m + 1, float(u0)))
     kern = rl_kernel_table(a, time.dt, time.m, sampling="cell_average",
                            scale=sigma)
-    table = solve_volterra(kern, np.full(time.m + 1, float(u0)),
-                           rule="trapezoid")
+    table = solve_volterra(kern, np.full(time.m + 1, float(u0)))
     return SampledPath(time, table.values)
 
 

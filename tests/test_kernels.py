@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from scipy.special import erfcx, gamma, gammaln
 
+from subharnack import fracops as F
 from subharnack import kernels as K
 from subharnack.errors import AccuracyError, DomainError, SingularStepError
 
@@ -232,12 +233,54 @@ def test_ml_negative_ray_matches_direct():
 # Volterra solver
 # ---------------------------------------------------------------------------
 
+def direct_volterra(kernel, f, rule):
+    """Node-by-node reference for both product-integration rules: the full
+    history of every node as direct dot products, with the trapezoid
+    rule's two lag sums kept apart."""
+    dt, m = kernel.dt, kernel.m
+    if rule == "trapezoid":
+        M0, M1 = K._pi_moments(kernel)
+        A, B = M1 / dt, M0 - M1 / dt
+        x = np.empty(m + 1)
+        x[0] = f[0]
+        for n in range(1, m + 1):
+            lags = n - np.arange(1, n + 1)
+            hist = np.dot(A[lags], x[0:n]) + np.dot(B[lags[:-1]], x[1:n])
+            x[n] = (f[n] - hist) / (1.0 + B[0])
+        return x
+    M0, _ = K._pi_moments(kernel)
+    x = np.empty(m + 1)
+    x[0] = f[0]
+    for n in range(1, m + 1):
+        x[n] = (f[n] - np.dot(M0[n - 1:0:-1], x[1:n])) / (1.0 + M0[0])
+    return x
+
+
+# several base blocks of the march and a length that halves unevenly
+LONG_M = 5 * F._BLOCK + 13
+
+
 def test_volterra_zero_kernel_returns_rhs():
-    m = 100
-    kern = K.rl_kernel_table(0.5, 0.01, m, scale=0.0)
-    f = np.sin(np.arange(m + 1) * 0.01)
-    out = K.solve_volterra(kern, f)
-    assert np.array_equal(out.values, f)
+    for m in (100, LONG_M):
+        kern = K.rl_kernel_table(0.5, 0.01, m, scale=0.0)
+        f = np.sin(np.arange(m + 1) * 0.01)
+        out = K.solve_volterra(kern, f)
+        assert np.array_equal(out.values, f)
+
+
+@pytest.mark.parametrize("rule", ["trapezoid", "rectangle"])
+@pytest.mark.parametrize("kernel", [
+    K.rl_kernel_table(0.6, 1.0 / LONG_M, LONG_M, sampling="cell_average",
+                      scale=2.0),
+    K.KernelTable(dt=0.01, values=np.exp(-0.03 * np.arange(LONG_M + 1))
+                  * (1.0 + 0.5 * np.cos(0.1 * np.arange(LONG_M + 1)))),
+], ids=["power", "node_table"])
+def test_volterra_blocked_march_matches_direct_loop(rule, kernel):
+    rng = np.random.default_rng(11)
+    for f in (np.ones(LONG_M + 1), rng.standard_normal(LONG_M + 1)):
+        got = K.solve_volterra(kernel, f, rule=rule).values
+        want = direct_volterra(kernel, f, rule)
+        assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
 
 
 def test_volterra_classical_decay():
@@ -267,16 +310,16 @@ def test_volterra_matches_resolvent_closed_form():
 
 def test_volterra_linearity():
     rng = np.random.default_rng(7)
-    m = 64
-    kern = K.rl_kernel_table(0.6, 1.0 / m, m, scale=2.0)
-    f1 = rng.standard_normal(m + 1)
-    f2 = rng.standard_normal(m + 1)
-    a, b = 1.7, -0.4
-    x1 = K.solve_volterra(kern, f1).values
-    x2 = K.solve_volterra(kern, f2).values
-    x12 = K.solve_volterra(kern, a * f1 + b * f2).values
-    assert np.abs(x12 - (a * x1 + b * x2)).max() < 1e-12 * max(
-        1.0, np.abs(x12).max())
+    for m in (64, LONG_M):
+        kern = K.rl_kernel_table(0.6, 1.0 / m, m, scale=2.0)
+        f1 = rng.standard_normal(m + 1)
+        f2 = rng.standard_normal(m + 1)
+        a, b = 1.7, -0.4
+        x1 = K.solve_volterra(kern, f1).values
+        x2 = K.solve_volterra(kern, f2).values
+        x12 = K.solve_volterra(kern, a * f1 + b * f2).values
+        assert np.abs(x12 - (a * x1 + b * x2)).max() < 1e-12 * max(
+            1.0, np.abs(x12).max())
 
 
 def test_volterra_input_validation():
@@ -289,6 +332,12 @@ def test_volterra_input_validation():
                                kind="custom", sampling="node")
     with pytest.raises(SingularStepError):
         K.solve_volterra(degenerate, np.ones(9), rule="rectangle")
+    cells = K.KernelTable(dt=0.1, values=np.linspace(2.0, 1.0, 9),
+                          sampling="cell_average")
+    with pytest.raises(ValueError, match="first moments"):
+        K.solve_volterra(cells, np.ones(9), rule="trapezoid")
+    with pytest.raises(ValueError, match="unknown rule"):
+        K.solve_volterra(kern, np.ones(9), rule="midpoint")
 
 
 # ---------------------------------------------------------------------------
@@ -321,14 +370,15 @@ def test_yosida_l1_distances_decrease():
 
 
 def test_yosida_finite_at_origin_and_monotone():
-    g_t, h_t = K.yosida_kernels(0.5, 8, 1.0 / 256, 256)
-    assert g_t.values[0] == pytest.approx(8.0, abs=0.0)
-    assert np.all(np.diff(g_t.values) <= 1e-13)
-    assert np.all(g_t.values > 0.0)
-    assert np.all(h_t.values[1:] >= 0.0)
-    assert math.isnan(h_t.values[0])
-    # the singular limit blows up where the regularized kernel stays at n
-    assert K.rl_kernel(0.5, 1e-12) > g_t.values[0]
+    for m in (256, LONG_M):
+        g_t, h_t = K.yosida_kernels(0.5, 8, 1.0 / m, m)
+        assert g_t.values[0] == pytest.approx(8.0, abs=0.0)
+        assert np.all(np.diff(g_t.values) <= 1e-13)
+        assert np.all(g_t.values > 0.0)
+        assert np.all(h_t.values[1:] >= 0.0)
+        assert math.isnan(h_t.values[0])
+        # the singular limit blows up where the regularized kernel stays at n
+        assert K.rl_kernel(0.5, 1e-12) > g_t.values[0]
 
 
 def test_yosida_rejects_bad_level():

@@ -587,7 +587,7 @@ def direct_march(spec):
 
 # several base blocks, a length that halves unevenly, and a flip period
 # that divides neither the base block nor the data chunk
-LONG_M = 5 * S._BLOCK + 13
+LONG_M = 5 * F._BLOCK + 13
 
 
 def long_spec(dim, **kw):
@@ -613,7 +613,7 @@ def long_spec(dim, **kw):
 @pytest.mark.parametrize("dim", [1, 2])
 def test_blocked_history_matches_direct_march(dim):
     spec = long_spec(dim)
-    assert spec.time.m > 4 * S._BLOCK
+    assert spec.time.m > 4 * F._BLOCK
     res = S.solve_subdiffusion(spec)
     want = direct_march(spec)
     scale = np.abs(want).max()
@@ -658,9 +658,33 @@ def test_level_data_called_once_per_level_in_order(dim):
     assert calls == want
 
 
+def full_rows(value):
+    return lambda t, pts: np.full(pts.shape[:-1], value)
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+@pytest.mark.parametrize("boundary, forcing", [(0.75, None), (None, -2.0)])
+def test_constant_level_data_matches_callable_data(dim, boundary, forcing):
+    # constant and absent data fill each pass with one broadcast; callables
+    # returning the same rows must give the same solve bit for bit
+    const = S.solve_subdiffusion(
+        long_spec(dim, boundary=boundary, forcing=forcing))
+    called = S.solve_subdiffusion(long_spec(
+        dim, boundary=full_rows(boundary or 0.0),
+        forcing=full_rows(forcing or 0.0)))
+    assert np.array_equal(const.u, called.u)
+    assert const.diagnostics == called.diagnostics
+
+
+@pytest.mark.parametrize("which", ["boundary", "forcing"])
+def test_nonfinite_constant_data_names_the_first_level(which):
+    with pytest.raises(DomainError, match=r"level 1 \("):
+        S.solve_subdiffusion(long_spec(1, **{which: np.inf}))
+
+
 @pytest.mark.parametrize("dim", [1, 2])
 @pytest.mark.parametrize("which", ["boundary", "forcing"])
-@pytest.mark.parametrize("bad_level", [17, 3 * S._BLOCK + 5])
+@pytest.mark.parametrize("bad_level", [17, 3 * F._BLOCK + 5])
 def test_nonfinite_data_on_long_run_names_the_level(dim, which, bad_level):
     base = long_spec(dim)
     dt = base.time.dt
