@@ -41,8 +41,15 @@ class ExperimentConfig:
     params: dict = field(default_factory=dict)
 
 
+def _to_float(text: str) -> float:
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"{text!r} is not finite")
+    return value
+
+
 def _to_float_list(text: str) -> list:
-    return [float(tok) for tok in text.split(",") if tok.strip()]
+    return [_to_float(tok) for tok in text.split(",") if tok.strip()]
 
 
 def _at_least(lo):
@@ -62,7 +69,7 @@ _POSITIVE = (lambda v: v > 0.0), "positive"
 # cannot produce evidence for its assertions
 _COMMON = {
     "experiment": (str, None, None),
-    "alpha": (float, 0.5, ((lambda a: 0.0 < a <= 1.0), "in (0, 1]")),
+    "alpha": (_to_float, 0.5, ((lambda a: 0.0 < a <= 1.0), "in (0, 1]")),
     "seed": (int, DEFAULT_SEED, None),
     "out": (str, ".", None),
 }
@@ -74,37 +81,37 @@ _SCHEMAS = {
         "gnprop_m": (int, 512, _at_least(2)),
     },
     "converge": {
-        "sigma": (float, 1.0, _POSITIVE),
+        "sigma": (_to_float, 1.0, _POSITIVE),
         "m_list": (_to_float_list, [64, 128, 256], _entries(2, _at_least(2))),
     },
     "harnack": {
         "nx": (int, 160, _at_least(4)),
         "m": (int, 64, _at_least(2)),
         "period": (int, 8, _at_least(1)),
-        "low": (float, 1.0, _POSITIVE),
-        "high": (float, 5.0, _POSITIVE),
-        "x0": (float, 0.5, None),
-        "r": (float, 0.2, _POSITIVE),
-        "delta": (float, 0.5, ((lambda d: 0.0 < d < 1.0), "in (0, 1)")),
-        "eta": (float, 2.0, ((lambda e: e > 1.0), "greater than 1")),
-        "tau": (float, 1.0, _POSITIVE),
-        "t0": (float, 0.0, _at_least(0.0)),
+        "low": (_to_float, 1.0, _POSITIVE),
+        "high": (_to_float, 5.0, _POSITIVE),
+        "x0": (_to_float, 0.5, None),
+        "r": (_to_float, 0.2, _POSITIVE),
+        "delta": (_to_float, 0.5, ((lambda d: 0.0 < d < 1.0), "in (0, 1)")),
+        "eta": (_to_float, 2.0, ((lambda e: e > 1.0), "greater than 1")),
+        "tau": (_to_float, 1.0, _POSITIVE),
+        "t0": (_to_float, 0.0, _at_least(0.0)),
         "p_list": (_to_float_list, [0.5, 1.0, 1.5], _entries(1, _POSITIVE)),
         "refine": (int, 1, ((lambda v: v in (0, 1)), "0 or 1")),
     },
     "optimality": {
         "N": (int, 1, _at_least(1)),
-        "p": (float, 5.0 / 3.0, _POSITIVE),
-        "eps_min": (float, 1e-8, _POSITIVE),
-        "eps_max": (float, 0.1, _POSITIVE),
+        "p": (_to_float, 5.0 / 3.0, _POSITIVE),
+        "eps_min": (_to_float, 1e-8, _POSITIVE),
+        "eps_max": (_to_float, 0.1, _POSITIVE),
         "eps_count": (int, 15, _at_least(3)),
     },
     "continuity": {
         "nx": (int, 160, _at_least(4)),
         "m": (int, 1024, _at_least(2)),
-        "r0": (float, 0.3, _POSITIVE),
-        "eta": (float, 2.0, _POSITIVE),
-        "x0": (float, 0.62, None),
+        "r0": (_to_float, 0.3, _POSITIVE),
+        "eta": (_to_float, 2.0, _POSITIVE),
+        "x0": (_to_float, 0.62, None),
         "levels": (int, 4, _at_least(2)),
     },
     "maxprinciple": {

@@ -46,8 +46,8 @@ class TimeGrid:
     m: int
 
     def __post_init__(self):
-        if self.dt <= 0.0:
-            raise DomainError(f"dt must be positive, got {self.dt}")
+        if not (np.isfinite(self.dt) and self.dt > 0.0):
+            raise DomainError(f"dt must be finite and positive, got {self.dt}")
         object.__setattr__(self, "m", _as_count(self.m, "the step count"))
         if self.m < 2:
             raise DomainError(f"need at least 2 steps, got {self.m}")

@@ -235,10 +235,10 @@ def harnack_ratio_sweep(result: SolveResult, config: HarnackConfig,
     early, late = harnack_boxes(config)
     crit = critical_exponent(config.alpha, space.dimension)
     grid_tag = f"m={spec.time.m},cells={'x'.join(str(n) for n in space.cells)}"
+    inf_p = essinf(result, late)
     reports = []
     for p in p_values:
         mean_p = lp_mean(result, early, p)
-        inf_p = essinf(result, late)
         ratio = mean_p / inf_p if inf_p > tol * scale else math.inf
         reports.append(HarnackReport(p=float(p), lp_mean=mean_p,
                                      essinf=inf_p, ratio=ratio,
@@ -455,6 +455,7 @@ def weighted_poincare_check(space: SpaceGrid, u: np.ndarray, weight,
     u = np.asarray(u, dtype=float)
     if u.shape != space.shape:
         raise DomainError(f"u has shape {u.shape}, grid nodes {space.shape}")
+    qw = _trapezoid_weights(space)
     if isinstance(weight, ConeWeight):
         phi = weight.values(space)
         diam = weight.diameter
@@ -473,9 +474,7 @@ def weighted_poincare_check(space: SpaceGrid, u: np.ndarray, weight,
         for ax in range(space.dimension):
             diam += (pts[:, ax].max() - pts[:, ax].min()) ** 2
         diam = math.sqrt(diam)
-        qw = _trapezoid_weights(space)
         supp = float(np.sum(qw * (phi > 0.0)))
-    qw = _trapezoid_weights(space)
     phi_l1 = float(np.sum(qw * phi))
     if phi_l1 <= 0.0:
         raise InvalidWeightError("weight has zero mass")

@@ -60,6 +60,8 @@ class SpaceGrid:
         if len(lo) not in (1, 2):
             raise DomainError(f"dimension must be 1 or 2, got {len(lo)}")
         for a, b, n in zip(lo, hi, nc):
+            if not (np.isfinite(a) and np.isfinite(b)):
+                raise DomainError(f"bounds must be finite, got {a!r}, {b!r}")
             if b <= a:
                 raise DomainError("upper bound must exceed lower bound")
             if n < 4:
@@ -116,8 +118,9 @@ class CoefficientField:
     ``evaluate(time_index, points)`` takes points of shape (..., N) and
     returns either (...,) for isotropic fields or (..., N) for diagonal
     tensors.  ``nu`` and ``lambda_bound`` are the claimed ellipticity and
-    magnitude bounds; they are spot-checked on random space-time samples at
-    validation time.
+    magnitude bounds.  The solve samples the field at the quarter points of
+    every face, at level 1 for a static field and at every level otherwise,
+    and checks both bounds on every sample before any level is solved.
     """
 
     evaluate: Callable[[int, np.ndarray], np.ndarray]
@@ -136,24 +139,6 @@ class CoefficientField:
                 f"{points.shape[:-1]} or {points.shape[:-1] + (dim,)}"
             )
         return vals
-
-    def validate(self, space: SpaceGrid, n_time: int = 4, samples: int = 200,
-                 seed: int = 1789) -> None:
-        """Randomized spot check of ellipticity and the Frobenius bound."""
-        rng = np.random.default_rng(seed)
-        dim = space.dimension
-        lo = np.asarray(space.lower)
-        hi = np.asarray(space.upper)
-        pts = rng.uniform(lo, hi, size=(samples, dim))
-        for ti in range(n_time):
-            vals = self.diag_at(ti * 7, pts, dim)
-            xi = rng.standard_normal((samples, dim))
-            quad = np.sum(vals * xi * xi, axis=-1)
-            if np.any(quad < self.nu * np.sum(xi * xi, axis=-1) - 1e-12):
-                raise DomainError("coefficient field violates its ellipticity bound")
-            frob = np.sqrt(np.sum(vals * vals, axis=-1))
-            if np.any(frob > self.lambda_bound + 1e-12):
-                raise DomainError("coefficient field violates its magnitude bound")
 
 
 def constant_coefficients(value: float = 1.0, dim: int = 1) -> CoefficientField:
@@ -196,8 +181,8 @@ def checkerboard_coefficients(
             parity = (parity + (time_index // time_flip)) % 2
         return np.where(parity == 0, low, high)
 
-    # nu = low and lambda = high * sqrt(N) hold by construction; ProblemSpec
-    # validates the field once
+    # nu = low and lambda = high * sqrt(N) hold by construction; the solve
+    # checks them on the samples it uses
     return CoefficientField(
         evaluate=evaluate,
         nu=low,
@@ -230,7 +215,6 @@ class ProblemSpec:
             raise DomainError("u0 contains non-finite values")
         if self.coefficients is None:
             self.coefficients = constant_coefficients(1.0, self.space.dimension)
-        self.coefficients.validate(self.space)
 
     def boundary_values(self, t: float, points: np.ndarray) -> np.ndarray:
         if self.boundary is None:
@@ -301,58 +285,62 @@ class SolveResult:
 # assembly
 # ---------------------------------------------------------------------------
 
-def _face_coefficients(spec: ProblemSpec, time_index: int) -> list:
-    """Per-axis face coefficients: harmonic mean of the field at the two
-    quarter points flanking each face (exact for cell-constant fields)."""
-    space = spec.space
-    dim = space.dimension
-    axes = space.axes()
-    out = []
-    for ax in range(dim):
-        h = space.h[ax]
-        face_axes = list(axes)
-        face_axes[ax] = axes[ax][:-1]
-        mesh = np.meshgrid(*face_axes, indexing="ij")
-        pts = np.stack(mesh, axis=-1)
-        q1 = pts.copy()
-        q1[..., ax] += 0.25 * h
-        q2 = pts.copy()
-        q2[..., ax] += 0.75 * h
-        a1 = spec.coefficients.diag_at(time_index, q1, dim)[..., ax]
-        a2 = spec.coefficients.diag_at(time_index, q2, dim)[..., ax]
-        out.append(2.0 * a1 * a2 / (a1 + a2))
-    return out
+def _check_samples(fld: CoefficientField, vals: np.ndarray, n: int) -> None:
+    """The field's claims on its samples at level n: a diagonal tensor's
+    ellipticity is its smallest entry, its magnitude the Frobenius norm."""
+    low = vals.min(axis=-1)
+    if not np.isfinite(vals).all():
+        what = "is not finite"
+    elif not np.all((low > 0.0) & (low >= fld.nu - 1e-12)):
+        what = f"breaks its ellipticity bound nu={fld.nu!r}"
+    elif not np.all(np.sqrt(np.sum(vals * vals, axis=-1))
+                    <= fld.lambda_bound + 1e-12):
+        what = f"breaks its magnitude bound lambda_bound={fld.lambda_bound!r}"
+    else:
+        return
+    raise DomainError(f"coefficient field {fld.name!r} {what} at level {n}")
 
 
 def _level_operators(spec: ProblemSpec):
     """Distinct full-node operators L (no c0 term) of levels 1..m, and the
     index of the one in force at each level.  L sums, over every face, the
-    face coefficient over h^2 times the jump across it.  Faces are evaluated
-    at level 1 for a static field, else at every level, keyed by their bytes."""
-    space, m = spec.space, spec.time.m
+    face coefficient over h^2 times the jump across it; a face coefficient is
+    the harmonic mean of the field at the face's two quarter points (exact
+    for cell-constant fields).  This is the only sampling of the field: the
+    quarter points of all faces are evaluated in one call, at level 1 for a
+    static field, else at every level.  Equal samples share one operator,
+    keyed by their bytes; new samples are checked against the field's
+    claims first."""
+    space, m, fld = spec.space, spec.time.m, spec.coefficients
+    dim = space.dimension
     nodes = np.arange(int(np.prod(space.shape))).reshape(space.shape)
-    levels = range(1, m + 1) if spec.coefficients.time_dependent else (1,)
+    # faces axis by axis, each in C order: low and high node, axis, width
+    lo = [np.delete(nodes, -1, axis=ax).ravel() for ax in range(dim)]
+    hi = [np.delete(nodes, 0, axis=ax).ravel() for ax in range(dim)]
+    axis = np.concatenate([np.full(k.size, ax) for ax, k in enumerate(lo)])
+    h = np.asarray(space.h)[axis]
+    face = np.arange(axis.size)
+    q = space.node_points().reshape(-1, dim)[np.concatenate(lo)]
+    quarters = np.concatenate((q, q))
+    quarters[face, axis] += 0.25 * h
+    quarters[face.size + face, axis] += 0.75 * h
+    # a face enters the rows of both its nodes: +w on, -w off the diagonal
+    rows = np.concatenate([np.concatenate((a, b, a, b)) for a, b in zip(lo, hi)])
+    cols = np.concatenate([np.concatenate((b, a, a, b)) for a, b in zip(lo, hi)])
+    take = np.concatenate([np.tile(face[axis == ax], 4) for ax in range(dim)])
+    sign = np.where(rows == cols, 1.0, -1.0)
+    levels = range(1, m + 1) if fld.time_dependent else (1,)
     keys, ops, state = {}, [], []
     for n in levels:
-        faces = _face_coefficients(spec, n)
-        key = b"".join(kf.tobytes() for kf in faces)
+        vals = fld.diag_at(n, quarters, dim)
+        key = vals.tobytes()
         if key not in keys:
-            if not all(np.all(np.isfinite(kf) & (kf > 0.0)) for kf in faces):
-                raise DomainError(
-                    f"face coefficients at level {n} are not finite and positive")
-            rows, cols, vals = [], [], []
-            for ax, (kf, h) in enumerate(zip(faces, space.h)):
-                w = (kf / (h * h)).ravel()
-                lo = np.delete(nodes, -1, axis=ax).ravel()
-                hi = np.delete(nodes, 0, axis=ax).ravel()
-                rows += [lo, hi, lo, hi]
-                cols += [hi, lo, lo, hi]
-                vals += [-w, -w, w, w]
+            _check_samples(fld, vals, n)
+            a1, a2 = vals[face, axis], vals[face.size + face, axis]
+            w = 2.0 * a1 * a2 / (a1 + a2) / (h * h)
             keys[key] = len(ops)
-            ops.append(sp.csr_matrix(
-                (np.concatenate(vals),
-                 (np.concatenate(rows), np.concatenate(cols))),
-                shape=(nodes.size, nodes.size)))
+            ops.append(sp.csr_matrix((sign * w[take], (rows, cols)),
+                                     shape=(nodes.size, nodes.size)))
         state.append(keys[key])
     return ops, np.resize(state, m)
 

@@ -198,6 +198,13 @@ def test_numerical_failure_exits_3(tmp_path):
     ("optimality", "eps_count=1"),
     # a valid count whose grid leaves one point in the last decade
     ("optimality", "p=1.0\neps_count=3"),
+    # non-finite numbers are rejected when the config is parsed
+    ("harnack", "r=inf"),
+    ("harnack", "low=inf"),
+    ("harnack", "x0=nan"),
+    ("harnack", "p_list=0.5,inf"),
+    ("continuity", "r0=inf"),
+    ("converge", "sigma=inf"),
 ])
 def test_out_of_range_config_exits_2_without_files(tmp_path, experiment,
                                                    setting):

@@ -78,6 +78,15 @@ def test_time_grid_step_count_must_be_integral():
     assert F.TimeGrid(0.1, np.int32(4)) == F.TimeGrid(0.1, 4)
 
 
+def test_time_grid_step_must_be_finite_and_positive():
+    for dt in (0.0, -0.1, float("nan"), float("inf")):
+        with pytest.raises(DomainError, match="finite and positive"):
+            F.TimeGrid(dt, 4)
+    for T in (float("inf"), float("nan")):
+        with pytest.raises(DomainError, match="finite and positive"):
+            F.TimeGrid.from_horizon(T, 4)
+
+
 def test_convolve_inverse_identity():
     m = 512
     grid = make_grid(m)

@@ -33,6 +33,11 @@ def test_space_grid_validation():
         S.SpaceGrid.interval(0.0, 1.0, 3)
     with pytest.raises(DomainError):
         S.SpaceGrid.interval(1.0, 0.0, 8)
+    for lo, hi in ((np.nan, 1.0), (0.0, np.nan), (0.0, np.inf), (-np.inf, 1.0)):
+        with pytest.raises(DomainError, match="finite"):
+            S.SpaceGrid.interval(lo, hi, 8)
+    with pytest.raises(DomainError, match="finite"):
+        S.SpaceGrid.rectangle((0.0, 0.0), (1.0, np.inf), (8, 8))
     g = S.SpaceGrid.rectangle((0.0, -1.0), (2.0, 1.0), (8, 10))
     assert g.dimension == 2
     assert g.h == (0.25, 0.2)
@@ -50,19 +55,6 @@ def test_space_grid_cell_count_must_be_integral():
         assert grid.cells == (10,) and type(grid.cells[0]) is int
 
 
-def test_checkerboard_field_is_validated_once(monkeypatch):
-    calls = []
-    real = S.CoefficientField.validate
-    monkeypatch.setattr(S.CoefficientField, "validate",
-                        lambda self, *a, **k: calls.append(1) or real(self, *a, **k))
-    g = S.SpaceGrid.interval(0.0, 1.0, 16)
-    fld = S.checkerboard_coefficients(g, 2, 1.0, 5.0, time_flip=3)
-    assert calls == []
-    S.ProblemSpec(alpha=0.5, space=g, time=TimeGrid(0.01, 8),
-                  u0=np.zeros(g.shape), boundary=0.0, coefficients=fld)
-    assert calls == [1]
-
-
 def test_checkerboard_constant_case():
     g = S.SpaceGrid.interval(0.0, 1.0, 16)
     fld = S.checkerboard_coefficients(g, 2, 1.0, 1.0)
@@ -76,7 +68,8 @@ def test_checkerboard_two_values_and_ellipticity():
     fld = S.checkerboard_coefficients(g, 2, 1.0, 5.0)
     vals = fld.evaluate(0, g.node_points())
     assert set(np.unique(np.round(vals, 12))) == {1.0, 5.0}
-    fld.validate(g)  # randomized sampling passes with nu = low
+    # every sample the solve uses passes the checks with nu = low
+    S.solve_subdiffusion(interval_spec(coefficients=fld))
 
 
 def test_checkerboard_time_flip():
@@ -90,11 +83,10 @@ def test_checkerboard_time_flip():
 
 
 def test_coefficient_field_bound_violation_detected():
-    g = S.SpaceGrid.interval(0.0, 1.0, 8)
     bad = S.CoefficientField(evaluate=lambda ti, pts: np.full(pts.shape[:-1], 0.1),
                              nu=1.0, lambda_bound=5.0)
-    with pytest.raises(DomainError):
-        bad.validate(g)
+    with pytest.raises(DomainError, match="ellipticity"):
+        S.solve_subdiffusion(interval_spec(nx=8, coefficients=bad))
 
 
 def test_problem_spec_shape_check():
@@ -261,6 +253,28 @@ def test_weak_form_detects_non_supersolution():
     assert S.supersolution_residual(res) < 0.0
 
 
+def loop_faces(spec, n):
+    """Per-axis face coefficients at level n by their definition, face by
+    face: the harmonic mean of the field at the face's two quarter points."""
+    space, diag_at = spec.space, spec.coefficients.diag_at
+    axes = space.axes()
+    out = []
+    for ax, h in enumerate(space.h):
+        shape = list(space.shape)
+        shape[ax] -= 1
+        kf = np.empty(shape)
+        for idx in np.ndindex(*shape):
+            x = np.array([axes[k][i] for k, i in enumerate(idx)])
+            a = []
+            for frac in (0.25, 0.75):
+                q = x.copy()
+                q[ax] += frac * h
+                a.append(diag_at(n, q[None], space.dimension)[0, ax])
+            kf[idx] = 2.0 * a[0] * a[1] / (a[0] + a[1])
+        out.append(kf)
+    return out
+
+
 def loop_supersolution_values(result, test_fields):
     """Per-field weak form by the level-by-level, axis-by-axis definition:
     the L1 memory derivative paired with eta plus the face energy."""
@@ -276,7 +290,7 @@ def loop_supersolution_values(result, test_fields):
         total = 0.0
         for n in range(1, m + 1):
             deriv = c0 * sum(b[j] * (U[n - j] - U[n - j - 1]) for j in range(n))
-            faces = S._face_coefficients(spec, n)
+            faces = loop_faces(spec, n)
             energy = 0.0
             for ax in range(space.dimension):
                 du = np.diff(U[n], axis=ax)
@@ -430,7 +444,7 @@ def test_level_operator_matches_node_loop(make, field):
     L = ops[state[1]][inner]
     # the interior block the solve factorizes at level 2
     A = L[:, inner] + 7.5 * sp.identity(inner.size)
-    A_ref, B_ref = loop_operator(space, S._face_coefficients(spec, 2), 7.5)
+    A_ref, B_ref = loop_operator(space, loop_faces(spec, 2), 7.5)
     # off-diagonal entries are single terms; the diagonal sums 2N+1 of them
     # in another order, so it may differ by a few ulps
     tol = 8 * np.finfo(float).eps
@@ -500,8 +514,8 @@ def test_flipping_field_factorized_twice(monkeypatch, time_flip):
 
 @pytest.mark.parametrize("time_flip", [None, 3])
 def test_faces_evaluated_once_per_state_walk(time_flip):
-    spec = rect_spec(time_flip=time_flip, m=12)
-    field = spec.coefficients
+    space = rect_spec().space
+    field = S.checkerboard_coefficients(space, 2, 0.5, 4.0, time_flip=time_flip)
     evaluate, calls = field.evaluate, []
 
     def counting(ti, pts):
@@ -509,12 +523,32 @@ def test_faces_evaluated_once_per_state_walk(time_flip):
         return evaluate(ti, pts)
 
     field.evaluate = counting
+    spec = rect_spec(m=12, coefficients=field)
     res = S.solve_subdiffusion(spec)
     S.supersolution_residual(res)
     S.supersolution_residual(res)
-    # two quarter points per axis, at level 1 or at every level
-    levels = spec.time.m if time_flip else 1
-    assert len(calls) == 2 * spec.space.dimension * levels
+    # one call for all quarter points, at level 1 or at every level; none
+    # when the spec is built
+    assert calls == (list(range(1, 13)) if time_flip else [1])
+
+
+@pytest.mark.parametrize("bound,level,bad", [
+    ("ellipticity", 3, 0.01), ("magnitude", 2, 100.0), ("not finite", 3, np.nan)])
+def test_field_claims_checked_at_every_solved_level(monkeypatch, bound, level,
+                                                    bad):
+    # nu = 1 and lambda_bound = 2 hold at every level but one
+    def evaluate(ti, pts):
+        return np.full(pts.shape[:-1], bad if ti == level else 1.0)
+
+    field = S.CoefficientField(evaluate=evaluate, nu=1.0, lambda_bound=2.0)
+    spec = interval_spec(m=4, coefficients=field)
+    calls = count_splu(monkeypatch)
+    with pytest.raises(DomainError, match=f"{bound}.* at level {level}"):
+        S.solve_subdiffusion(spec)
+    assert calls == []  # raised before any level is solved
+    hand_made = S.SolveResult(spec=spec, u=np.zeros((5,) + spec.space.shape))
+    with pytest.raises(DomainError, match=f"{bound}.* at level {level}"):
+        S.supersolution_residual(hand_made)
 
 
 @pytest.mark.parametrize("make", [interval_spec, rect_spec])
