@@ -46,6 +46,10 @@ __all__ = [
 
 #: switch point between the power series and the integral representation
 Z_SWITCH = 5.0
+#: from s = 1e6 on, six asymptotic terms give E_{alpha,beta}(-s) to rounding
+_S_ASYMPTOTIC = 1e6
+#: where the M-Wright ray's measured error (under 9e-12) serves the scalar E(-s)
+_RULE_ALPHAS, _RULE_RTOL = (0.1, 0.999), 1e-11
 
 KINDS = ("riemann_liouville", "yosida_g", "yosida_h", "resolvent", "custom")
 SAMPLINGS = ("grunwald", "cell_average", "node")
@@ -101,8 +105,8 @@ class KernelTable:
     params: tuple = field(default=())
 
     def __post_init__(self):
-        if self.dt <= 0.0:
-            raise DomainError(f"dt must be positive, got {self.dt}")
+        if not (math.isfinite(self.dt) and self.dt > 0.0):
+            raise DomainError(f"dt must be finite and positive, got {self.dt}")
         vals = np.asarray(self.values, dtype=float).copy()
         if vals.ndim != 1 or vals.size < 2:
             raise ValueError("values must be a 1-d sequence of length >= 2")
@@ -198,6 +202,8 @@ def rl_kernel_table(
     """Tabulate scale * g_beta on m steps of width dt under the given sampling."""
     if beta <= 0.0:
         raise DomainError(f"beta must be positive, got {beta}")
+    if not (math.isfinite(dt) and dt > 0.0):
+        raise DomainError(f"dt must be finite and positive, got {dt}")
     if m < 1:
         raise ValueError("need at least one step")
     j = np.arange(0, m + 1, dtype=float)
@@ -279,16 +285,20 @@ def _ml_integral(alpha: float, beta: float, z: float, rtol: float) -> float:
     For z > 0 the exponentially growing part enters separately.  The
     integrand has an integrable endpoint singularity u**(alpha-beta) (handed
     to an algebraic-weight rule when strong) and a Lorentzian peak that
-    sharpens as alpha approaches 1 (passed as a quadrature breakpoint).
+    sharpens as alpha approaches 1 (breakpoints on it and on its flanks).
     """
     if beta >= 1.0 + alpha:
         # lower beta until the endpoint u**(alpha-beta) is integrable
         inner = _ml_integral(alpha, beta - alpha, z, rtol)
         return (inner - rgamma(beta - alpha)) / z
     spb = math.sin(math.pi * (1.0 - beta))
-    spba = math.sin(math.pi * (1.0 - beta + alpha))
+    # sin(pi (1 - beta + alpha)), written to be exactly 0 at beta = alpha
+    spba = math.sin(math.pi * (beta - alpha))
     cpa = math.cos(math.pi * alpha)
-    z2 = z * z
+    # sin(pi alpha) with an exact argument: at the peak the denominator is
+    # (z sin(pi alpha))^2 alone, so near alpha = 1 this sine sets its width
+    spa = math.sin(math.pi * min(alpha, 1.0 - alpha))
+    zspa2 = (z * spa) ** 2
     # the only user of scipy.integrate: importing it here keeps it out of
     # ``import subharnack``
     from scipy.integrate import IntegrationWarning, quad
@@ -296,7 +306,7 @@ def _ml_integral(alpha: float, beta: float, z: float, rtol: float) -> float:
     def regular_part(u):
         ua = u ** alpha
         num = ua * spb - z * spba
-        den = ua * ua - 2.0 * ua * z * cpa + z2
+        den = (ua - z * cpa) ** 2 + zspa2
         return math.exp(-u) * num / (den * math.pi)
 
     with warnings.catch_warnings():
@@ -305,37 +315,46 @@ def _ml_integral(alpha: float, beta: float, z: float, rtol: float) -> float:
             # peak is broad here; let the weight carry the singular factor
             val, est = quad(regular_part, 0.0, 750.0, weight="alg",
                             wvar=(alpha - beta, 0.0), limit=400,
-                            epsabs=1e-300, epsrel=min(rtol, 1e-12))
+                            epsabs=1e-300, epsrel=min(rtol, 1e-13))
         else:
-            points = None
-            if z < 0.0:
-                with np.errstate(over="ignore"):
-                    u_peak = abs(z) ** (1.0 / alpha)
-                if 1e-8 < u_peak < 740.0:
-                    points = [u_peak]
+            # the peak, at log u = log|z| / alpha (u itself may overflow), has
+            # half-width w in log u; breakpoints at w, 10 w, ... 1 on each side
+            log_peak, w = math.log(abs(z)) / alpha, spa / alpha
+            offsets = [0.0] + [x * w * 10.0 ** k for x in (-1.0, 1.0)
+                               for k in range(max(1, 1 - math.floor(math.log10(w))))]
+            points = [math.exp(log_peak + d) for d in offsets
+                      if z < 0.0 and -18.0 < log_peak + d < 6.6] or None
             val, est = quad(lambda u: regular_part(u) * u ** (alpha - beta),
                             0.0, 750.0, points=points, limit=400,
-                            epsabs=1e-300, epsrel=min(rtol, 1e-12))
-    if est > 100.0 * rtol * max(abs(val), 1e-280) and est > 1e-11:
+                            epsabs=1e-300, epsrel=min(rtol, 1e-13))
+    if est > 100.0 * rtol * max(abs(val), 1e-280):
         raise AccuracyError(
             f"integral representation of E_({alpha},{beta})({z}) reports "
             f"error estimate {est:.1e}"
         )
     if z > 0.0:
-        expo = z ** (1.0 / alpha)
-        if expo > 700.0:
+        if math.log(z) / alpha > math.log(700.0):
             raise AccuracyError(
                 f"E_({alpha},{beta})({z}) overflows double precision"
             )
-        val += (1.0 / alpha) * z ** ((1.0 - beta) / alpha) * math.exp(expo)
+        val += (1.0 / alpha) * z ** ((1.0 - beta) / alpha) * math.exp(z ** (1.0 / alpha))
     return val
+
+
+def _ml_asymptotic(alpha: float, beta: float, s):
+    """E_{alpha,beta}(-s) for s >= 1e6, scalar or array:
+    -sum_{k=1..6} (-s)^-k / Gamma(beta - alpha k), by Horner in -1/s."""
+    coeffs = rgamma(beta - alpha * np.arange(6.0, 0.0, -1.0))
+    return -np.polyval(np.append(coeffs, 0.0), -1.0 / s)
 
 
 def mittag_leffler(alpha: float, beta: float, z: float, rtol: float = 1e-11) -> float:
     """Generalized Mittag-Leffler function E_{alpha,beta}(z) for real z.
 
-    The power series is used wherever its rounding floor certifies ``rtol``;
-    otherwise the integral representation takes over (0 < alpha < 1).  The
+    The power series serves |z| <= 5 wherever its rounding floor certifies
+    ``rtol``.  Past it, for 0 < alpha < 1, z <= -1e6 takes the asymptotic sum,
+    z = -s with beta in {1, alpha} the memoized M-Wright ray where alpha and
+    ``rtol`` meet its measured error, and the contour integral the rest.  The
     classical limits alpha = 1, beta = 1 (exponential) and alpha > 1 on the
     series' safe range are supported as documented special cases.
     """
@@ -352,6 +371,11 @@ def mittag_leffler(alpha: float, beta: float, z: float, rtol: float = 1e-11) -> 
         if ok:
             return val
     if 0.0 < alpha < 1.0:
+        if z <= -_S_ASYMPTOTIC:
+            return float(_ml_asymptotic(alpha, beta, -z))
+        if (z < 0.0 and beta in (1.0, alpha) and rtol >= _RULE_RTOL
+                and _RULE_ALPHAS[0] <= alpha <= _RULE_ALPHAS[1]):
+            return float(ml_on_negative_axis(alpha, beta)(-z))
         return _ml_integral(alpha, beta, z, rtol)
     if alpha == 1.0 and beta > 2.0 and z != 0.0:
         # step beta down into the series-friendly range
@@ -509,7 +533,8 @@ def ml_on_negative_axis(alpha: float, beta: float):
 
     E_alpha(-s) = int e^(-s r) M_alpha(r) dr and E_{alpha,alpha}(-s) =
     alpha int r e^(-s r) M_alpha(r) dr, both summed over ``m_wright_rule``
-    in blocks of s; positive and nonincreasing in s by construction.  Any
+    in blocks of s; positive and nonincreasing in s by construction.  From
+    s = 1e6 on, past the rule's smallest node, it is the asymptotic sum.  Any
     other beta raises ``DomainError``, as does a negative or NaN s.
     """
     a = _as_alpha(alpha, classical_ok=True)
@@ -523,7 +548,8 @@ def ml_on_negative_axis(alpha: float, beta: float):
         s = np.asarray(s, dtype=float)
         if not np.all(s >= 0.0):
             raise DomainError("the ray takes s >= 0")
-        return _exp_mixture(s, nodes, weights)
+        far = _ml_asymptotic(a, beta, np.maximum(s, _S_ASYMPTOTIC))
+        return np.where(s >= _S_ASYMPTOTIC, far, _exp_mixture(s, nodes, weights))
 
     return ray
 

@@ -73,6 +73,15 @@ def test_kernel_table_invariants():
         tab.values[3] = 0.0  # read-only
 
 
+@pytest.mark.parametrize("dt", [0.0, math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("sampling", K.SAMPLINGS)
+def test_non_finite_or_zero_dt_is_rejected(dt, sampling):
+    with pytest.raises(DomainError, match="dt"):
+        K.KernelTable(dt=dt, values=np.ones(4), sampling=sampling)
+    with pytest.raises(DomainError, match="dt"):
+        K.rl_kernel_table(0.5, dt, 4, sampling=sampling)
+
+
 @pytest.mark.parametrize("text, problem", [
     ("", "empty"),
     ("t,value\n", "got 0"),
@@ -171,6 +180,15 @@ def test_ml_accuracy_error_path():
         K.mittag_leffler(-0.5, 1.0, 1.0)
 
 
+def test_ml_contour_does_not_overflow_past_the_peak():
+    # the contour's peak u = |z|^(1/alpha) = 30^1000 overflows a float: it is
+    # placed in logs, so the call returns (mpmath value) or raises AccuracyError
+    assert K.mittag_leffler(0.001, 0.01, -30.0) == pytest.approx(
+        2.9286604013308491153e-4, rel=1e-11)
+    with pytest.raises(AccuracyError, match="overflows"):
+        K.mittag_leffler(0.001, 0.01, 30.0)
+
+
 RULE_ALPHAS = (0.1, 0.3, 0.5, 0.7, 0.9, 0.95, 0.99, 0.999)
 
 
@@ -194,11 +212,14 @@ def test_m_wright_rule_classical_limit_is_unit_mass():
 
 @pytest.mark.parametrize("alpha", RULE_ALPHAS)
 def test_ml_rays_match_scalar_evaluator(alpha):
+    # the contour integral is the independent check: at these points the
+    # scalar evaluator sums over the same rule as the ray
     s = np.array([0.0, 0.1, 0.5, 3.0, 30.0, 300.0, 1e4])
     for beta in (1.0, alpha):
         got = K.ml_on_negative_axis(alpha, beta)(s)
-        want = np.array([K.mittag_leffler(alpha, beta, -x) for x in s])
-        assert np.abs(got / want - 1.0).max() <= 1e-8
+        want = np.array([K._ml_integral(alpha, beta, -x, 1e-12) if x > 0.0
+                         else 1.0 / gamma(beta) for x in s])
+        assert np.abs(got / want - 1.0).max() <= 1e-11
         assert np.all(np.diff(got) < 0.0)
 
 
@@ -210,23 +231,151 @@ def test_ml_ray_takes_beta_one_or_alpha():
         K.ml_on_negative_axis(0.5, 1.0)(-1.0)
 
 
-def test_import_skips_scipy_integrate_and_interpolate():
+def _scipy_integrate_and_interpolate_after(code):
+    """The scipy.integrate and scipy.interpolate modules loaded after running
+    ``code`` in a fresh interpreter."""
     src = str(Path(K.__file__).resolve().parents[1])
     env = {**os.environ,
            "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
-    code = ("import sys, subharnack; "
-            "print(sorted(m for m in sys.modules if m.startswith("
-            "('scipy.integrate', 'scipy.interpolate'))))")
+    code += ("; print(sorted(m for m in sys.modules if m.startswith("
+             "('scipy.integrate', 'scipy.interpolate'))))")
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True).stdout
-    assert out.strip() == "[]"
+    return out.strip()
+
+
+def test_import_skips_scipy_integrate_and_interpolate():
+    assert _scipy_integrate_and_interpolate_after(
+        "import sys, subharnack") == "[]"
+
+
+def test_scalar_ml_on_the_rule_skips_scipy_integrate():
+    assert _scipy_integrate_and_interpolate_after(
+        "import sys, subharnack; "
+        "subharnack.mittag_leffler(0.3, 1.0, -30.0)") == "[]"
 
 
 def test_ml_negative_ray_matches_direct():
     ray = K.ml_on_negative_axis(0.5, 0.5)
     for s in (0.0, 0.3, 7.7, 63.5, 64.5, 150.0, 1e4):
-        direct = K.mittag_leffler(0.5, 0.5, -s) if s > 0 else 1.0 / gamma(0.5)
-        assert float(ray(s)) == pytest.approx(direct, rel=2e-8)
+        direct = (K._ml_integral(0.5, 0.5, -s, 1e-12) if s > 0
+                  else 1.0 / gamma(0.5))
+        assert float(ray(s)) == pytest.approx(direct, rel=1e-11)
+
+
+# E_{alpha,beta}(-s) at the float values of alpha, beta and s, computed once
+# with mpmath at 60 digits and rounded to 20.  The asymptotic series is used
+# while its envelope s^-k Gamma(1 + alpha k - beta) falls, if it drops below
+# 1e-75 of the sum; otherwise the power series, at a precision sized to its
+# cancellation:
+#
+#     import mpmath as mp
+#     mp.mp.dps = 60
+#     def ml_ref(a, b, s):
+#         a, b, s = mp.mpf(a), mp.mpf(b), mp.mpf(s)
+#         tot, prev = mp.mpf(0), mp.inf
+#         for k in range(1, 100000):
+#             tot -= (-s) ** (-k) * mp.rgamma(b - a * k)
+#             env = (s ** (-k) * mp.gamma(1 + a * k - b)
+#                    if 1 + a * k - b > 0 else mp.inf)
+#             if k > 2 and tot != 0 and env < mp.mpf(10) ** -75 * abs(tot):
+#                 return tot
+#             if k > 2 and env > prev:
+#                 break
+#             prev = env
+#         logpeak = float(s ** (1 / a))
+#         with mp.workdps(int(logpeak / 2.3) + 80):
+#             tot, n = mp.mpf(0), 0
+#             while True:
+#                 t = (-s) ** n * mp.rgamma(a * n + b)
+#                 tot += t
+#                 if n > logpeak and abs(t) < mp.mpf(10) ** -80 * abs(tot):
+#                     return +tot
+#                 n += 1
+ML_REF_S = (6.0, 30.0, 1e3, 1e5, 1e6, 1e12, 1e100)
+ML_REF = {  # alpha: (beta = 1 row, beta = alpha row), over ML_REF_S
+    0.001: ((1.4278640602389992038e-1, 3.2240026143786909917e-2,
+             9.9842428281946627102e-4, 9.9941214016956644418e-6,
+             9.9942112965724892756e-7, 9.9942212849819731976e-13,
+             9.9942212849919614681e-101),
+            (2.0399745491302098685e-5, 1.0400202820511103755e-6,
+             9.9742743340981366978e-10, 9.9940215193976099626e-14,
+             9.9942013081629997368e-16, 9.9942212849719849762e-28,
+             9.9942212849919615172e-204)),
+    0.1: ((1.3521617793943812749e-1, 3.026597587087465188e-2,
+           9.3492055360589073502e-4, 9.3577013161971816947e-6,
+           9.357778619766239271e-7, 9.3577872091201383224e-13,
+           9.3577872091287275438e-101),
+          (1.9530638329671792533e-3, 9.7887565462365515436e-5,
+           9.3406315534077344144e-8, 9.3576154240360059702e-12,
+           9.3577700304114551873e-14, 9.3577872091115494717e-26,
+           9.3577872091287279144e-202)),
+    0.5: ((9.2776567800538354389e-2, 1.8795888861416751497e-2,
+           5.641893014533876542e-4, 5.6418958351954680777e-6,
+           5.6418958354747419216e-7, 5.6418958354775628695e-13,
+           5.6418958354775627798e-101),
+          (7.5301767445261606112e-3, 3.1291770525374203432e-4,
+           2.8209436863274833442e-7, 2.8209479173156392472e-11,
+           2.8209479177345500129e-13, 2.8209479177387814347e-25,
+           2.820947917738781345e-201)),
+    0.9: ((2.5782769712366065577e-2, 3.713707698459852111e-3,
+           1.0528835943209589052e-4, 1.051154432500310326e-6,
+           1.0511387487148291145e-7, 1.0511370061135201632e-13,
+           1.0511370061117775475e-101),
+          (5.8911342646625929191e-3, 1.1825044794307206789e-4,
+           9.4917076469339157193e-8, 9.4605467335798517609e-12,
+           9.4602644218967270315e-14, 9.4602330550373650942e-26,
+           9.46023305500599801e-202)),
+    0.999: ((2.733215613800343923e-3, 3.5830164124046634874e-5,
+             1.0025808660865962037e-6, 1.0005965433334295183e-8,
+             1.0005785580499858604e-9, 1.0005765597469930622e-15,
+             1.0005765597449947473e-103),
+            (2.5246213995722866166e-3, 1.2856687177175953046e-6,
+             1.0035866126776683361e-9, 9.9961591099272527976e-14,
+             9.9957997580459937896e-16, 9.9957598318924236894e-28,
+             9.9957598318524973573e-204)),
+    0.999999: ((2.4790068910613009163e-3, 3.5813763884124527515e-8,
+                1.0020065996566686093e-9, 1.0000205778268761643e-11,
+                1.0000025772480736388e-12, 1.0000005772457647194e-18,
+                1.0000005772437647052e-106),
+               (2.4787981851908534805e-3, 1.2866246844141000827e-9,
+                1.0040176663969535821e-12, 1.000039578969454911e-16,
+                1.0000035772538053008e-18, 9.9999957724718744123e-31,
+                9.9999957724318741681e-207)),
+}
+ML_REF_CASES = [(a, b, s, ref) for a, rows in ML_REF.items()
+                for b, row in zip((1.0, a), rows)
+                for s, ref in zip(ML_REF_S, row)]
+
+
+@pytest.mark.parametrize("alpha, beta, s, ref", ML_REF_CASES)
+def test_scalar_ml_matches_reference(alpha, beta, s, ref):
+    lo, hi = K._RULE_ALPHAS
+    try:
+        got = K.mittag_leffler(alpha, beta, -s)
+    except AccuracyError:
+        # only the contour integral may give up (alpha = 0.001, beta = 1)
+        assert s < K._S_ASYMPTOTIC and not lo <= alpha <= hi
+        return
+    err = abs(got / ref - 1.0)
+    if s >= K._S_ASYMPTOTIC:
+        assert err <= 1e-15
+    elif lo <= alpha <= hi:
+        assert err <= K._RULE_RTOL
+    elif beta == alpha and not (alpha == 0.999999 and s == 6.0):
+        assert err <= 1e-13
+    else:
+        # beta = 1, or the peak at alpha = 0.999999, s = 6 whose relative
+        # half-width, 3e-6, resolves u only to about 3e-11: the default rtol
+        assert err <= 1e-11
+
+
+@pytest.mark.parametrize("alpha", list(ML_REF))
+def test_ml_ray_far_out_is_the_asymptotic_sum(alpha):
+    far = np.array(ML_REF_S[4:])
+    for beta, row in zip((1.0, alpha), ML_REF[alpha]):
+        got = K.ml_on_negative_axis(alpha, beta)(far)
+        assert np.abs(got / np.array(row[4:]) - 1.0).max() <= 1e-15
 
 
 # ---------------------------------------------------------------------------
