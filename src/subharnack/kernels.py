@@ -17,7 +17,6 @@ import csv
 import math
 import warnings
 from dataclasses import dataclass, field
-from functools import lru_cache
 
 import numpy as np
 from scipy.special import gamma as gamma_fn
@@ -48,7 +47,8 @@ __all__ = [
 Z_SWITCH = 5.0
 #: from s = 1e6 on, six asymptotic terms give E_{alpha,beta}(-s) to rounding
 _S_ASYMPTOTIC = 1e6
-#: where the M-Wright ray's measured error (under 9e-12) serves the scalar E(-s)
+#: where the M-Wright ray E_alpha(-s) serves the scalar: its error, measured
+#: against 50-digit values (not checked at run time), stays under 8e-13 there
 _RULE_ALPHAS, _RULE_RTOL = (0.1, 0.999), 1e-11
 
 KINDS = ("riemann_liouville", "yosida_g", "yosida_h", "resolvent", "custom")
@@ -285,7 +285,8 @@ def _ml_integral(alpha: float, beta: float, z: float, rtol: float) -> float:
     For z > 0 the exponentially growing part enters separately.  The
     integrand has an integrable endpoint singularity u**(alpha-beta) (handed
     to an algebraic-weight rule when strong) and a Lorentzian peak that
-    sharpens as alpha approaches 1 (breakpoints on it and on its flanks).
+    sharpens as alpha approaches 1 (integrated in the offset from it, with
+    breakpoints on it and on its flanks).
     """
     if beta >= 1.0 + alpha:
         # lower beta until the endpoint u**(alpha-beta) is integrable
@@ -299,34 +300,47 @@ def _ml_integral(alpha: float, beta: float, z: float, rtol: float) -> float:
     # (z sin(pi alpha))^2 alone, so near alpha = 1 this sine sets its width
     spa = math.sin(math.pi * min(alpha, 1.0 - alpha))
     zspa2 = (z * spa) ** 2
+    # for z < 0 the peak sits at u_pk = |z|^(1/alpha) (placed in logs: it may
+    # overflow) with half-width w u_pk, w = 3e-6 at alpha = 0.999999
+    log_peak, w = math.log(abs(z)) / alpha, spa / alpha
+    u_pk = math.exp(log_peak) if z < 0.0 and -18.0 < log_peak < 6.6 else 0.0
+    pk_a = u_pk ** alpha
     # the only user of scipy.integrate: importing it here keeps it out of
     # ``import subharnack``
     from scipy.integrate import IntegrationWarning, quad
 
-    def regular_part(u):
+    def regular_part(u, v=None):
         ua = u ** alpha
-        num = ua * spb - z * spba
-        den = (ua - z * cpa) ** 2 + zspa2
-        return math.exp(-u) * num / (den * math.pi)
+        # u ** alpha - z cos(pi alpha) cancels at the peak; from the offset
+        # v = u - u_pk, exact there, it keeps its digits
+        gap = ua - z * cpa if v is None else (
+            pk_a * math.expm1(alpha * math.log1p(v / u_pk)) + (pk_a - z * cpa))
+        return (math.exp(-u) * (ua * spb - z * spba)
+                / ((gap * gap + zspa2) * math.pi))
 
+    # 1e-12 would leave E_{alpha,alpha} 2.8e-13 off at alpha = 0.999999, s = 30
+    kw = dict(limit=400, epsabs=1e-300, epsrel=min(rtol, 1e-13))
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", IntegrationWarning)
         if alpha <= 0.5 and alpha - beta <= -0.25:
             # peak is broad here; let the weight carry the singular factor
             val, est = quad(regular_part, 0.0, 750.0, weight="alg",
-                            wvar=(alpha - beta, 0.0), limit=400,
-                            epsabs=1e-300, epsrel=min(rtol, 1e-13))
+                            wvar=(alpha - beta, 0.0), **kw)
         else:
-            # the peak, at log u = log|z| / alpha (u itself may overflow), has
-            # half-width w in log u; breakpoints at w, 10 w, ... 1 on each side
-            log_peak, w = math.log(abs(z)) / alpha, spa / alpha
-            offsets = [0.0] + [x * w * 10.0 ** k for x in (-1.0, 1.0)
-                               for k in range(max(1, 1 - math.floor(math.log10(w))))]
-            points = [math.exp(log_peak + d) for d in offsets
-                      if z < 0.0 and -18.0 < log_peak + d < 6.6] or None
             val, est = quad(lambda u: regular_part(u) * u ** (alpha - beta),
-                            0.0, 750.0, points=points, limit=400,
-                            epsabs=1e-300, epsrel=min(rtol, 1e-13))
+                            0.0, 0.5 * u_pk or 750.0, **kw)
+            if u_pk:
+                # past u_pk / 2 the variable is v: rounding u itself would move
+                # each node by up to 3e-11 of the peak's width (1e-11 off at
+                # alpha = 0.999999, |z| = 6); breakpoints at v = 0 and
+                # +-w u_pk, +-10 w u_pk, ... up to u_pk / 2
+                points = [0.0] + [x * w * u_pk * 10.0 ** k for x in (-1.0, 1.0)
+                                  for k in range(math.ceil(math.log10(0.5 / w)))
+                                  if x * w * 10.0 ** k < 750.0 / u_pk - 1.0]
+                peak, e_peak = quad(
+                    lambda v: regular_part(u_pk + v, v) * (u_pk + v) ** (alpha - beta),
+                    -0.5 * u_pk, 750.0 - u_pk, points=points, **kw)
+                val, est = val + peak, est + e_peak
     if est > 100.0 * rtol * max(abs(val), 1e-280):
         raise AccuracyError(
             f"integral representation of E_({alpha},{beta})({z}) reports "
@@ -352,9 +366,11 @@ def mittag_leffler(alpha: float, beta: float, z: float, rtol: float = 1e-11) -> 
     """Generalized Mittag-Leffler function E_{alpha,beta}(z) for real z.
 
     The power series serves |z| <= 5 wherever its rounding floor certifies
-    ``rtol``.  Past it, for 0 < alpha < 1, z <= -1e6 takes the asymptotic sum,
-    z = -s with beta in {1, alpha} the memoized M-Wright ray where alpha and
-    ``rtol`` meet its measured error, and the contour integral the rest.  The
+    ``rtol``.  Past it, for 0 < alpha < 1, z <= -1e6 takes the asymptotic sum;
+    E_alpha(-s) the M-Wright ray once the rule for alpha is memoized (a build
+    costs about 30 ms, a contour call about 1 ms), where alpha and ``rtol``
+    lie in the range over which its error was measured (not checked at run
+    time); and the contour integral the rest.  The
     classical limits alpha = 1, beta = 1 (exponential) and alpha > 1 on the
     series' safe range are supported as documented special cases.
     """
@@ -373,9 +389,9 @@ def mittag_leffler(alpha: float, beta: float, z: float, rtol: float = 1e-11) -> 
     if 0.0 < alpha < 1.0:
         if z <= -_S_ASYMPTOTIC:
             return float(_ml_asymptotic(alpha, beta, -z))
-        if (z < 0.0 and beta in (1.0, alpha) and rtol >= _RULE_RTOL
+        if (z < 0.0 and beta == 1.0 and alpha in _RULES and rtol >= _RULE_RTOL
                 and _RULE_ALPHAS[0] <= alpha <= _RULE_ALPHAS[1]):
-            return float(ml_on_negative_axis(alpha, beta)(-z))
+            return float(ml_on_negative_axis(alpha, 1.0)(-z))
         return _ml_integral(alpha, beta, z, rtol)
     if alpha == 1.0 and beta > 2.0 and z != 0.0:
         # step beta down into the series-friendly range
@@ -485,7 +501,10 @@ def _kanter_density(a: float, edge: float, u: np.ndarray) -> np.ndarray:
     return np.sum(wz * eta * gumbel, axis=1) / (math.pi * e)
 
 
-@lru_cache(maxsize=64)
+#: the memoized rules by alpha, least recently used first, at most 64
+_RULES: dict = {}
+
+
 def _m_wright_rule(a: float):
     if a == 1.0:
         nodes, weights = np.ones(1), np.ones(1)
@@ -518,14 +537,19 @@ def _m_wright_rule(a: float):
 
 def m_wright_rule(alpha):
     """Positive quadrature (nodes r_k > 0, weights W_k > 0) for the M-Wright
-    measure M_alpha(r) dr on r > 0, memoized on alpha.
+    measure M_alpha(r) dr on r > 0, memoized on alpha (the 64 most recent).
 
     sum_k W_k f(r_k) approximates int f(r) M_alpha(r) dr.  The build checks
     the moments sum_k W_k r_k^d = Gamma(1+d)/Gamma(1+alpha d) for
     d in {-1/2, 0, 1/2, 1, 2} to 1e-10 relative and raises ``AccuracyError``
     on a miss.  At alpha = 1 the measure is the unit mass at r = 1.
     """
-    return _m_wright_rule(_as_alpha(alpha, classical_ok=True))
+    a = _as_alpha(alpha, classical_ok=True)
+    rule = _RULES.pop(a, None) or _m_wright_rule(a)
+    _RULES[a] = rule
+    if len(_RULES) > 64:
+        _RULES.pop(next(iter(_RULES)), None)
+    return rule
 
 
 def ml_on_negative_axis(alpha: float, beta: float):
