@@ -52,6 +52,10 @@ def _to_float_list(text: str) -> list:
     return [_to_float(tok) for tok in text.split(",") if tok.strip()]
 
 
+def _to_int_list(text: str) -> list:
+    return [int(tok) for tok in text.split(",") if tok.strip()]
+
+
 def _at_least(lo):
     return (lambda v: v >= lo), f"at least {lo}"
 
@@ -76,13 +80,13 @@ _COMMON = {
 _SCHEMAS = {
     "identities": {
         "m": (int, 512, _at_least(2)),
-        "n_levels": (_to_float_list, [1, 4, 16, 64, 256], _entries(2, _at_least(1))),
+        "n_levels": (_to_int_list, [1, 4, 16, 64, 256], _entries(2, _at_least(1))),
         "gnprop_n": (int, 4, _at_least(1)),
         "gnprop_m": (int, 512, _at_least(2)),
     },
     "converge": {
         "sigma": (_to_float, 1.0, _POSITIVE),
-        "m_list": (_to_float_list, [64, 128, 256], _entries(2, _at_least(2))),
+        "m_list": (_to_int_list, [64, 128, 256], _entries(2, _at_least(2))),
     },
     "harnack": {
         "nx": (int, 160, _at_least(4)),
@@ -229,7 +233,7 @@ def _run_identities(cfg: ExperimentConfig):
     summary["g_conv_identity"] = _flag(worst <= 1e-12)
 
     # regularized kernels approach the singular one in L1
-    levels = [int(n) for n in cfg.params["n_levels"]]
+    levels = cfg.params["n_levels"]
     l1 = [kernels.yosida_l1_distance(alpha, n) for n in levels]
     files["yosida_l1.csv"] = _csv_text("n,l1", zip(levels, l1))
     mono = all(b < a for a, b in zip(l1, l1[1:]))
@@ -281,7 +285,7 @@ def _run_identities(cfg: ExperimentConfig):
 
 def _run_converge(cfg: ExperimentConfig):
     alpha, sigma = cfg.alpha, cfg.params["sigma"]
-    ms = [int(m) for m in cfg.params["m_list"]]
+    ms = cfg.params["m_list"]
     exact = kernels.mittag_leffler(alpha, 1.0, -sigma)
     rows, errs = [], []
     for m in ms:

@@ -4,7 +4,6 @@ product-rule identities of d/dt (k * u) with regular kernels."""
 
 from __future__ import annotations
 
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -12,7 +11,7 @@ from scipy.fft import irfft, next_fast_len, rfft
 from scipy.special import gamma as gamma_fn
 
 from .errors import DomainError, GridMismatchError, SingularKernelError
-from .kernels import KernelTable, _as_alpha, rl_kernel_table
+from .kernels import KernelTable, _as_alpha, _as_count, rl_kernel_table
 
 __all__ = [
     "TimeGrid",
@@ -29,15 +28,6 @@ __all__ = [
 ]
 
 
-def _as_count(value, what: str) -> int:
-    """An integral count as int; floats like 4.0 pass, 2.5, NaN and strings
-    raise ``DomainError`` instead of being truncated."""
-    if not (isinstance(value, numbers.Integral)
-            or (isinstance(value, numbers.Real) and float(value).is_integer())):
-        raise DomainError(f"{what} must be an integer, got {value!r}")
-    return int(value)
-
-
 @dataclass(frozen=True)
 class TimeGrid:
     """Uniform time grid 0, dt, ..., m*dt."""
@@ -48,9 +38,7 @@ class TimeGrid:
     def __post_init__(self):
         if not (np.isfinite(self.dt) and self.dt > 0.0):
             raise DomainError(f"dt must be finite and positive, got {self.dt}")
-        object.__setattr__(self, "m", _as_count(self.m, "the step count"))
-        if self.m < 2:
-            raise DomainError(f"need at least 2 steps, got {self.m}")
+        object.__setattr__(self, "m", _as_count(self.m, "the step count", 2))
 
     @property
     def horizon(self) -> float:

@@ -11,7 +11,8 @@ from typing import Optional
 import numpy as np
 
 from .errors import DomainError
-from .kernels import _as_alpha, _exp_mixture, _gauss_panels, m_wright_rule
+from .kernels import (_as_alpha, _as_count, _exp_mixture, _gauss_panels,
+                      m_wright_rule)
 
 __all__ = [
     "critical_exponent",
@@ -31,16 +32,13 @@ _SPHERE_AREA = {1: 2.0, 2: 2.0 * math.pi, 3: 4.0 * math.pi}
 
 def critical_exponent(alpha, N: int) -> float:
     """Supremum of admissible averaging exponents, (2+N*a)/(2+N*a-2a) > 1."""
-    a = _as_alpha(alpha)
-    if N < 1 or int(N) != N:
-        raise DomainError(f"N must be a positive integer, got {N}")
+    a, N = _as_alpha(alpha), _as_count(N, "N", 1)
     return (2.0 + N * a) / (2.0 + N * a - 2.0 * a)
 
 
 def kappa(p, N: int) -> float:
     """Interpolation exponent (2p+N(p-1))/(2+N(p-1)); kappa(inf) = 1 + 2/N."""
-    if N < 1 or int(N) != N:
-        raise DomainError(f"N must be a positive integer, got {N}")
+    N = _as_count(N, "N", 1)
     if p == math.inf:
         return 1.0 + 2.0 / N
     p = float(p)
@@ -52,7 +50,7 @@ def kappa(p, N: int) -> float:
 def divergence_exponent(alpha, N: int, p: float) -> float:
     """Exponent of t in the small-time integral of the p-th power of the
     fundamental solution over a fixed ball: alpha*(N-N*p)/2 + (alpha-1)*p."""
-    a = _as_alpha(alpha)
+    a, N = _as_alpha(alpha), _as_count(N, "N", 1)
     if p <= 0.0:
         raise DomainError(f"p must be positive, got {p}")
     return a * (N - N * p) / 2.0 + (a - 1.0) * p
@@ -126,16 +124,14 @@ class FundamentalSolutionEvaluator:
         return float(self.profile(t, [rho])[0])
 
 
-def spatial_mass(evaluator: FundamentalSolutionEvaluator, t: float,
-                 rho_factor: float = 30.0, n_panels: int = 72) -> float:
+def spatial_mass(evaluator: FundamentalSolutionEvaluator, t: float) -> float:
     """Integral of Y(t, .) over space by radial Gauss-panel quadrature
     (independent cross-check of the zero-frequency identity)."""
     a, N = evaluator.alpha, evaluator.dimension
     r_scale = t ** (a / 2.0)
-    r_max = rho_factor * r_scale
     edges = np.concatenate([
-        np.linspace(0.0, 2.0 * r_scale, n_panels // 2 + 1),
-        np.geomspace(2.0 * r_scale, r_max, n_panels // 2 + 1)[1:],
+        np.linspace(0.0, 2.0 * r_scale, 37),
+        np.geomspace(2.0 * r_scale, 30.0 * r_scale, 37)[1:],
     ])
     nodes, weights = _gauss_panels(edges, 16)
     vals = evaluator.profile(t, nodes)
@@ -148,12 +144,12 @@ def spatial_mass(evaluator: FundamentalSolutionEvaluator, t: float,
 # ---------------------------------------------------------------------------
 
 def _profile_cumulative(evaluator: FundamentalSolutionEvaluator, p: float,
-                        rho_max: float, n_nodes: int = 1600):
+                        rho_max: float):
     """rho grid, cumulative of rho^(N-1) * phi(rho)^p, where phi = Y(1, .)."""
     N = evaluator.dimension
     nodes = np.concatenate([
-        np.linspace(0.0, 2.0, n_nodes // 2),
-        np.geomspace(2.0, rho_max, n_nodes // 2 + 1)[1:],
+        np.linspace(0.0, 2.0, 800),
+        np.geomspace(2.0, rho_max, 801)[1:],
     ])
     integrand = nodes ** (N - 1) * evaluator.profile(1.0, nodes) ** p
     cumulative = np.concatenate([[0.0], np.cumsum(

@@ -15,8 +15,10 @@ from __future__ import annotations
 
 import csv
 import math
+import numbers
 import warnings
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 from scipy.special import gamma as gamma_fn
@@ -77,6 +79,17 @@ def _as_alpha(alpha, *, classical_ok: bool = False) -> float:
         rng = "(0, 1]" if classical_ok else "(0, 1)"
         raise DomainError(f"alpha must lie in {rng}, got {a}")
     return a
+
+
+def _as_count(value, what: str, least: int = 0) -> int:
+    """An integral count of at least ``least`` as int; 4.0 passes, while 2.5,
+    NaN, strings and smaller counts raise ``DomainError`` naming ``what``."""
+    integral = isinstance(value, numbers.Integral) or (
+        isinstance(value, numbers.Real) and float(value).is_integer())
+    if not (integral and value >= least):
+        raise DomainError(
+            f"{what} must be an integer of at least {least}, got {value!r}")
+    return int(value)
 
 
 @dataclass(frozen=True)
@@ -280,7 +293,7 @@ def _ml_series(alpha: float, beta: float, z: float, rtol: float):
 
 
 def _ml_integral(alpha: float, beta: float, z: float, rtol: float) -> float:
-    """Contour-collapse integral for 0 < alpha < 1 and real nonzero z.
+    """Contour-collapse integral for 0 < alpha < 1, beta < 1 + alpha, z != 0.
 
     For z > 0 the exponentially growing part enters separately.  The
     integrand has an integrable endpoint singularity u**(alpha-beta) (handed
@@ -288,10 +301,6 @@ def _ml_integral(alpha: float, beta: float, z: float, rtol: float) -> float:
     sharpens as alpha approaches 1 (integrated in the offset from it, with
     breakpoints on it and on its flanks).
     """
-    if beta >= 1.0 + alpha:
-        # lower beta until the endpoint u**(alpha-beta) is integrable
-        inner = _ml_integral(alpha, beta - alpha, z, rtol)
-        return (inner - rgamma(beta - alpha)) / z
     spb = math.sin(math.pi * (1.0 - beta))
     # sin(pi (1 - beta + alpha)), written to be exactly 0 at beta = alpha
     spba = math.sin(math.pi * (beta - alpha))
@@ -365,38 +374,41 @@ def _ml_asymptotic(alpha: float, beta: float, s):
 def mittag_leffler(alpha: float, beta: float, z: float, rtol: float = 1e-11) -> float:
     """Generalized Mittag-Leffler function E_{alpha,beta}(z) for real z.
 
-    The power series serves |z| <= 5 wherever its rounding floor certifies
-    ``rtol``.  Past it, for 0 < alpha < 1, z <= -1e6 takes the asymptotic sum;
-    E_alpha(-s) the M-Wright ray once the rule for alpha is memoized (a build
-    costs about 30 ms, a contour call about 1 ms), where alpha and ``rtol``
-    lie in the range over which its error was measured (not checked at run
-    time); and the contour integral the rest.  The
-    classical limits alpha = 1, beta = 1 (exponential) and alpha > 1 on the
-    series' safe range are supported as documented special cases.
+    The arguments alone fix the path.  The power series serves |z| <= 5
+    wherever its rounding floor certifies ``rtol``.  Where it does not, for
+    0 < alpha < 1, z <= -1e6 takes the asymptotic sum; E_alpha(-s) the
+    M-Wright ray (building the rule if it is not cached) where alpha and
+    ``rtol`` lie in the range over which its error was measured; beta >=
+    1 + alpha, alpha <= 1, one step of E_{a,b}(z) = (E_{a,b-a}(z) -
+    1/Gamma(b-a)) / z; and the contour integral the rest.  The classical
+    limits alpha = 1, beta = 1 (exponential) and alpha > 1 on the series'
+    safe range are supported as documented special cases.
     """
     if alpha <= 0.0 or beta <= 0.0:
         raise DomainError("Mittag-Leffler parameters must be strictly positive")
     if not math.isfinite(z):
         raise DomainError(f"z must be finite, got {z}")
     if alpha == 1.0 and beta == 1.0:
-        return math.exp(z)
-    if z == 0.0:
-        return 1.0 / gamma_fn(beta)
+        try:
+            return math.exp(z)
+        except OverflowError:
+            raise AccuracyError(f"E_(1,1)({z}) overflows double precision") from None
     if abs(z) <= Z_SWITCH or z > 0.0 or alpha >= 1.0:
         val, ok = _ml_series(alpha, beta, z, rtol)
         if ok:
             return val
-    if 0.0 < alpha < 1.0:
-        if z <= -_S_ASYMPTOTIC:
-            return float(_ml_asymptotic(alpha, beta, -z))
-        if (z < 0.0 and beta == 1.0 and alpha in _RULES and rtol >= _RULE_RTOL
-                and _RULE_ALPHAS[0] <= alpha <= _RULE_ALPHAS[1]):
-            return float(ml_on_negative_axis(alpha, 1.0)(-z))
+    if alpha < 1.0 and z <= -_S_ASYMPTOTIC:
+        return float(_ml_asymptotic(alpha, beta, -z))
+    if (z < 0.0 and beta == 1.0 and rtol >= _RULE_RTOL
+            and _RULE_ALPHAS[0] <= alpha <= _RULE_ALPHAS[1]):
+        return float(ml_on_negative_axis(alpha, 1.0)(-z))
+    if alpha <= 1.0 and beta >= 1.0 + alpha:
+        # lower beta into the contour's integrable range (or, at alpha = 1,
+        # towards the exponential)
+        inner = mittag_leffler(alpha, beta - alpha, z, rtol)
+        return (inner - rgamma(beta - alpha)) / z
+    if alpha < 1.0:
         return _ml_integral(alpha, beta, z, rtol)
-    if alpha == 1.0 and beta > 2.0 and z != 0.0:
-        # step beta down into the series-friendly range
-        inner = mittag_leffler(alpha, beta - 1.0, z, rtol)
-        return (inner - rgamma(beta - 1.0)) / z
     raise AccuracyError(
         f"no convergent evaluation path for E_({alpha},{beta})({z})"
     )
@@ -501,11 +513,17 @@ def _kanter_density(a: float, edge: float, u: np.ndarray) -> np.ndarray:
     return np.sum(wz * eta * gumbel, axis=1) / (math.pi * e)
 
 
-#: the memoized rules by alpha, least recently used first, at most 64
-_RULES: dict = {}
+@lru_cache(maxsize=64)
+def m_wright_rule(alpha):
+    """Positive quadrature (nodes r_k > 0, weights W_k > 0) for the M-Wright
+    measure M_alpha(r) dr on r > 0, memoized on alpha (the 64 most recent).
 
-
-def _m_wright_rule(a: float):
+    sum_k W_k f(r_k) approximates int f(r) M_alpha(r) dr.  The build checks
+    the moments sum_k W_k r_k^d = Gamma(1+d)/Gamma(1+alpha d) for
+    d in {-1/2, 0, 1/2, 1, 2} to 1e-10 relative and raises ``AccuracyError``
+    on a miss.  At alpha = 1 the measure is the unit mass at r = 1.
+    """
+    a = _as_alpha(alpha, classical_ok=True)
     if a == 1.0:
         nodes, weights = np.ones(1), np.ones(1)
     else:
@@ -535,23 +553,6 @@ def _m_wright_rule(a: float):
     return nodes, weights
 
 
-def m_wright_rule(alpha):
-    """Positive quadrature (nodes r_k > 0, weights W_k > 0) for the M-Wright
-    measure M_alpha(r) dr on r > 0, memoized on alpha (the 64 most recent).
-
-    sum_k W_k f(r_k) approximates int f(r) M_alpha(r) dr.  The build checks
-    the moments sum_k W_k r_k^d = Gamma(1+d)/Gamma(1+alpha d) for
-    d in {-1/2, 0, 1/2, 1, 2} to 1e-10 relative and raises ``AccuracyError``
-    on a miss.  At alpha = 1 the measure is the unit mass at r = 1.
-    """
-    a = _as_alpha(alpha, classical_ok=True)
-    rule = _RULES.pop(a, None) or _m_wright_rule(a)
-    _RULES[a] = rule
-    if len(_RULES) > 64:
-        _RULES.pop(next(iter(_RULES)), None)
-    return rule
-
-
 def ml_on_negative_axis(alpha: float, beta: float):
     """Vectorized s -> E_{alpha,beta}(-s) on s >= 0 for beta in {1, alpha}.
 
@@ -560,6 +561,11 @@ def ml_on_negative_axis(alpha: float, beta: float):
     in blocks of s; positive and nonincreasing in s by construction.  From
     s = 1e6 on, past the rule's smallest node, it is the asymptotic sum.  Any
     other beta raises ``DomainError``, as does a negative or NaN s.
+
+    Its error, measured against 50-digit values and not checked at run time,
+    is under 8e-13 (beta = 1) and 1e-11 (beta = alpha) for alpha in
+    [0.1, 0.999]; up to 8.3e-11 and 1.5e-10 at alpha = 0.999999 and 3.7e-11
+    at alpha = 0.001.
     """
     a = _as_alpha(alpha, classical_ok=True)
     if beta not in (1.0, a):
@@ -687,18 +693,16 @@ def yosida_kernels(alpha, n: int, dt: float, m: int):
     derivative, recovered as exact cell averages of the discrete solution.
     Returns (g_n, h_n) where g_n = n * s_n.
     """
-    a = _as_alpha(alpha)
-    if n < 1 or int(n) != n:
-        raise DomainError(f"n must be a positive integer, got {n}")
+    a, n = _as_alpha(alpha), _as_count(n, "n", 1)
     base = rl_kernel_table(a, dt, m, sampling="cell_average", scale=float(n))
     s = solve_volterra(base, np.ones(m + 1), rule="rectangle").values
     g_vals = float(n) * s
     g_table = KernelTable(dt=dt, values=g_vals, kind="yosida_g",
-                          sampling="node", params=(a, int(n)))
+                          sampling="node", params=(a, n))
     h_cells = -np.diff(s) / dt
     h_vals = np.concatenate([[math.nan], h_cells])
     h_table = KernelTable(dt=dt, values=h_vals, kind="yosida_h",
-                          sampling="cell_average", params=(a, int(n)))
+                          sampling="cell_average", params=(a, n))
     return g_table, h_table
 
 
@@ -710,7 +714,7 @@ def yosida_l1_distance(alpha, n: int, T: float = 1.0) -> float:
     kernel is singular; grid tables cannot resolve the initial layer once
     n is large, this quadrature can.
     """
-    a = _as_alpha(alpha)
+    a, n = _as_alpha(alpha), _as_count(n, "n", 1)
     ray = ml_on_negative_axis(a, 1.0)
     a0 = T * 1e-14
     # analytic head: on [0, a0] the bounded kernel is ~ n, the limit dominates

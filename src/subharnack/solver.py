@@ -21,9 +21,9 @@ from scipy.sparse.linalg import splu
 from scipy.special import gamma as gamma_fn
 
 from .errors import DomainError, GridMismatchError, LinearSolveError
-from .fracops import (SampledPath, TimeGrid, _as_count, _causal_march,
+from .fracops import (SampledPath, TimeGrid, _causal_march,
                       causal_sum, l1_weights)
-from .kernels import _as_alpha, rl_kernel_table, solve_volterra
+from .kernels import _as_alpha, _as_count, rl_kernel_table, solve_volterra
 
 __all__ = [
     "SpaceGrid",
@@ -53,19 +53,17 @@ class SpaceGrid:
     def __post_init__(self):
         lo = tuple(float(x) for x in np.atleast_1d(self.lower))
         hi = tuple(float(x) for x in np.atleast_1d(self.upper))
-        nc = tuple(_as_count(n, "a cell count")
+        nc = tuple(_as_count(n, "a cell count", 4)
                    for n in np.atleast_1d(self.cells))
         if not (len(lo) == len(hi) == len(nc)):
             raise DomainError("lower/upper/cells must have matching lengths")
         if len(lo) not in (1, 2):
             raise DomainError(f"dimension must be 1 or 2, got {len(lo)}")
-        for a, b, n in zip(lo, hi, nc):
+        for a, b in zip(lo, hi):
             if not (np.isfinite(a) and np.isfinite(b)):
                 raise DomainError(f"bounds must be finite, got {a!r}, {b!r}")
             if b <= a:
                 raise DomainError("upper bound must exceed lower bound")
-            if n < 4:
-                raise DomainError("need at least 4 cells per axis")
         object.__setattr__(self, "lower", lo)
         object.__setattr__(self, "upper", hi)
         object.__setattr__(self, "cells", nc)

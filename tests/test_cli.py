@@ -205,6 +205,9 @@ def test_numerical_failure_exits_3(tmp_path):
     ("harnack", "p_list=0.5,inf"),
     ("continuity", "r0=inf"),
     ("converge", "sigma=inf"),
+    # count lists take integers only, rather than truncating 64.5 to 64
+    ("converge", "m_list=64.5,128.9,256"),
+    ("identities", "n_levels=1,4.7,16"),
 ])
 def test_out_of_range_config_exits_2_without_files(tmp_path, experiment,
                                                    setting):

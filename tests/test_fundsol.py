@@ -35,6 +35,14 @@ def test_kappa_values():
         FS.kappa(0.9, 2)
 
 
+@pytest.mark.parametrize("N", [0, 1.5, math.nan, "2"])
+def test_dimension_is_a_count(N):
+    for call in (lambda: FS.critical_exponent(0.5, N), lambda: FS.kappa(2.0, N),
+                 lambda: FS.divergence_exponent(0.5, N, 2.0)):
+        with pytest.raises(DomainError, match="N must be an integer"):
+            call()
+
+
 def test_divergence_exponent_values():
     assert FS.divergence_exponent(0.5, 1, 1.0) == pytest.approx(-0.5)
     assert FS.divergence_exponent(0.5, 1, 5.0 / 3.0) == pytest.approx(-1.0)

@@ -163,19 +163,36 @@ def test_ml_continuity_across_switch():
 
 
 def test_ml_beta_reduction_branch():
-    # beta above 1 + alpha goes through the recursion inside the integral path
-    val = K._ml_integral(0.3, 2.0, -2.0, 1e-12)
-    series, ok = K._ml_series(0.3, 2.0, -2.0, 1e-11)
-    assert ok and val == pytest.approx(series, rel=1e-9)
-    # and the dispatcher satisfies the shift identity at larger |z|
+    # past the series, beta >= 1 + alpha steps down in the dispatcher:
+    # (0.3, 2.0) -> (0.3, 1.7) -> (0.3, 1.4) -> the contour at (0.3, 1.1);
+    # mpmath value (60 digits, rounded to 20) as in ML_REF
+    assert abs(K.mittag_leffler(0.3, 2.0, -6.0) / 0.15638863608012891411
+               - 1.0) <= 1e-13
+    # and the dispatcher satisfies the shift identity
     lhs = K.mittag_leffler(0.3, 1.0, -6.0)
     rhs = -6.0 * K.mittag_leffler(0.3, 1.3, -6.0) + 1.0 / gamma(1.0)
     assert lhs == pytest.approx(rhs, rel=1e-9)
 
 
+def test_ml_beta_lowering_matches_reference():
+    # 50-digit mpmath value of E_{1/2,17/10}(-30) by the power series
+    ref = 0.035456511400631777154310554350806841333504634561301
+    assert abs(K.mittag_leffler(0.5, 1.7, -30.0) / ref - 1.0) <= 1e-13
+
+
+def test_ml_beta_lowering_at_alpha_one():
+    # E_{1,2}(z) = (e^z - 1) / z: one step down to the exponential, where
+    # the series gives up on cancellation
+    assert K.mittag_leffler(1.0, 2.0, -30.0) == (math.exp(-30.0) - 1.0) / -30.0
+
+
 def test_ml_accuracy_error_path():
     with pytest.raises(AccuracyError):
         K.mittag_leffler(1.0, 1.5, -80.0)
+    # E_{1,2}(800) steps down to e^800, past double precision
+    for beta in (1.0, 2.0):
+        with pytest.raises(AccuracyError, match="overflows"):
+            K.mittag_leffler(1.0, beta, 800.0)
     with pytest.raises(DomainError):
         K.mittag_leffler(-0.5, 1.0, 1.0)
 
@@ -256,18 +273,26 @@ def test_scalar_ml_on_a_memoized_rule_skips_scipy_integrate():
         "subharnack.mittag_leffler(0.3, 1.0, -30.0)") == "[]"
 
 
-def test_m_wright_rule_memo_keeps_the_64_most_recent(monkeypatch):
-    monkeypatch.setattr(K, "_RULES", {})
-    monkeypatch.setattr(K, "_m_wright_rule", lambda a: (np.array([a]),
-                                                        np.ones(1)))
+def test_scalar_ml_at_a_fresh_alpha_skips_scipy_integrate():
+    # the first call at an alpha builds its rule rather than take the contour
+    assert _scipy_integrate_and_interpolate_after(
+        "import sys, subharnack; subharnack.mittag_leffler(0.3, 1.0, -30.0)"
+    ) == "[]"
+
+
+def test_m_wright_rule_memo_keeps_the_64_most_recent():
+    K.m_wright_rule.cache_clear()
     alphas = [k / 100.0 for k in range(1, 66)]
     for a in alphas[:64]:
         K.m_wright_rule(a)
-    K.m_wright_rule(alphas[0])      # now the most recently used
+    K.m_wright_rule(alphas[0])      # a hit: now the most recently used
     K.m_wright_rule(alphas[64])     # evicts alphas[1]
-    assert len(K._RULES) == 64
-    assert alphas[0] in K._RULES and alphas[1] not in K._RULES
-    assert K.m_wright_rule(alphas[0])[0][0] == alphas[0]
+    info = K.m_wright_rule.cache_info()
+    assert (info.hits, info.misses, info.maxsize, info.currsize) == (1, 65, 64, 64)
+    K.m_wright_rule(alphas[0])      # kept
+    assert K.m_wright_rule.cache_info()[:2] == (2, 65)
+    K.m_wright_rule(alphas[1])      # rebuilt
+    assert K.m_wright_rule.cache_info()[:2] == (2, 66)
 
 
 def test_ml_negative_ray_matches_direct():
@@ -396,7 +421,7 @@ ML_REF_CASES = [(a, b, s, ref) for a, rows in ML_REF.items()
 
 
 @pytest.mark.parametrize("alpha, beta, s, ref", ML_REF_CASES)
-def test_scalar_ml_matches_reference(alpha, beta, s, ref, monkeypatch):
+def test_scalar_ml_matches_reference(alpha, beta, s, ref):
     """Every path that may serve E_{alpha,beta}(-s) against the reference,
     and the scalar against the path that it takes."""
     if s >= K._S_ASYMPTOTIC:
@@ -414,15 +439,26 @@ def test_scalar_ml_matches_reference(alpha, beta, s, ref, monkeypatch):
     assert abs(contour / ref - 1.0) <= 1e-13
     lo, hi = K._RULE_ALPHAS
     if beta == 1.0 and lo <= alpha <= hi:
-        # a fresh alpha takes the contour; once the ray has memoized the
-        # rule, the ray (measured under 8e-13 here)
-        monkeypatch.setattr(K, "_RULES", {})
-        assert K.mittag_leffler(alpha, beta, -s) == contour
+        # the ray (measured under 8e-13 here), whether or not the rule for
+        # alpha is cached
+        K.m_wright_rule.cache_clear()
+        cold = K.mittag_leffler(alpha, beta, -s)
         ray = float(K.ml_on_negative_axis(alpha, 1.0)(s))
         assert abs(ray / ref - 1.0) <= 1e-12
-        assert K.mittag_leffler(alpha, beta, -s) == ray
+        assert cold == ray == K.mittag_leffler(alpha, beta, -s)
     else:
         assert K.mittag_leffler(alpha, beta, -s) == contour
+
+
+@pytest.mark.parametrize("alpha", (0.001, 0.999999))
+def test_ml_ray_outside_its_measured_range(alpha):
+    # the scalar does not take the ray here, resolvent_kernel and
+    # yosida_l1_distance do: its documented error, 8.3e-11 (beta = 1) and
+    # 1.5e-10 (beta = alpha, s = 3e5) at alpha = 0.999999, 3.7e-11 at 0.001
+    s = np.array(ML_REF_S)
+    for beta, row, bound in zip((1.0, alpha), ML_REF[alpha], (1e-10, 2e-10)):
+        got = K.ml_on_negative_axis(alpha, beta)(s)
+        assert np.abs(got / np.array(row) - 1.0).max() <= bound
 
 
 @pytest.mark.parametrize("alpha", list(ML_REF))
@@ -586,8 +622,13 @@ def test_yosida_finite_at_origin_and_monotone():
 
 
 def test_yosida_rejects_bad_level():
-    with pytest.raises(DomainError):
-        K.yosida_kernels(0.5, 0, 0.01, 16)
+    # each raises DomainError naming n, rather than truncating 1.5 or
+    # reading 0 as a level
+    for n in (0, -1, 1.5, math.nan, "2"):
+        with pytest.raises(DomainError, match="n must be an integer"):
+            K.yosida_kernels(0.5, n, 0.01, 16)
+        with pytest.raises(DomainError, match="n must be an integer"):
+            K.yosida_l1_distance(0.5, n)
 
 
 # ---------------------------------------------------------------------------
