@@ -59,9 +59,7 @@ from .harnack import (
     weighted_poincare_check,
 )
 from .kernels import (
-    FractionalOrder,
     KernelTable,
-    MittagLefflerParams,
     mittag_leffler,
     ml_on_negative_axis,
     resolvent_kernel,

@@ -31,9 +31,7 @@ from .errors import (
 )
 
 __all__ = [
-    "FractionalOrder",
     "KernelTable",
-    "MittagLefflerParams",
     "rl_kernel",
     "rl_kernel_table",
     "mittag_leffler",
@@ -47,6 +45,8 @@ __all__ = [
 
 #: switch point between the power series and the integral representation
 Z_SWITCH = 5.0
+#: most steps E_{a,b}(z) = (E_{a,b-a}(z) - 1/Gamma(b-a)) / z one call takes
+_ML_MAX_STEPS = 10000
 #: from s = 1e6 on, six asymptotic terms give E_{alpha,beta}(-s) to rounding
 _S_ASYMPTOTIC = 1e6
 #: where the M-Wright ray E_alpha(-s) serves the scalar: its error, measured
@@ -55,20 +55,6 @@ _RULE_ALPHAS, _RULE_RTOL = (0.1, 0.999), 1e-11
 
 KINDS = ("riemann_liouville", "yosida_g", "yosida_h", "resolvent", "custom")
 SAMPLINGS = ("grunwald", "cell_average", "node")
-
-
-@dataclass(frozen=True)
-class FractionalOrder:
-    """Time order alpha, restricted to the strictly fractional range (0, 1)."""
-
-    alpha: float
-
-    def __post_init__(self):
-        if not (0.0 < self.alpha < 1.0):
-            raise DomainError(f"fractional order must lie in (0, 1), got {self.alpha}")
-
-    def __float__(self) -> float:
-        return self.alpha
 
 
 def _as_alpha(alpha, *, classical_ok: bool = False) -> float:
@@ -243,21 +229,6 @@ def rl_kernel_table(
 # Mittag-Leffler function
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class MittagLefflerParams:
-    """Parameter pair (alpha, beta) of the two-parameter Mittag-Leffler function."""
-
-    alpha: float
-    beta: float = 1.0
-
-    def __post_init__(self):
-        if self.alpha <= 0.0 or self.beta <= 0.0:
-            raise DomainError("Mittag-Leffler parameters must be strictly positive")
-
-    def evaluate(self, z: float, rtol: float = 1e-11) -> float:
-        return mittag_leffler(self.alpha, self.beta, z, rtol=rtol)
-
-
 _SERIES_NMAX = 20000
 
 
@@ -379,8 +350,9 @@ def mittag_leffler(alpha: float, beta: float, z: float, rtol: float = 1e-11) -> 
     0 < alpha < 1, z <= -1e6 takes the asymptotic sum; E_alpha(-s) the
     M-Wright ray (building the rule if it is not cached) where alpha and
     ``rtol`` lie in the range over which its error was measured; beta >=
-    1 + alpha, alpha <= 1, one step of E_{a,b}(z) = (E_{a,b-a}(z) -
-    1/Gamma(b-a)) / z; and the contour integral the rest.  The classical
+    1 + alpha, alpha <= 1, steps of E_{a,b}(z) = (E_{a,b-a}(z) -
+    1/Gamma(b-a)) / z back into this list, at most ``_ML_MAX_STEPS`` of
+    them; and the contour integral the rest.  The classical
     limits alpha = 1, beta = 1 (exponential) and alpha > 1 on the series'
     safe range are supported as documented special cases.
     """
@@ -388,30 +360,43 @@ def mittag_leffler(alpha: float, beta: float, z: float, rtol: float = 1e-11) -> 
         raise DomainError("Mittag-Leffler parameters must be strictly positive")
     if not math.isfinite(z):
         raise DomainError(f"z must be finite, got {z}")
-    if alpha == 1.0 and beta == 1.0:
-        try:
-            return math.exp(z)
-        except OverflowError:
-            raise AccuracyError(f"E_(1,1)({z}) overflows double precision") from None
-    if abs(z) <= Z_SWITCH or z > 0.0 or alpha >= 1.0:
-        val, ok = _ml_series(alpha, beta, z, rtol)
-        if ok:
-            return val
-    if alpha < 1.0 and z <= -_S_ASYMPTOTIC:
-        return float(_ml_asymptotic(alpha, beta, -z))
-    if (z < 0.0 and beta == 1.0 and rtol >= _RULE_RTOL
-            and _RULE_ALPHAS[0] <= alpha <= _RULE_ALPHAS[1]):
-        return float(ml_on_negative_axis(alpha, 1.0)(-z))
-    if alpha <= 1.0 and beta >= 1.0 + alpha:
-        # lower beta into the contour's integrable range (or, at alpha = 1,
-        # towards the exponential)
-        inner = mittag_leffler(alpha, beta - alpha, z, rtol)
-        return (inner - rgamma(beta - alpha)) / z
-    if alpha < 1.0:
-        return _ml_integral(alpha, beta, z, rtol)
-    raise AccuracyError(
-        f"no convergent evaluation path for E_({alpha},{beta})({z})"
-    )
+    lowered = []  # the betas stepped down from, in order
+    while True:
+        if alpha == 1.0 and beta == 1.0:
+            try:
+                val = math.exp(z)
+            except OverflowError:
+                raise AccuracyError(
+                    f"E_(1,1)({z}) overflows double precision") from None
+            break
+        if abs(z) <= Z_SWITCH or z > 0.0 or alpha >= 1.0:
+            val, ok = _ml_series(alpha, beta, z, rtol)
+            if ok:
+                break
+        if alpha < 1.0 and z <= -_S_ASYMPTOTIC:
+            val = float(_ml_asymptotic(alpha, beta, -z))
+            break
+        if (z < 0.0 and beta == 1.0 and rtol >= _RULE_RTOL
+                and _RULE_ALPHAS[0] <= alpha <= _RULE_ALPHAS[1]):
+            val = float(ml_on_negative_axis(alpha, 1.0)(-z))
+            break
+        if alpha <= 1.0 and beta >= 1.0 + alpha:
+            # lower beta into the contour's integrable range (or, at alpha
+            # = 1, towards the exponential)
+            if len(lowered) == _ML_MAX_STEPS:
+                raise AccuracyError(f"E_({alpha},{lowered[0]})({z}) needs more "
+                                    f"than {_ML_MAX_STEPS} beta-lowering steps")
+            lowered.append(beta)
+            beta = beta - alpha
+            continue
+        if alpha < 1.0:
+            val = _ml_integral(alpha, beta, z, rtol)
+            break
+        raise AccuracyError(
+            f"no convergent evaluation path for E_({alpha},{beta})({z})")
+    for b in reversed(lowered):
+        val = (val - rgamma(b - alpha)) / z
+    return val
 
 
 # ---------------------------------------------------------------------------

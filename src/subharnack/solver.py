@@ -233,7 +233,8 @@ class ProblemSpec:
 class SolveResult:
     """Space-time solution array plus the problem that produced it;
     ``diagnostics`` holds each level's relative residual.  The coefficient
-    states' operators are walked once, on first use, for solve and weak form."""
+    states' operators are walked once, on first use, for solve and weak form,
+    on one sparse pattern of the grid that the solve's blocks share."""
 
     spec: ProblemSpec
     u: np.ndarray
@@ -244,8 +245,12 @@ class SolveResult:
         return self.spec.time.nodes
 
     @cached_property
+    def _stencil(self):
+        return _Stencil(self.spec.space)
+
+    @cached_property
     def _operators(self):
-        return _level_operators(self.spec)
+        return _level_operators(self.spec, self._stencil)
 
     def export_csv(self, path) -> None:
         """Long-format CSV: t,x[,y],u with one row per space-time node."""
@@ -299,7 +304,81 @@ def _check_samples(fld: CoefficientField, vals: np.ndarray, n: int) -> None:
     raise DomainError(f"coefficient field {fld.name!r} {what} at level {n}")
 
 
-def _level_operators(spec: ProblemSpec):
+class _Stencil:
+    """Sparse pattern of the 3-/5-point operator L on one grid, in closed form.
+
+    Faces run axis by axis, each axis in C order of their low nodes.  Row r
+    of L holds, in column order, r's low neighbours (axis 0 first), r and
+    its high neighbours; ``src`` gathers L's CSR data from the values -w of
+    the faces followed by the diagonal.  ``blocks`` gathers from that data
+    the interior block c0 I + L, symmetric with sorted indices (so its CSR
+    arrays are its CSC arrays), and the coupling L[inner][:, outer].
+    """
+
+    def __init__(self, space: SpaceGrid):
+        dim, self.size = space.dimension, int(np.prod(space.shape))
+        itype = np.int32 if self.size * (2 * dim + 1) < 2 ** 31 else np.int64
+        nodes = np.arange(self.size, dtype=itype).reshape(space.shape)
+        stride = [k // nodes.itemsize for k in nodes.strides]
+        self.points = space.node_points().reshape(-1, dim)
+        lo = [nodes[(slice(None),) * ax + (slice(-1),)].ravel() for ax in range(dim)]
+        hi = [k + step for k, step in zip(lo, stride)]
+        first = np.cumsum([0] + [k.size for k in lo])
+        self.lo = np.concatenate(lo)
+        self.axis = np.repeat(np.arange(dim, dtype=itype), np.diff(first))
+        face = np.arange(self.lo.size, dtype=itype)
+        # axis by axis, a face adds to the diagonal of its low node, then of
+        # its high node
+        self.ends = np.concatenate([k for pair in zip(lo, hi) for k in pair])
+        self.take = np.concatenate([np.tile(face[a:b], 2)
+                                    for a, b in zip(first, first[1:])])
+        src = np.full((self.size, 2 * dim + 1), -1, dtype=itype)
+        src[np.concatenate(hi), self.axis] = face
+        src[self.lo, 2 * dim - self.axis] = face
+        src[:, dim] = face.size + nodes.ravel()
+        steps = np.array([-k for k in stride] + [0] + stride[::-1], dtype=itype)
+        col = nodes.reshape(-1, 1) + steps
+        on = src >= 0
+
+        def indptr(sel):
+            return np.concatenate(([0], np.cumsum(sel.sum(axis=1)))).astype(itype)
+
+        self.src, self.indices, self.indptr = src[on], col[on], indptr(on)
+        bmask = space.boundary_mask().ravel()
+        self.inner, self.outer = np.flatnonzero(~bmask), np.flatnonzero(bmask)
+        # a node's rank among the interior or among the boundary nodes
+        before = np.cumsum(bmask) - bmask
+        rank = np.where(bmask, before, nodes.ravel() - before).astype(itype)
+        # interior rows have every slot: the two blocks split them by column
+        col = col[self.inner]
+        pos = self.indptr[self.inner, None] + np.arange(2 * dim + 1, dtype=itype)
+        self.parts = [(pos[sel], rank[col[sel]], indptr(sel))
+                      for sel in (~bmask[col], bmask[col])]
+        # in the interior block a row's diagonal follows its interior low
+        # neighbours
+        self.diag = self.parts[0][2][:-1] + (~bmask[col[:, :dim]]).sum(axis=1)
+
+    def operator(self, w: np.ndarray):
+        """L in CSR for face weights w.  ``bincount`` adds each diagonal's
+        faces to 0.0 one by one, axis by axis, low end first: the order of
+        COO's duplicate sum, so L is bitwise that sum."""
+        diag = np.bincount(self.ends, w[self.take], self.size)
+        data = np.concatenate((-w, diag))[self.src]
+        return sp.csr_matrix((data, self.indices, self.indptr),
+                             shape=(self.size, self.size))
+
+    def blocks(self, data: np.ndarray, c0: float):
+        """c0 I + L on the interior nodes in CSC, and L[inner][:, outer] in
+        CSR, from the CSR data of L."""
+        (ta, ia, pa), (tb, ib, pb) = self.parts
+        a = data[ta]
+        a[self.diag] += c0
+        n_in, n_out = self.inner.size, self.outer.size
+        return (sp.csc_matrix((a, ia, pa), shape=(n_in, n_in)),
+                sp.csr_matrix((data[tb], ib, pb), shape=(n_in, n_out)))
+
+
+def _level_operators(spec: ProblemSpec, stencil: Optional[_Stencil] = None):
     """Distinct full-node operators L (no c0 term) of levels 1..m, and the
     index of the one in force at each level.  L sums, over every face, the
     face coefficient over h^2 times the jump across it; a face coefficient is
@@ -308,25 +387,18 @@ def _level_operators(spec: ProblemSpec):
     quarter points of all faces are evaluated in one call, at level 1 for a
     static field, else at every level.  Equal samples share one operator,
     keyed by their bytes; new samples are checked against the field's
-    claims first."""
+    claims first.  The sparse pattern is ``stencil``'s, built once per walk
+    (here if not given), so a new state costs one gather of its data."""
     space, m, fld = spec.space, spec.time.m, spec.coefficients
     dim = space.dimension
-    nodes = np.arange(int(np.prod(space.shape))).reshape(space.shape)
-    # faces axis by axis, each in C order: low and high node, axis, width
-    lo = [np.delete(nodes, -1, axis=ax).ravel() for ax in range(dim)]
-    hi = [np.delete(nodes, 0, axis=ax).ravel() for ax in range(dim)]
-    axis = np.concatenate([np.full(k.size, ax) for ax, k in enumerate(lo)])
+    stencil = stencil or _Stencil(space)
+    axis = stencil.axis
     h = np.asarray(space.h)[axis]
     face = np.arange(axis.size)
-    q = space.node_points().reshape(-1, dim)[np.concatenate(lo)]
+    q = stencil.points[stencil.lo]
     quarters = np.concatenate((q, q))
     quarters[face, axis] += 0.25 * h
     quarters[face.size + face, axis] += 0.75 * h
-    # a face enters the rows of both its nodes: +w on, -w off the diagonal
-    rows = np.concatenate([np.concatenate((a, b, a, b)) for a, b in zip(lo, hi)])
-    cols = np.concatenate([np.concatenate((b, a, a, b)) for a, b in zip(lo, hi)])
-    take = np.concatenate([np.tile(face[axis == ax], 4) for ax in range(dim)])
-    sign = np.where(rows == cols, 1.0, -1.0)
     levels = range(1, m + 1) if fld.time_dependent else (1,)
     keys, ops, state = {}, [], []
     for n in levels:
@@ -335,10 +407,8 @@ def _level_operators(spec: ProblemSpec):
         if key not in keys:
             _check_samples(fld, vals, n)
             a1, a2 = vals[face, axis], vals[face.size + face, axis]
-            w = 2.0 * a1 * a2 / (a1 + a2) / (h * h)
             keys[key] = len(ops)
-            ops.append(sp.csr_matrix((sign * w[take], (rows, cols)),
-                                     shape=(nodes.size, nodes.size)))
+            ops.append(stencil.operator(2.0 * a1 * a2 / (a1 + a2) / (h * h)))
         state.append(keys[key])
     return ops, np.resize(state, m)
 
@@ -356,8 +426,10 @@ def solve_subdiffusion(spec: ProblemSpec) -> SolveResult:
     The matrix is strictly diagonally dominant with nonpositive off-diagonal
     entries, and the history weights are a convex combination, which gives
     the discrete comparison principle.  L^n comes from the result's one
-    operator walk, which the weak form reuses; each state's interior block
-    is factorized when a level first needs it and back-substituted at every
+    operator walk, which the weak form reuses.  The walk's sparse pattern is
+    computed once from the stencil; per state, the interior block c0 I + L
+    and the boundary coupling are gathers from L's data, and the block is
+    factorized when a level first needs it and back-substituted at every
     level in that state.
 
     Only the history and the back-substitution depend on earlier levels.
@@ -377,26 +449,22 @@ def solve_subdiffusion(spec: ProblemSpec) -> SolveResult:
     d = np.concatenate(([0.0], b[:-1] - b[1:]))
     d_rev = np.ascontiguousarray(d[:0:-1])
 
-    bmask = space.boundary_mask().ravel()
-    inner = np.flatnonzero(~bmask)
-    outer = np.flatnonzero(bmask)
-    pts = space.node_points().reshape(-1, space.dimension)
-    pts_in, pts_out = pts[inner], pts[outer]
-
     U = np.empty((m + 1,) + space.shape)
     U[0] = spec.u0
     np.multiply.outer(b, spec.u0, out=U[1:])
     rows = U.reshape(m + 1, -1)
     result = SolveResult(spec=spec, u=U)
     ops, state = result._operators
+    stencil = result._stencil
+    inner, outer = stencil.inner, stencil.outer
+    pts_in, pts_out = stencil.points[inner], stencil.points[outer]
     factors = [None] * len(ops)
 
     def factor(s, n):
         if factors[s] is None:
-            full = ops[s][inner]
-            A = full[:, inner] + c0 * sp.identity(inner.size, format="csr")
+            A, B = stencil.blocks(ops[s].data, c0)
             try:
-                factors[s] = (splu(A.tocsc()), A, full[:, outer])
+                factors[s] = (splu(A), A, B)
             except RuntimeError as exc:
                 raise LinearSolveError(
                     f"sparse LU failed at level {n}: {exc}") from exc

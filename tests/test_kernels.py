@@ -186,6 +186,23 @@ def test_ml_beta_lowering_at_alpha_one():
     assert K.mittag_leffler(1.0, 2.0, -30.0) == (math.exp(-30.0) - 1.0) / -30.0
 
 
+def test_ml_beta_lowering_takes_many_steps():
+    # 79 steps from beta = 40.5; 500-digit value of the power series
+    ref = 1.35158643865780223952647843053e-48
+    assert abs(K.mittag_leffler(0.5, 40.5, -30.0) / ref - 1.0) <= 1e-13
+    # about 1000 steps, past the interpreter's recursion limit: the contour
+    # at alpha = 0.001 may then give up, but only with AccuracyError
+    try:
+        val = K.mittag_leffler(0.001, 2.0, -30.0)
+    except AccuracyError:
+        pass
+    else:
+        assert math.isfinite(val)
+    # an alpha below beta's rounding lowers nothing: a bounded number of steps
+    with pytest.raises(AccuracyError, match="beta-lowering steps"):
+        K.mittag_leffler(1e-20, 2.0, -30.0)
+
+
 def test_ml_accuracy_error_path():
     with pytest.raises(AccuracyError):
         K.mittag_leffler(1.0, 1.5, -80.0)

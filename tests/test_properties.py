@@ -1,6 +1,5 @@
 """Property tests for the structural invariants of the kernel calculus."""
 
-import math
 
 import numpy as np
 import pytest
@@ -63,26 +62,3 @@ def test_yosida_tables_nonnegative_nonincreasing(n):
     assert np.all(g_t.values >= 0.0)
     assert np.all(np.diff(g_t.values) <= 1e-12 * n)
     assert np.all(h_t.values[1:] >= 0.0)
-
-
-def test_fractional_order_type():
-    from subharnack import FractionalOrder
-    from subharnack.errors import DomainError
-
-    a = FractionalOrder(0.5)
-    assert float(a) == 0.5
-    assert K.rl_kernel(float(a), 1.0) == pytest.approx(1.0 / math.sqrt(math.pi))
-    with pytest.raises(DomainError):
-        FractionalOrder(1.0)
-    with pytest.raises(DomainError):
-        FractionalOrder(0.0)
-
-
-def test_mittag_leffler_params_type():
-    from subharnack.errors import DomainError
-
-    params = K.MittagLefflerParams(alpha=0.5, beta=1.0)
-    assert params.evaluate(-1.0) == pytest.approx(
-        K.mittag_leffler(0.5, 1.0, -1.0), rel=1e-14)
-    with pytest.raises(DomainError):
-        K.MittagLefflerParams(alpha=-0.5, beta=1.0)

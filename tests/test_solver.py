@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 import scipy.sparse.linalg as spl
-from scipy.special import erfcx
+from scipy.special import erfcx, gamma
 
 from subharnack import solver as S
 from subharnack.errors import DomainError, GridMismatchError, LinearSolveError
@@ -450,6 +450,71 @@ def test_level_operator_matches_node_loop(make, field):
     tol = 8 * np.finfo(float).eps
     np.testing.assert_allclose(A.toarray(), A_ref, rtol=tol, atol=0.0)
     np.testing.assert_array_equal(L[:, outer].toarray(), B_ref)
+
+
+def coo_operator(spec, n):
+    """L at level n assembled from COO triplets, four per face, whose
+    duplicates scipy sums into CSR: the reference for the stencil's fill."""
+    space, dim = spec.space, spec.space.dimension
+    nodes = np.arange(int(np.prod(space.shape))).reshape(space.shape)
+    lo = [np.delete(nodes, -1, axis=ax).ravel() for ax in range(dim)]
+    hi = [np.delete(nodes, 0, axis=ax).ravel() for ax in range(dim)]
+    axis = np.concatenate([np.full(k.size, ax) for ax, k in enumerate(lo)])
+    h = np.asarray(space.h)[axis]
+    face = np.arange(axis.size)
+    q = space.node_points().reshape(-1, dim)[np.concatenate(lo)]
+    quarters = np.concatenate((q, q))
+    quarters[face, axis] += 0.25 * h
+    quarters[face.size + face, axis] += 0.75 * h
+    vals = spec.coefficients.diag_at(n, quarters, dim)
+    a1, a2 = vals[face, axis], vals[face.size + face, axis]
+    w = 2.0 * a1 * a2 / (a1 + a2) / (h * h)
+    rows = np.concatenate([np.concatenate((a, b, a, b)) for a, b in zip(lo, hi)])
+    cols = np.concatenate([np.concatenate((b, a, a, b)) for a, b in zip(lo, hi)])
+    take = np.concatenate([np.tile(face[axis == ax], 4) for ax in range(dim)])
+    sign = np.where(rows == cols, 1.0, -1.0)
+    return sp.csr_matrix((sign * w[take], (rows, cols)),
+                         shape=(nodes.size, nodes.size))
+
+
+@pytest.mark.parametrize("cells", [(16,), (8, 8), (5, 12), (12, 10)])
+@pytest.mark.parametrize("kind", ["constant", "checkerboard", "flip",
+                                  "anisotropic"])
+def test_stencil_operators_bitwise_equal_coo_assembly(monkeypatch, cells,
+                                                      kind):
+    dim = len(cells)
+    g = S.SpaceGrid((0.0,) * dim, (1.0, 1.5)[:dim], cells)
+    field = {"constant": S.constant_coefficients(2.5, dim),
+             "checkerboard": S.checkerboard_coefficients(g, 2, 0.5, 4.0),
+             "flip": S.checkerboard_coefficients(g, 2, 0.5, 4.0, time_flip=3),
+             "anisotropic": anisotropic_field(dim)}[kind]
+    spec = S.ProblemSpec(alpha=0.4, space=g, time=TimeGrid.from_horizon(0.3, 9),
+                         u0=np.zeros(g.shape), boundary=0.0, coefficients=field)
+    factorized = []
+
+    def recording(A, *args, **kwargs):
+        factorized.append(A)
+        return spl.splu(A, *args, **kwargs)
+
+    monkeypatch.setattr(S, "splu", recording)
+    res = S.solve_subdiffusion(spec)
+    ops, state = res._operators
+    assert len(ops) == {"flip": 2, "anisotropic": 9}.get(kind, 1)
+    assert len(factorized) == len(ops)
+    c0 = spec.time.dt ** (-spec.alpha) / gamma(2.0 - spec.alpha)
+    bmask = g.boundary_mask().ravel()
+    inner, outer = np.flatnonzero(~bmask), np.flatnonzero(bmask)
+    for s, L in enumerate(ops):
+        ref = coo_operator(spec, 1 + int(np.argmax(state == s)))
+        A_ref = (ref[inner][:, inner]
+                 + c0 * sp.identity(inner.size, format="csr")).tocsc()
+        A, B = res._stencil.blocks(L.data, c0)
+        for got, want in ((L, ref), (factorized[s], A_ref), (A, A_ref),
+                          (B, ref[inner][:, outer])):
+            assert got.format == want.format and got.shape == want.shape
+            for part in ("data", "indices", "indptr"):
+                np.testing.assert_array_equal(getattr(got, part),
+                                              getattr(want, part))
 
 
 @pytest.mark.parametrize("make", [interval_spec, rect_spec])
