@@ -387,7 +387,15 @@ def mittag_leffler(alpha: float, beta: float, z: float, rtol: float = 1e-11) -> 
                 raise AccuracyError(f"E_({alpha},{lowered[0]})({z}) needs more "
                                     f"than {_ML_MAX_STEPS} beta-lowering steps")
             lowered.append(beta)
-            beta = beta - alpha
+            # where beta - 1 is a whole number of alphas up to the rounding of
+            # beta, step from that count: the last step lands on beta = 1
+            # exactly and takes the ray, not the contour
+            b0 = lowered[0]
+            whole = round(min((b0 - 1.0) / alpha, _ML_MAX_STEPS))
+            if abs(b0 - 1.0 - alpha * whole) <= 4.0 * math.ulp(b0):
+                beta = 1.0 + alpha * (whole - len(lowered))
+            else:
+                beta = beta - alpha
             continue
         if alpha < 1.0:
             val = _ml_integral(alpha, beta, z, rtol)
@@ -599,7 +607,7 @@ def _pi_moments(kernel: KernelTable):
 
 def _solve_nodes(kernel: KernelTable, f: np.ndarray, rule: str) -> np.ndarray:
     # fracops imports this module: the march is imported where it is used
-    from .fracops import _causal_march
+    from .fracops import _BLOCK as _MARCH_BLOCK, _causal_march
 
     dt, m = kernel.dt, kernel.m
     x = np.zeros((m + 1, 1))
@@ -623,12 +631,21 @@ def _solve_nodes(kernel: KernelTable, f: np.ndarray, rule: str) -> np.ndarray:
     diag = 1.0 + w[0]
     if abs(diag) < 1e-13 * max(1.0, abs(w[0])):
         raise SingularStepError("degenerate diagonal weight in implicit step")
-    w_rev, col = w[m - 1:0:-1], x[:, 0]
+    # every leaf solves the same lower-triangular Toeplitz block (diag on the
+    # diagonal, w[l] on the l-th subdiagonal); its inverse is lower-triangular
+    # Toeplitz too, with first column c from forward substitution on e_0
+    k = min(_MARCH_BLOCK, m)
+    c = np.zeros(k)
+    c[0] = 1.0 / diag
+    for n in range(1, k):
+        c[n] = -(w[n:0:-1] @ c[:n]) / diag
+    tinv = np.zeros((k, k))
+    for n in range(k):
+        tinv[n:, n] = c[:k - n]
+    col = x[:, 0]
 
     def leaf(lo, hi):
-        for n in range(lo, hi):
-            hist = col[n] + w_rev[m - 1 - (n - lo):] @ col[lo:n]
-            col[n] = (f[n] - hist) / diag
+        col[lo:hi] = tinv[:hi - lo, :hi - lo] @ (f[lo:hi] - col[lo:hi])
 
     _causal_march(1, m + 1, leaf, x, w)
     return col

@@ -199,8 +199,22 @@ def test_ml_beta_lowering_takes_many_steps():
     else:
         assert math.isfinite(val)
     # an alpha below beta's rounding lowers nothing: a bounded number of steps
-    with pytest.raises(AccuracyError, match="beta-lowering steps"):
-        K.mittag_leffler(1e-20, 2.0, -30.0)
+    # (also where (beta - 1)/alpha overflows)
+    for alpha in (1e-20, 1e-320):
+        with pytest.raises(AccuracyError, match="beta-lowering steps"):
+            K.mittag_leffler(alpha, 2.0, -30.0)
+
+
+def test_ml_beta_lowering_lands_on_the_ray():
+    # (2 - 1)/0.2 = 5 steps, the last onto beta = 1 exactly: the ray, not
+    # the contour (five float subtractions of 0.2 from 2 give 1 + 2^-52);
+    # 50-digit mpmath value of E_{1/5}(-30) by its positive integral
+    # representation, stepped up to beta = 2
+    ref = 0.034585953128357709759360666477267721741527417595689
+    assert abs(K.mittag_leffler(0.2, 2.0, -30.0) / ref - 1.0) <= 1e-12
+    assert _scipy_integrate_and_interpolate_after(
+        "import sys, subharnack; subharnack.mittag_leffler(0.2, 2.0, -30.0)"
+    ) == "[]"
 
 
 def test_ml_accuracy_error_path():
@@ -538,6 +552,21 @@ def test_volterra_blocked_march_matches_direct_loop(rule, kernel):
         got = K.solve_volterra(kernel, f, rule=rule).values
         want = direct_volterra(kernel, f, rule)
         assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+
+
+@pytest.mark.parametrize("m", [2, 3, 63, 64, 65, 8192])
+@pytest.mark.parametrize("alpha, scale, rule", [
+    (0.5, 256.0, "rectangle"),     # stiff: the Yosida kernels' rule
+    (0.99, 30.0, "trapezoid"),     # solve_scalar_relaxation at sigma = 30
+], ids=["stiff_rectangle", "relaxation"])
+def test_volterra_toeplitz_leaf_matches_direct_loop(m, alpha, scale, rule):
+    # below, at and past one leaf of the march, and many leaves
+    kernel = K.rl_kernel_table(alpha, 1.0 / m, m, sampling="cell_average",
+                               scale=scale)
+    f = np.ones(m + 1)
+    got = K.solve_volterra(kernel, f, rule=rule).values
+    want = direct_volterra(kernel, f, rule)
+    assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
 
 
 def test_volterra_classical_decay():

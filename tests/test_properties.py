@@ -3,14 +3,18 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from subharnack import fracops as F
 from subharnack import fundsol
 from subharnack import harnack as H
 from subharnack import kernels as K
 from subharnack import solver as S
 from subharnack.fracops import TimeGrid
+
+# several base blocks of the march and a length that halves unevenly
+LONG_M = 5 * F._BLOCK + 13
 
 
 @settings(max_examples=25, deadline=None)
@@ -55,10 +59,12 @@ def test_power_mean_monotone_in_exponent(p1, p2, seed):
     assert H.lp_mean(res, region, lo) <= H.lp_mean(res, region, hi) * (1 + 1e-12)
 
 
-@settings(max_examples=10, deadline=None)
-@given(n=st.integers(1, 64))
-def test_yosida_tables_nonnegative_nonincreasing(n):
-    g_t, h_t = K.yosida_kernels(0.5, n, 1.0 / 64, 64)
+@settings(max_examples=20, deadline=None)
+@given(n=st.integers(1, 256), m=st.sampled_from([64, LONG_M]))
+@example(n=256, m=LONG_M)
+def test_yosida_tables_nonnegative_nonincreasing(n, m):
+    # m = 64 is one leaf of the march; the longer grid adds cross-leaf sums
+    g_t, h_t = K.yosida_kernels(0.5, n, 1.0 / m, m)
     assert np.all(g_t.values >= 0.0)
     assert np.all(np.diff(g_t.values) <= 1e-12 * n)
     assert np.all(h_t.values[1:] >= 0.0)
