@@ -5,8 +5,8 @@ CSV artifacts plus a key=value summary with every pass/fail assertion.
 Outputs are staged in memory and written through atomic renames, so a
 failed run never leaves partial files.
 
-Exit codes: 0 all assertions pass, 1 an assertion failed, 2 config error,
-3 numerical failure.
+Exit codes: 0 all assertions pass, 1 an assertion failed, 2 config error
+(an unwritable output location included), 3 numerical failure.
 """
 
 from __future__ import annotations
@@ -515,7 +515,12 @@ def run(cfg: ExperimentConfig, verbose: bool = False) -> int:
     summary["seed"] = str(cfg.seed)
     summary["status"] = _flag(passed)
     files[f"{cfg.experiment}_summary.txt"] = _summary_text(summary)
-    _atomic_write_all(cfg.out_dir, files)
+    try:
+        _atomic_write_all(cfg.out_dir, files)
+    except OSError as exc:
+        # the output location is configuration
+        print(f"[subharnack] cannot write outputs: {exc}", file=sys.stderr)
+        return 2
     if verbose:
         for key, val in summary.items():
             print(f"[subharnack] {key}={val}", file=sys.stderr)

@@ -154,6 +154,20 @@ def l1_weights(alpha: float, m: int) -> np.ndarray:
     return (j + 1.0) ** (1.0 - alpha) - j ** (1.0 - alpha)
 
 
+def _l1_scheme(alpha: float, dt: float, m: int, dx=None):
+    """The L1 scheme on m steps of size dt: its scale
+    c0 = dt^(-alpha)/Gamma(2-alpha), its weights b (``l1_weights``) and,
+    given the increments ``dx`` of a trace along axis 0, the memory
+    derivative c0 * causal_sum(b, dx), scaled in place (else None)."""
+    c0 = dt ** (-alpha) / gamma_fn(2.0 - alpha)
+    b = l1_weights(alpha, m)
+    if dx is None:
+        return c0, b, None
+    out = causal_sum(b, dx)
+    out *= c0
+    return c0, b, out
+
+
 def rl_derivative(v: SampledPath, v0: float, alpha) -> SampledPath:
     """Fractional derivative of order alpha of (v - v0), by the L1 scheme.
 
@@ -165,10 +179,8 @@ def rl_derivative(v: SampledPath, v0: float, alpha) -> SampledPath:
     a = _as_alpha(alpha, classical_ok=True)
     grid = v.grid
     vals = np.concatenate([[v0], v.values[1:]])
-    b = l1_weights(a, grid.m)
-    c0 = grid.dt ** (-a) / gamma_fn(2.0 - a)
     out = np.zeros(grid.m + 1)
-    out[1:] = c0 * causal_sum(b, np.diff(vals))
+    out[1:] = _l1_scheme(a, grid.dt, grid.m, np.diff(vals))[2]
     return SampledPath(grid, out)
 
 

@@ -4,6 +4,7 @@ maximum-principle checks, and the weighted Poincare verifier."""
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
@@ -16,9 +17,10 @@ from .errors import (
     EmptyRegionError,
     InvalidWeightError,
 )
-from .fundsol import critical_exponent
+from .fundsol import _SPHERE_AREA, critical_exponent
 from .kernels import _as_alpha
-from .solver import SolveResult, SpaceGrid, supersolution_residual
+from .solver import (SolveResult, SpaceGrid, _tensor_field,
+                     supersolution_residual)
 
 __all__ = [
     "BoxRegion",
@@ -55,6 +57,23 @@ class BoxRegion:
             raise DomainError("radius must be positive")
         object.__setattr__(self, "center",
                            tuple(float(c) for c in np.atleast_1d(self.center)))
+
+    def masks(self, times, coords, closed: bool = True):
+        """Time mask over the values ``times`` and space mask over the tensor
+        grid of the per-axis ``coords``: closed, with both bounds widened by
+        1e-14, for grid nodes; open, with strict bounds, for cell midpoints.
+        A region that selects no time or no place raises EmptyRegionError."""
+        d2 = _dist2(coords, self.center)
+        r2 = self.radius ** 2
+        if closed:
+            tmask = (times >= self.t_lo - 1e-14) & (times <= self.t_hi + 1e-14)
+            smask = d2 <= r2 + 1e-14
+        else:
+            tmask, smask = (times > self.t_lo) & (times < self.t_hi), d2 < r2
+        if not (tmask.any() and smask.any()):
+            raise EmptyRegionError("the region holds no grid "
+                                   + ("nodes" if closed else "cell midpoints"))
+        return tmask, smask
 
 
 @dataclass(frozen=True)
@@ -106,60 +125,36 @@ def harnack_boxes(config: HarnackConfig):
 
 
 def _check_region_inside(result: SolveResult, region: BoxRegion) -> None:
-    space = result.spec.space
-    c = np.asarray(region.center)
+    space, r = result.spec.space, region.radius
     if len(region.center) != space.dimension:
         raise DomainError("region center dimension does not match the grid")
-    lo = np.asarray(space.lower)
-    hi = np.asarray(space.upper)
-    if np.any(c - region.radius < lo - 1e-12) or np.any(c + region.radius > hi + 1e-12):
+    if any(c - r < lo - 1e-12 or c + r > hi + 1e-12 for c, lo, hi in
+           zip(region.center, space.lower, space.upper)):
         raise DomainError("region ball is not contained in the domain")
-    T = result.spec.time.horizon
-    if region.t_hi > T * (1.0 + 1e-12):
+    if region.t_hi > result.spec.time.horizon * (1.0 + 1e-12):
         raise DomainError("region extends past the solved time horizon")
 
 
 def _dist2(coords, center) -> np.ndarray:
     """Squared distance to ``center`` of every point of the tensor grid
-    spanned by the per-axis ``coords`` (1 or 2 axes)."""
-    c = np.asarray(center)
-    if len(coords) == 1:
-        return (coords[0] - c[0]) ** 2
-    return ((coords[0][:, None] - c[0]) ** 2
-            + (coords[1][None, :] - c[1]) ** 2)
-
-
-def _node_masks(result: SolveResult, region: BoxRegion):
-    """Time and space node masks of the closed region, bounds widened by 1e-14."""
-    nodes = result.spec.time.nodes
-    tmask = (nodes >= region.t_lo - 1e-14) & (nodes <= region.t_hi + 1e-14)
-    smask = (_dist2(result.spec.space.axes(), region.center)
-             <= region.radius ** 2 + 1e-14)
-    return tmask, smask
+    spanned by the per-axis ``coords``."""
+    return _tensor_field(np.add, [(x - c) ** 2 for x, c in
+                                  zip(coords, center, strict=True)])
 
 
 def _cell_midpoint_values(result: SolveResult, region: BoxRegion):
-    """Midpoint-rule cells intersecting the region: multilinear-center values
-    of u and the (constant) cell measure."""
+    """Multilinear-center values of u on the space-time cells whose
+    midpoints lie in the region (all cells have one measure)."""
     space, time = result.spec.space, result.spec.time
+    t_mid, *mids = [0.5 * (x[:-1] + x[1:]) for x in (time.nodes, *space.axes())]
+    tmask, smask = region.masks(t_mid, mids, closed=False)
+    # the 2^N corners of every cell, axis 0 running fastest
     dim = space.dimension
-    axes = space.axes()
-    t_mid = 0.5 * (time.nodes[:-1] + time.nodes[1:])
-    tmask = (t_mid > region.t_lo) & (t_mid < region.t_hi)
-    mids = [0.5 * (ax[:-1] + ax[1:]) for ax in axes]
-    smask = _dist2(mids, region.center) < region.radius ** 2
-    if not np.any(tmask) or not np.any(smask):
-        raise EmptyRegionError("no grid cells have midpoints inside the region")
-    u = result.u
-    if dim == 1:
-        umid_space = 0.5 * (u[:, :-1] + u[:, 1:])
-    else:
-        umid_space = 0.25 * (u[:, :-1, :-1] + u[:, 1:, :-1]
-                             + u[:, :-1, 1:] + u[:, 1:, 1:])
+    corners = [result.u[(slice(None),) + c[::-1]] for c in
+               itertools.product((slice(None, -1), slice(1, None)), repeat=dim)]
+    umid_space = 0.5 ** dim * sum(corners[1:], corners[0])
     umid = 0.5 * (umid_space[:-1] + umid_space[1:])
-    vals = umid[tmask][:, smask].ravel()
-    measure = time.dt * float(np.prod(space.h))
-    return vals, measure
+    return umid[tmask][:, smask].ravel()
 
 
 def lp_mean(result: SolveResult, region: BoxRegion, p: float,
@@ -170,7 +165,7 @@ def lp_mean(result: SolveResult, region: BoxRegion, p: float,
     if p <= 0.0:
         raise DomainError(f"p must be positive, got {p}")
     _check_region_inside(result, region)
-    vals, _ = _cell_midpoint_values(result, region)
+    vals = _cell_midpoint_values(result, region)
     scale = max(float(np.abs(result.u).max()), 1.0)
     if np.any(vals < -negativity_tol * scale):
         raise DomainError(
@@ -184,9 +179,8 @@ def essinf(result: SolveResult, region: BoxRegion) -> float:
     """Grid-node minimum over the region (discrete essential-infimum
     surrogate: solutions are continuous piecewise fields)."""
     _check_region_inside(result, region)
-    tmask, smask = _node_masks(result, region)
-    if not np.any(tmask) or not np.any(smask):
-        raise EmptyRegionError("region contains no grid nodes")
+    tmask, smask = region.masks(result.spec.time.nodes,
+                                result.spec.space.axes())
     return float(result.u[tmask][:, smask].min())
 
 
@@ -224,7 +218,7 @@ def harnack_ratio_sweep(result: SolveResult, config: HarnackConfig,
                          center=config.x0, radius=config.eta * config.r)
     _check_region_inside(result, big_ball)
     scale = max(float(np.abs(result.u).max()), 1.0)
-    ball_mask = _dist2(space.axes(), config.x0) <= (config.eta * config.r) ** 2
+    _, ball_mask = big_ball.masks(spec.time.nodes, space.axes())
     if np.any(spec.u0[ball_mask] < -tol * scale):
         raise DomainError("initial data must be nonnegative on the large ball")
     if float(result.u.min()) < -tol * scale:
@@ -278,12 +272,10 @@ def oscillation_decay(result: SolveResult, x0, r_list, eta: float = 1.0,
     alpha = spec.alpha
     oscs = []
     for r in radii:
-        region = BoxRegion(t_lo=-1e-300, t_hi=eta * r ** (2.0 / alpha),
+        region = BoxRegion(t_lo=0.0, t_hi=eta * r ** (2.0 / alpha),
                            center=x0, radius=r)
         _check_region_inside(result, region)
-        tmask, smask = _node_masks(result, region)
-        if not np.any(smask):
-            raise EmptyRegionError(f"no nodes inside the r={r} ball")
+        tmask, smask = region.masks(spec.time.nodes, spec.space.axes())
         block = result.u[tmask][:, smask]
         oscs.append(float(block.max() - block.min()))
     if max(oscs) <= tol:
@@ -333,18 +325,12 @@ def max_principle_check(result: SolveResult, tol: float = 1e-10) -> MaxPrinciple
     bounds_ok = (min_u >= lower - tol * scale) and (max_u <= upper + tol * scale)
     worst = np.unravel_index(int(np.argmax(result.u)), result.u.shape)
 
-    # late interior cylinder: second half of time, inner half of the domain
+    # late interior cylinder: second half of time, inner half of every axis
+    # (which leaves out the boundary nodes)
     tmask = spec.time.nodes >= 0.5 * spec.time.horizon
-    inner = ~bmask
-    axes = space.axes()
-    for ax in range(space.dimension):
-        lo, hi = space.lower[ax], space.upper[ax]
-        quarter = 0.25 * (hi - lo)
-        coord = axes[ax]
-        keep = (coord >= lo + quarter) & (coord <= hi - quarter)
-        shape = [1] * space.dimension
-        shape[ax] = coord.size
-        inner = inner & keep.reshape(shape)
+    inner = _tensor_field(np.logical_and, [
+        (x >= lo + 0.25 * (hi - lo)) & (x <= hi - 0.25 * (hi - lo))
+        for x, lo, hi in zip(space.axes(), space.lower, space.upper)])
     interior_max = float(result.u[tmask][:, inner].max())
     constant = (upper - lower) <= tol * scale
     return MaxPrincipleReport(
@@ -377,6 +363,7 @@ class ConeWeight:
                            tuple(float(c) for c in np.atleast_1d(self.center)))
 
     def values(self, space: SpaceGrid) -> np.ndarray:
+        _check_center(self.center, space)
         dist = np.sqrt(_dist2(space.axes(), self.center))
         r_flat = self.flat_fraction * self.radius
         ramp = (self.radius - dist) / (self.radius - r_flat)
@@ -387,9 +374,15 @@ class ConeWeight:
         return 2.0 * self.radius
 
     def support_measure(self, dim: int) -> float:
-        if dim == 1:
-            return 2.0 * self.radius
-        return math.pi * self.radius ** 2
+        """Measure of the support ball in dimension ``dim``."""
+        return _SPHERE_AREA[dim] * self.radius ** dim / dim
+
+
+def _check_center(center, space: SpaceGrid) -> None:
+    if len(center) != space.dimension:
+        raise InvalidWeightError(
+            f"cone center has dimension {len(center)}, the grid "
+            f"{space.dimension}")
 
 
 def cone_weight(space: SpaceGrid, center=None, radius: Optional[float] = None,
@@ -400,6 +393,7 @@ def cone_weight(space: SpaceGrid, center=None, radius: Optional[float] = None,
     if center is None:
         center = 0.5 * (lo + hi)
     center = np.atleast_1d(np.asarray(center, dtype=float))
+    _check_center(center, space)
     if radius is None:
         radius = 0.45 * float((hi - lo).min())
     w = ConeWeight(center=tuple(center), radius=float(radius),
@@ -417,18 +411,17 @@ class PoincareCheck:
     ratio: float
 
 
-def _check_superlevel_convexity(space: SpaceGrid, phi: np.ndarray) -> None:
-    """Sampled surrogate for convex superlevel sets: along every grid line the
-    set {phi >= a} must be an interval (no gaps)."""
-    levels = np.linspace(0.15, 0.85, 5) * phi.max()
-    for level in levels:
+def _check_superlevel_convexity(phi: np.ndarray) -> None:
+    """Sampled surrogate for convex superlevel sets: along every grid line of
+    every axis the set {phi >= a} must be an interval, i.e. start at most
+    once."""
+    for level in np.linspace(0.15, 0.85, 5) * phi.max():
         mask = phi >= level
-        lines = [mask] if space.dimension == 1 else \
-            [mask[i, :] for i in range(mask.shape[0])] + \
-            [mask[:, j] for j in range(mask.shape[1])]
-        for line in lines:
-            idx = np.nonzero(line)[0]
-            if idx.size and not np.all(np.diff(idx) == 1):
+        for ax in range(mask.ndim):
+            lines = np.moveaxis(mask, ax, -1)
+            starts = lines[..., 0] + np.sum(lines[..., 1:] & ~lines[..., :-1],
+                                            axis=-1)
+            if np.any(starts > 1):
                 raise InvalidWeightError(
                     "weight superlevel sets are not convex along grid lines"
                 )
@@ -436,15 +429,12 @@ def _check_superlevel_convexity(space: SpaceGrid, phi: np.ndarray) -> None:
 
 def _trapezoid_weights(space: SpaceGrid) -> np.ndarray:
     parts = []
-    for ax in range(space.dimension):
-        n = space.cells[ax]
-        w = np.full(n + 1, space.h[ax])
+    for n, h in zip(space.cells, space.h):
+        w = np.full(n + 1, h)
         w[0] *= 0.5
         w[-1] *= 0.5
         parts.append(w)
-    if space.dimension == 1:
-        return parts[0]
-    return np.multiply.outer(parts[0], parts[1])
+    return _tensor_field(np.multiply, parts)
 
 
 def weighted_poincare_check(space: SpaceGrid, u: np.ndarray, weight,
@@ -466,22 +456,18 @@ def weighted_poincare_check(space: SpaceGrid, u: np.ndarray, weight,
             raise DomainError("weight array shape does not match the grid")
         if phi.min() < 0.0 or phi.max() > 1.0 + 1e-12:
             raise InvalidWeightError("weight must take values in [0, 1]")
-        _check_superlevel_convexity(space, phi)
+        _check_superlevel_convexity(phi)
         pts = space.node_points()[phi > 0.0]
         if pts.shape[0] < 2:
             raise InvalidWeightError("weight support is (nearly) empty")
-        diam = 0.0
-        for ax in range(space.dimension):
-            diam += (pts[:, ax].max() - pts[:, ax].min()) ** 2
-        diam = math.sqrt(diam)
+        diam = math.sqrt(float(np.sum(np.ptp(pts, axis=0) ** 2)))
         supp = float(np.sum(qw * (phi > 0.0)))
     phi_l1 = float(np.sum(qw * phi))
     if phi_l1 <= 0.0:
         raise InvalidWeightError("weight has zero mass")
     u_mean = float(np.sum(qw * u * phi)) / phi_l1
     lhs = float(np.sum(qw * (u - u_mean) ** 2 * phi))
-    grads = np.gradient(u, *space.h) if space.dimension > 1 else \
-        [np.gradient(u, space.h[0])]
+    grads = [np.gradient(u, h, axis=ax) for ax, h in enumerate(space.h)]
     energy = float(np.sum(qw * sum(g * g for g in grads) * phi))
     rhs = 2.0 * diam ** 2 * supp / phi_l1 * energy
     # absolute rounding allowance so constant fields (rhs = 0) pass cleanly

@@ -12,17 +12,15 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, reduce
 from typing import Callable, Iterator, Optional, Union
 
 import numpy as np
 import scipy.sparse as sp
 from scipy.sparse.linalg import splu
-from scipy.special import gamma as gamma_fn
 
 from .errors import DomainError, GridMismatchError, LinearSolveError
-from .fracops import (SampledPath, TimeGrid, _causal_march,
-                      causal_sum, l1_weights)
+from .fracops import SampledPath, TimeGrid, _causal_march, _l1_scheme
 from .kernels import _as_alpha, _as_count, rl_kernel_table, solve_volterra
 
 __all__ = [
@@ -40,6 +38,13 @@ __all__ = [
 
 BoundaryData = Union[None, float, Callable[[float, np.ndarray], np.ndarray]]
 Forcing = Union[None, float, Callable[[float, np.ndarray], np.ndarray]]
+
+
+def _tensor_field(ufunc, parts) -> np.ndarray:
+    """``ufunc`` over the tensor grid spanned by the per-axis arrays
+    ``parts``: entry (i, j, ...) is ufunc(parts[0][i], parts[1][j], ...),
+    applied axis by axis.  One axis gives ``parts[0]`` itself."""
+    return reduce(ufunc.outer, parts)
 
 
 @dataclass(frozen=True)
@@ -99,14 +104,9 @@ class SpaceGrid:
         return np.stack(mesh, axis=-1)
 
     def boundary_mask(self) -> np.ndarray:
-        mask = np.zeros(self.shape, dtype=bool)
-        for ax in range(self.dimension):
-            sl = [slice(None)] * self.dimension
-            sl[ax] = 0
-            mask[tuple(sl)] = True
-            sl[ax] = -1
-            mask[tuple(sl)] = True
-        return mask
+        """Nodes off the interior box of every axis (node indices 1..n-1)."""
+        return ~_tensor_field(np.logical_and,
+                              [np.arange(n + 1) % n > 0 for n in self.cells])
 
 
 @dataclass
@@ -441,10 +441,8 @@ def solve_subdiffusion(spec: ProblemSpec) -> SolveResult:
     per level, kept in ``diagnostics``, are passes over ``_CHUNK`` levels.
     """
     space, time = spec.space, spec.time
-    alpha = spec.alpha
     dt, m = time.dt, time.m
-    c0 = dt ** (-alpha) / gamma_fn(2.0 - alpha)
-    b = l1_weights(alpha, m)
+    c0, b, _ = _l1_scheme(spec.alpha, dt, m)
     # d[j] = b_{j-1} - b_j weighs level n - j in the history of level n
     d = np.concatenate(([0.0], b[:-1] - b[1:]))
     d_rev = np.ascontiguousarray(d[:0:-1])
@@ -558,7 +556,6 @@ def tent_test_fields(spec: ProblemSpec) -> Iterator[np.ndarray]:
     at the final time, as arrays on the space-time nodes; yielded one at a
     time, so the weak form holds one field, not the family, next to u."""
     space, time = spec.space, spec.time
-    axes = space.axes()
     T = time.horizon
     tn = time.nodes
 
@@ -572,18 +569,12 @@ def tent_test_fields(spec: ProblemSpec) -> Iterator[np.ndarray]:
     ]
     spatial = []
     for frac_c, frac_w in ((0.5, 0.45), (0.35, 0.25), (0.65, 0.25)):
-        parts = []
-        for ax, xs in enumerate(axes):
-            a, bnd = space.lower[ax], space.upper[ax]
-            L = bnd - a
-            parts.append(hat(xs, a + frac_c * L, frac_w * L))
-        if space.dimension == 1:
-            spatial.append(parts[0])
-        else:
-            spatial.append(np.multiply.outer(parts[0], parts[1]))
+        spatial.append(_tensor_field(np.multiply, [
+            hat(xs, a + frac_c * (b - a), frac_w * (b - a))
+            for xs, a, b in zip(space.axes(), space.lower, space.upper)]))
     for tt in temporal:
         for ss in spatial:
-            yield tt.reshape((-1,) + (1,) * space.dimension) * ss[None, ...]
+            yield np.multiply.outer(tt, ss)
 
 
 def supersolution_residual(result: SolveResult, test_fields=None) -> float:
@@ -598,13 +589,11 @@ def supersolution_residual(result: SolveResult, test_fields=None) -> float:
     eta contributes <R, eta>.
     """
     spec = result.spec
-    dt, m = spec.time.dt, spec.time.m
-    alpha = spec.alpha
-    c0 = dt ** (-alpha) / gamma_fn(2.0 - alpha)
+    m = spec.time.m
     U = result.u
 
-    R = causal_sum(l1_weights(alpha, m), np.diff(U, axis=0)).reshape(m, -1)
-    R *= c0
+    R = _l1_scheme(spec.alpha, spec.time.dt, m,
+                   np.diff(U, axis=0))[2].reshape(m, -1)
     V = U[1:].reshape(m, -1)
     ops, state = result._operators
     # runs of consecutive levels in one state: slices, not gathered copies

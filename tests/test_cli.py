@@ -1,4 +1,6 @@
 import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -234,3 +236,42 @@ def test_failed_write_leaves_no_files(tmp_path, monkeypatch):
                                     "c.txt": "3\n"})
     assert len(writes) == 2
     assert list(out.iterdir()) == []
+
+
+def test_unwritable_output_location_exits_2(tmp_path, capsys):
+    cfg = write_cfg(tmp_path, "experiment=converge\nm_list=16,32\n")
+    blocker = tmp_path / "plain_file"
+    blocker.write_text("")
+    assert cli.main([cfg, "--out", str(blocker / "sub")]) == 2
+    assert "[subharnack] cannot write outputs:" in capsys.readouterr().err
+    assert blocker.read_text() == ""
+
+
+def run_fresh(args):
+    """``python -m subharnack.cli`` in a new interpreter that imports this
+    checkout's package."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH"))
+                           if p)
+    env = dict(os.environ, PYTHONPATH=path)
+    return subprocess.run([sys.executable, "-m", "subharnack.cli", *args],
+                          capture_output=True, text=True, env=env,
+                          timeout=300)
+
+
+@pytest.mark.parametrize("status,text,out", [
+    (0, "experiment=converge\nm_list=16,32\n", "out"),
+    (1, "experiment=identities\nm=8\nn_levels=1,4\ngnprop_m=2\n", "out"),
+    (2, "experiment=converge\nm_list=64\n", "out"),
+    (2, "experiment=converge\nm_list=16,32\n", "plain_file/sub"),
+    (3, "experiment=harnack\nr=5.0\nrefine=0\n", "out"),
+])
+def test_fresh_interpreter_exit_codes_without_traceback(tmp_path, status,
+                                                        text, out):
+    cfg = write_cfg(tmp_path, text)
+    (tmp_path / "plain_file").write_text("")
+    proc = run_fresh([cfg, "--out", str(tmp_path / out)])
+    assert proc.returncode == status, proc.stderr
+    assert "Traceback" not in proc.stderr
+    if status >= 2:
+        assert proc.stderr.count("[subharnack]") == 1

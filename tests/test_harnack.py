@@ -277,6 +277,259 @@ def test_oscillation_requires_zero_initial_data():
 
 
 # ---------------------------------------------------------------------------
+# 2D measurements against brute-force references
+# ---------------------------------------------------------------------------
+
+# unequal sides and unequal cell counts, so a swapped axis cannot hide
+RECT = S.SpaceGrid.rectangle((0.0, 0.0), (1.0, 1.3), (24, 20))
+RECT_T = S.SpaceGrid.rectangle((0.0, 0.0), (1.3, 1.0), (20, 24))
+RECT_CONFIG = H.HarnackConfig(delta=0.5, eta=1.5, tau=1.0, t0=0.0,
+                              x0=(0.45, 0.7), r=0.25, alpha=0.5)
+# cell midpoints of rect_synthetic's default time grid, 12 steps on
+# [0, 0.005], computed as the measurements compute them
+_T_NODES = TimeGrid.from_horizon(0.005, 12).nodes
+RECT_T_MID = 0.5 * (_T_NODES[:-1] + _T_NODES[1:])
+RECT_REGIONS = [
+    H.BoxRegion(t_lo=0.0011, t_hi=0.0032, center=(0.45, 0.7), radius=0.21),
+    # rounding puts time nodes 4 and 9 and some space nodes just outside
+    # the closed region: only its 1e-14 widening takes them in
+    H.BoxRegion(t_lo=0.0016666666666667, t_hi=0.00375, center=(0.5, 0.715),
+                radius=0.195),
+    # centred on a cell midpoint, with the midpoints of time cells 2 and 9
+    # and some space-cell midpoints exactly on its boundary: out, strictly
+    H.BoxRegion(t_lo=RECT_T_MID[2], t_hi=RECT_T_MID[9],
+                center=(0.5208333333333334, 0.6825), radius=0.13),
+    H.BoxRegion(t_lo=0.0005, t_hi=0.005, center=(0.3, 0.9), radius=0.17),
+]
+
+
+def rect_bump_run(m=16):
+    horizon = RECT_CONFIG.horizon
+    X = RECT.node_points()
+    d2 = (X[..., 0] - 0.45) ** 2 + (X[..., 1] - 0.7) ** 2
+    u0 = np.maximum(0.0, 1.0 - d2 / 0.3 ** 2) ** 2
+    coeff = S.checkerboard_coefficients(RECT, 3, 1.0, 4.0)
+    spec = S.ProblemSpec(alpha=0.5, space=RECT,
+                         time=TimeGrid.from_horizon(1.25 * horizon, m),
+                         u0=u0, boundary=0.0, coefficients=coeff)
+    return S.solve_subdiffusion(spec)
+
+
+def rect_synthetic(u, T=0.005, space=RECT, alpha=0.5):
+    spec = S.ProblemSpec(alpha=alpha, space=space,
+                         time=TimeGrid.from_horizon(T, u.shape[0] - 1),
+                         u0=np.asarray(u[0], dtype=float))
+    return S.SolveResult(spec=spec, u=np.asarray(u, dtype=float))
+
+
+def transposed(result):
+    space = result.spec.space
+    swapped = S.SpaceGrid.rectangle(space.lower[::-1], space.upper[::-1],
+                                    space.cells[::-1])
+    fld = result.spec.coefficients
+    coeff = S.CoefficientField(
+        evaluate=lambda n, pts: fld.evaluate(n, pts[..., ::-1]),
+        nu=fld.nu, lambda_bound=fld.lambda_bound,
+        time_dependent=fld.time_dependent)
+    spec = S.ProblemSpec(alpha=result.spec.alpha, space=swapped,
+                         time=result.spec.time,
+                         u0=result.spec.u0.T.copy(),
+                         boundary=result.spec.boundary, coefficients=coeff)
+    return S.SolveResult(spec=spec,
+                         u=np.ascontiguousarray(result.u.transpose(0, 2, 1)))
+
+
+def flip(region):
+    return H.BoxRegion(t_lo=region.t_lo, t_hi=region.t_hi,
+                       center=region.center[::-1], radius=region.radius)
+
+
+def brute_nodes(result, region):
+    """Space-time nodes of the closed region, each tested on its own."""
+    xs, ys = result.spec.space.axes()
+    cx, cy = region.center
+    r2 = region.radius ** 2
+    times = [n for n, t in enumerate(result.spec.time.nodes)
+             if region.t_lo - 1e-14 <= t <= region.t_hi + 1e-14]
+    places = []
+    for i, x in enumerate(xs):
+        for j, y in enumerate(ys):
+            dx, dy = x - cx, y - cy
+            if dx * dx + dy * dy <= r2 + 1e-14:
+                places.append((i, j))
+    return times, places
+
+
+def brute_cells(result, region):
+    """Cell-centre values of the space-time cells whose midpoints lie
+    strictly inside the region, in time-major then C order."""
+    u = result.u
+    nodes = result.spec.time.nodes
+    xs, ys = result.spec.space.axes()
+    cx, cy = region.center
+    r2 = region.radius ** 2
+    vals = []
+    for k in range(len(nodes) - 1):
+        tm = 0.5 * (nodes[k] + nodes[k + 1])
+        if not region.t_lo < tm < region.t_hi:
+            continue
+        for i in range(len(xs) - 1):
+            for j in range(len(ys) - 1):
+                dx = 0.5 * (xs[i] + xs[i + 1]) - cx
+                dy = 0.5 * (ys[j] + ys[j + 1]) - cy
+                if not dx * dx + dy * dy < r2:
+                    continue
+                a, b = (0.25 * (u[n, i, j] + u[n, i + 1, j]
+                                + u[n, i, j + 1] + u[n, i + 1, j + 1])
+                        for n in (k, k + 1))
+                vals.append(0.5 * (a + b))
+    return np.array(vals)
+
+
+def brute_power_mean(vals, p):
+    return (sum(v ** p for v in vals) / len(vals)) ** (1.0 / p)
+
+
+def test_2d_cell_selection_matches_brute_force():
+    rng = np.random.default_rng(5)
+    res = rect_synthetic(rng.uniform(0.5, 2.0, size=(13,) + RECT.shape))
+    for region in RECT_REGIONS:
+        vals = H._cell_midpoint_values(res, region)
+        ref = brute_cells(res, region)
+        assert ref.size > 0 and np.array_equal(vals, ref)
+        for p in (0.5, 1.0, 2.5):
+            assert H.lp_mean(res, region, p) == pytest.approx(
+                brute_power_mean(ref, p), rel=1e-14)
+
+
+def test_2d_node_selection_matches_brute_force():
+    res = rect_synthetic(np.ones((13,) + RECT.shape))
+    spec = res.spec
+    for region in RECT_REGIONS:
+        times, places = brute_nodes(res, region)
+        assert times and places
+        # a zero at one node shows in the infimum exactly when the node
+        # belongs to the region
+        for i in range(RECT.shape[0]):
+            for j in range(RECT.shape[1]):
+                u = np.ones_like(res.u)
+                u[:, i, j] = 0.0
+                got = H.essinf(S.SolveResult(spec=spec, u=u), region)
+                assert got == (0.0 if (i, j) in places else 1.0)
+        for n in range(res.u.shape[0]):
+            u = np.ones_like(res.u)
+            u[n] = 0.0
+            got = H.essinf(S.SolveResult(spec=spec, u=u), region)
+            assert got == (0.0 if n in times else 1.0)
+
+
+def test_2d_essinf_matches_brute_force():
+    rng = np.random.default_rng(6)
+    res = rect_synthetic(rng.uniform(-1.0, 1.0, size=(13,) + RECT.shape))
+    for region in RECT_REGIONS:
+        times, places = brute_nodes(res, region)
+        ref = min(res.u[n, i, j] for n in times for i, j in places)
+        assert H.essinf(res, region) == ref
+
+
+def test_2d_ratio_sweep_matches_brute_force():
+    res = rect_bump_run()
+    early, late = H.harnack_boxes(RECT_CONFIG)
+    times, places = brute_nodes(res, late)
+    inf_ref = min(res.u[n, i, j] for n in times for i, j in places)
+    cells = brute_cells(res, early)
+    reports = H.harnack_ratio_sweep(res, RECT_CONFIG, [0.5, 1.0, 2.0])
+    for rep in reports:
+        mean_ref = brute_power_mean(cells, rep.p)
+        assert rep.essinf == inf_ref > 0.0
+        assert rep.lp_mean == pytest.approx(mean_ref, rel=1e-14)
+        assert rep.ratio == pytest.approx(mean_ref / inf_ref, rel=1e-14)
+        assert rep.grid == "m=16,cells=24x20"
+
+
+def test_2d_measurements_invariant_under_transposition():
+    rng = np.random.default_rng(7)
+    res = rect_synthetic(rng.uniform(0.5, 2.0, size=(13,) + RECT.shape))
+    res_t = transposed(res)
+    assert res_t.spec.space == RECT_T
+    for region in RECT_REGIONS:
+        assert H.essinf(res_t, flip(region)) == H.essinf(res, region)
+        for p in (0.5, 1.0, 2.5):
+            assert H.lp_mean(res_t, flip(region), p) == pytest.approx(
+                H.lp_mean(res, region, p), rel=1e-14)
+    bump = rect_bump_run()
+    config_t = H.HarnackConfig(delta=0.5, eta=1.5, tau=1.0, t0=0.0,
+                               x0=(0.7, 0.45), r=0.25, alpha=0.5)
+    for a, b in zip(H.harnack_ratio_sweep(bump, RECT_CONFIG, [0.5, 2.0]),
+                    H.harnack_ratio_sweep(transposed(bump), config_t,
+                                          [0.5, 2.0])):
+        assert b.essinf == a.essinf
+        assert b.ratio == pytest.approx(a.ratio, rel=1e-14)
+
+
+def rect_ramp_run(alpha=2.0 / 3.0, r0=0.3, eta=2.0, m=128):
+    horizon = eta * r0 ** (2.0 / alpha)
+    t_ramp = horizon / 4.0
+
+    def ramp(t, pts):
+        return np.where(pts[..., 0] > 0.5, min(t / t_ramp, 1.0), 0.0)
+
+    spec = S.ProblemSpec(alpha=alpha, space=RECT,
+                         time=TimeGrid.from_horizon(horizon, m),
+                         u0=np.zeros(RECT.shape), boundary=ramp)
+    return S.solve_subdiffusion(spec)
+
+
+# centred on node (15, 10), so even the smallest ball holds a node
+OSC_X0 = (0.625, 0.65)
+OSC_RADII = [0.3, 0.15, 0.075]
+
+
+def test_2d_oscillation_decay_matches_brute_force():
+    res = rect_ramp_run()
+    fit = H.oscillation_decay(res, OSC_X0, OSC_RADII, eta=2.0)
+    oscs = []
+    for r in OSC_RADII:
+        region = H.BoxRegion(t_lo=0.0, t_hi=2.0 * r ** (2.0 / res.spec.alpha),
+                             center=OSC_X0, radius=r)
+        times, places = brute_nodes(res, region)
+        block = [res.u[n, i, j] for n in times for i, j in places]
+        oscs.append(max(block) - min(block))
+    assert fit.oscillations == tuple(oscs) and min(oscs) > 0.0
+    slope, intercept = np.polyfit(np.log(OSC_RADII), np.log(oscs), 1)
+    assert (fit.slope, fit.intercept) == (slope, intercept)
+    fit_t = H.oscillation_decay(transposed(res), OSC_X0[::-1], OSC_RADII,
+                                eta=2.0)
+    assert fit_t.oscillations == fit.oscillations
+    assert fit_t.slope == pytest.approx(fit.slope, rel=1e-14)
+
+
+def test_2d_oscillation_node_selection_matches_brute_force():
+    # alpha = 1 gives every box at least one time node after t = 0
+    m = 20
+    res = rect_synthetic(np.zeros((m + 1,) + RECT.shape), T=0.04, alpha=1.0)
+    spec = res.spec
+    radii = [0.2, 0.1, 0.045]
+    balls = [brute_nodes(res, H.BoxRegion(t_lo=0.0, t_hi=1.0, center=OSC_X0,
+                                          radius=r))[1] for r in radii]
+    # a unit step after t = 0 at one node: each ball's oscillation is 1
+    # exactly when the node belongs to it
+    for i in range(RECT.shape[0]):
+        for j in range(RECT.shape[1]):
+            u = np.zeros_like(res.u)
+            u[1:, i, j] = 1.0
+            want = tuple(1.0 if (i, j) in ball else 0.0 for ball in balls)
+            if not any(want):
+                with pytest.raises(DegenerateDataError):
+                    H.oscillation_decay(S.SolveResult(spec=spec, u=u),
+                                        OSC_X0, radii)
+                continue
+            fit = H.oscillation_decay(S.SolveResult(spec=spec, u=u),
+                                      OSC_X0, radii)
+            assert fit.oscillations == want
+
+
+# ---------------------------------------------------------------------------
 # maximum principle
 # ---------------------------------------------------------------------------
 
@@ -373,7 +626,40 @@ def test_poincare_rejects_nonconvex_weight():
         H.weighted_poincare_check(g, np.sin(x), two_bumps)
 
 
+def test_poincare_2d_array_weight():
+    X = RECT.node_points()
+    dist = np.sqrt((X[..., 0] - 0.5) ** 2 + (X[..., 1] - 0.65) ** 2)
+    phi = np.clip(2.0 * (0.4 - dist) / 0.4, 0.0, 1.0)
+    u = np.sin(3.0 * X[..., 0]) * np.cos(2.0 * X[..., 1])
+    chk = H.weighted_poincare_check(RECT, u, phi)
+    assert chk.passed and 0.0 < chk.ratio < 1.0
+
+
+def test_poincare_rejects_nonconvex_2d_weight():
+    X = RECT.node_points()
+    two_bumps = sum(np.clip(1.0 - np.sqrt((X[..., 0] - cx) ** 2
+                                          + (X[..., 1] - 0.65) ** 2) / 0.15,
+                            0.0, 1.0)
+                    for cx in (0.3, 0.7))
+    with pytest.raises(InvalidWeightError):
+        H.weighted_poincare_check(RECT, np.sin(X[..., 0]), two_bumps)
+
+
 def test_cone_weight_must_fit():
     g = S.SpaceGrid.interval(0.0, 1.0, 16)
     with pytest.raises(InvalidWeightError):
         H.cone_weight(g, center=(0.9,), radius=0.5)
+
+
+def test_cone_weight_center_must_match_dimension():
+    line = S.SpaceGrid.interval(0.0, 1.0, 16)
+    with pytest.raises(InvalidWeightError, match="dimension"):
+        H.cone_weight(RECT, center=(0.5,), radius=0.2)
+    with pytest.raises(InvalidWeightError, match="dimension"):
+        H.cone_weight(line, center=(0.5, 0.5), radius=0.2)
+    for space, center in ((RECT, (0.5,)), (line, (0.5, 0.5))):
+        w = H.ConeWeight(center=center, radius=0.2)
+        with pytest.raises(InvalidWeightError, match="dimension"):
+            w.values(space)
+        with pytest.raises(InvalidWeightError, match="dimension"):
+            H.weighted_poincare_check(space, np.zeros(space.shape), w)
