@@ -22,6 +22,7 @@ import numpy as np
 
 from . import fracops, fundsol, harnack, kernels, solver
 from .errors import ConfigError, SubharnackError
+from .kernels import _csv_text
 
 __all__ = ["ExperimentConfig", "parse_config", "run", "main"]
 
@@ -67,6 +68,7 @@ def _entries(count, rule):
 
 
 _POSITIVE = (lambda v: v > 0.0), "positive"
+_UNIT = (lambda v: 0.0 < v < 1.0), "in (0, 1)"
 
 # per-experiment schema: key -> (converter, default, (predicate, range text));
 # the range is checked at parse time so a run never starts on a config that
@@ -74,11 +76,12 @@ _POSITIVE = (lambda v: v > 0.0), "positive"
 _COMMON = {
     "experiment": (str, None, None),
     "alpha": (_to_float, 0.5, ((lambda a: 0.0 < a <= 1.0), "in (0, 1]")),
-    "seed": (int, DEFAULT_SEED, None),
+    "seed": (int, DEFAULT_SEED, _at_least(0)),
     "out": (str, ".", None),
 }
 _SCHEMAS = {
     "identities": {
+        "alpha": (_to_float, 0.5, _UNIT),
         "m": (int, 512, _at_least(2)),
         "n_levels": (_to_int_list, [1, 4, 16, 64, 256], _entries(2, _at_least(1))),
         "gnprop_n": (int, 4, _at_least(1)),
@@ -89,6 +92,7 @@ _SCHEMAS = {
         "m_list": (_to_int_list, [64, 128, 256], _entries(2, _at_least(2))),
     },
     "harnack": {
+        "alpha": (_to_float, 0.5, _UNIT),
         "nx": (int, 160, _at_least(4)),
         "m": (int, 64, _at_least(2)),
         "period": (int, 8, _at_least(1)),
@@ -96,7 +100,7 @@ _SCHEMAS = {
         "high": (_to_float, 5.0, _POSITIVE),
         "x0": (_to_float, 0.5, None),
         "r": (_to_float, 0.2, _POSITIVE),
-        "delta": (_to_float, 0.5, ((lambda d: 0.0 < d < 1.0), "in (0, 1)")),
+        "delta": (_to_float, 0.5, _UNIT),
         "eta": (_to_float, 2.0, ((lambda e: e > 1.0), "greater than 1")),
         "tau": (_to_float, 1.0, _POSITIVE),
         "t0": (_to_float, 0.0, _at_least(0.0)),
@@ -104,10 +108,11 @@ _SCHEMAS = {
         "refine": (int, 1, ((lambda v: v in (0, 1)), "0 or 1")),
     },
     "optimality": {
-        "N": (int, 1, _at_least(1)),
+        "alpha": (_to_float, 0.5, _UNIT),
+        "N": (int, 1, ((lambda n: 1 <= n <= 3), "1, 2 or 3")),
         "p": (_to_float, 5.0 / 3.0, _POSITIVE),
-        "eps_min": (_to_float, 1e-8, _POSITIVE),
-        "eps_max": (_to_float, 0.1, _POSITIVE),
+        "eps_min": (_to_float, 1e-8, _UNIT),
+        "eps_max": (_to_float, 0.1, _UNIT),
         "eps_count": (int, 15, _at_least(3)),
     },
     "continuity": {
@@ -172,15 +177,6 @@ def parse_config(text: str) -> ExperimentConfig:
 # ---------------------------------------------------------------------------
 # output helpers
 # ---------------------------------------------------------------------------
-
-def _csv_text(header: str, rows) -> str:
-    lines = [header]
-    for row in rows:
-        lines.append(",".join(repr(float(v)) if isinstance(v, (int, float))
-                              and not isinstance(v, bool) else str(v)
-                              for v in row))
-    return "\n".join(lines) + "\n"
-
 
 def _summary_text(summary: dict) -> str:
     return "".join(f"{k}={v}\n" for k, v in summary.items())
@@ -535,9 +531,6 @@ def main(argv=None) -> int:
     parser.add_argument("config", help="path to a key=value config file")
     parser.add_argument("--out", default=None,
                         help="output directory (overrides the config)")
-    parser.add_argument("--threads", type=int, default=None,
-                        help="accepted for compatibility; has no effect "
-                             "(every run is single-threaded)")
     parser.add_argument("--verbose", action="store_true")
     args = parser.parse_args(argv)
     try:

@@ -314,8 +314,7 @@ def _comm1_terms(v: SampledPath, phi: SampledPath, alpha: float):
     return lhs, term1, corr1, corr2
 
 
-def commutation_residual_1(v: SampledPath, phi: SampledPath, alpha,
-                           t_min: float = 0.0) -> float:
+def commutation_residual_1(v: SampledPath, phi: SampledPath, alpha) -> float:
     """Max nodal residual of the convolution/multiplication exchange rule
     for the power kernel acting on phi*vdot, with v(0) = 0.
 
@@ -325,7 +324,7 @@ def commutation_residual_1(v: SampledPath, phi: SampledPath, alpha,
     """
     lhs, term1, corr1, corr2 = _comm1_terms(v, phi, alpha)
     rhs = term1 + corr1 - corr2
-    mask = _interior_mask(v.grid, t_min)
+    mask = _interior_mask(v.grid, 0.0)
     return float(np.abs(lhs - rhs)[mask].max())
 
 
@@ -342,8 +341,8 @@ def commutation_inequality_margin(v: SampledPath, phi: SampledPath, alpha) -> fl
     return float(margin[mask].min())
 
 
-def commutation_residual_2(k: KernelTable, v: SampledPath, phi: SampledPath,
-                           t_min: float = 0.0) -> float:
+def commutation_residual_2(k: KernelTable, v: SampledPath,
+                           phi: SampledPath) -> float:
     """Max nodal residual of the product rule for phi(t) d/dt (k * v) with a
     regular (H^1) kernel table; trapezoidal quadratures and centered
     differences throughout."""
@@ -359,5 +358,5 @@ def commutation_residual_2(k: KernelTable, v: SampledPath, phi: SampledPath,
     corr = (ph * _trapezoid_convolve(kdot, vv, dt)
             - _trapezoid_convolve(kdot, ph * vv, dt))
     rhs = d2 + corr
-    mask = _interior_mask(v.grid, t_min)
+    mask = _interior_mask(v.grid, 0.0)
     return float(np.abs(lhs - rhs)[mask].max())

@@ -148,31 +148,44 @@ def _cell_midpoint_values(result: SolveResult, region: BoxRegion):
     space, time = result.spec.space, result.spec.time
     t_mid, *mids = [0.5 * (x[:-1] + x[1:]) for x in (time.nodes, *space.axes())]
     tmask, smask = region.masks(t_mid, mids, closed=False)
+    # the work scales with the region: only its cells' index box is averaged
+    cells = tuple(slice(i.min(), i.max() + 1)
+                  for i in np.nonzero(tmask) + np.nonzero(smask))
+    u = result.u[tuple(slice(c.start, c.stop + 1) for c in cells)]
     # the 2^N corners of every cell, axis 0 running fastest
     dim = space.dimension
-    corners = [result.u[(slice(None),) + c[::-1]] for c in
+    corners = [u[(slice(None),) + c[::-1]] for c in
                itertools.product((slice(None, -1), slice(1, None)), repeat=dim)]
     umid_space = 0.5 ** dim * sum(corners[1:], corners[0])
     umid = 0.5 * (umid_space[:-1] + umid_space[1:])
-    return umid[tmask][:, smask].ravel()
+    return umid[tmask[cells[0]]][:, smask[cells[1:]]].ravel()
 
 
-def lp_mean(result: SolveResult, region: BoxRegion, p: float,
-            negativity_tol: float = 1e-10) -> float:
-    """Space-time power mean of u over the grid cells whose midpoints fall in
-    the region (cell measures are exact, the field enters by its cell-center
-    value)."""
-    if p <= 0.0:
-        raise DomainError(f"p must be positive, got {p}")
+def _region_cell_values(result: SolveResult, region: BoxRegion,
+                        scale: float) -> np.ndarray:
+    """Cell-center values in the region, rounding-level negatives (down to
+    -1e-10 of ``scale``) set to 0; anything lower raises."""
     _check_region_inside(result, region)
     vals = _cell_midpoint_values(result, region)
-    scale = max(float(np.abs(result.u).max()), 1.0)
-    if np.any(vals < -negativity_tol * scale):
+    if np.any(vals < -1e-10 * scale):
         raise DomainError(
             f"field is negative on the region (min {vals.min():.3e})"
         )
-    vals = np.maximum(vals, 0.0)
+    return np.maximum(vals, 0.0)
+
+
+def _power_mean(vals: np.ndarray, p: float) -> float:
+    if p <= 0.0:
+        raise DomainError(f"p must be positive, got {p}")
     return float(np.mean(vals ** p) ** (1.0 / p))
+
+
+def lp_mean(result: SolveResult, region: BoxRegion, p: float) -> float:
+    """Space-time power mean of u over the grid cells whose midpoints fall in
+    the region (cell measures are exact, the field enters by its cell-center
+    value)."""
+    scale = max(float(np.abs(result.u).max()), 1.0)
+    return _power_mean(_region_cell_values(result, region, scale), p)
 
 
 def essinf(result: SolveResult, region: BoxRegion) -> float:
@@ -198,15 +211,15 @@ class HarnackReport:
 
 def harnack_ratio_sweep(result: SolveResult, config: HarnackConfig,
                         p_values: Sequence[float],
-                        check_supersolution: bool = True,
-                        tol: float = 1e-8) -> list:
+                        check_supersolution: bool = True) -> list:
     """Measure the power-mean-to-infimum ratio for each exponent.
 
     Preconditions enforced: the solved horizon covers the late box, the
     enlarged ball sits inside the domain, the initial data is nonnegative on
     it, the field is nonnegative globally in time from t = 0 (a local sign
     condition is not enough for memory equations), and the run passes the
-    discrete supersolution test.
+    discrete supersolution test.  Each test allows 1e-8 (relative to the
+    field's scale where the field enters) for rounding.
     """
     spec = result.spec
     if abs(config.alpha - spec.alpha) > 1e-12:
@@ -219,21 +232,22 @@ def harnack_ratio_sweep(result: SolveResult, config: HarnackConfig,
     _check_region_inside(result, big_ball)
     scale = max(float(np.abs(result.u).max()), 1.0)
     _, ball_mask = big_ball.masks(spec.time.nodes, space.axes())
-    if np.any(spec.u0[ball_mask] < -tol * scale):
+    if np.any(spec.u0[ball_mask] < -1e-8 * scale):
         raise DomainError("initial data must be nonnegative on the large ball")
-    if float(result.u.min()) < -tol * scale:
+    if float(result.u.min()) < -1e-8 * scale:
         raise DomainError("field must be nonnegative globally from t = 0")
-    if check_supersolution and supersolution_residual(result) < -tol:
+    if check_supersolution and supersolution_residual(result) < -1e-8:
         raise DomainError("run fails the discrete supersolution test")
 
     early, late = harnack_boxes(config)
     crit = critical_exponent(config.alpha, space.dimension)
     grid_tag = f"m={spec.time.m},cells={'x'.join(str(n) for n in space.cells)}"
     inf_p = essinf(result, late)
+    early_vals = _region_cell_values(result, early, scale)
     reports = []
     for p in p_values:
-        mean_p = lp_mean(result, early, p)
-        ratio = mean_p / inf_p if inf_p > tol * scale else math.inf
+        mean_p = _power_mean(early_vals, p)
+        ratio = mean_p / inf_p if inf_p > 1e-8 * scale else math.inf
         reports.append(HarnackReport(p=float(p), lp_mean=mean_p,
                                      essinf=inf_p, ratio=ratio,
                                      grid=grid_tag,
@@ -255,8 +269,8 @@ class OscillationFit:
     oscillations: tuple
 
 
-def oscillation_decay(result: SolveResult, x0, r_list, eta: float = 1.0,
-                      tol: float = 1e-12) -> OscillationFit:
+def oscillation_decay(result: SolveResult, x0, r_list,
+                      eta: float = 1.0) -> OscillationFit:
     """Oscillation of u over (0, eta*r^(2/alpha)) x B(x0, r) for decreasing
     radii, with the fitted slope of log osc against log r.
 
@@ -264,7 +278,7 @@ def oscillation_decay(result: SolveResult, x0, r_list, eta: float = 1.0,
     run is identically zero and the fit is degenerate).
     """
     spec = result.spec
-    if np.abs(spec.u0).max() > tol * max(1.0, np.abs(result.u).max()):
+    if np.abs(spec.u0).max() > 1e-12 * max(1.0, np.abs(result.u).max()):
         raise DomainError("oscillation decay requires vanishing initial data")
     radii = [float(r) for r in r_list]
     if any(r2 >= r1 for r1, r2 in zip(radii, radii[1:])):
@@ -278,7 +292,7 @@ def oscillation_decay(result: SolveResult, x0, r_list, eta: float = 1.0,
         tmask, smask = region.masks(spec.time.nodes, spec.space.axes())
         block = result.u[tmask][:, smask]
         oscs.append(float(block.max() - block.min()))
-    if max(oscs) <= tol:
+    if max(oscs) <= 1e-12:
         raise DegenerateDataError("oscillation is zero for every radius")
     coeff = np.polyfit(np.log(radii), np.log(np.maximum(oscs, 1e-300)), 1)
     return OscillationFit(slope=float(coeff[0]), intercept=float(coeff[1]),
@@ -299,17 +313,13 @@ class MaxPrincipleReport:
     interior_max: float
     interior_margin: float
     constant_data: bool
-    worst_location: tuple
-
-    @property
-    def passed(self) -> bool:
-        return self.bounds_ok
 
 
-def max_principle_check(result: SolveResult, tol: float = 1e-10) -> MaxPrincipleReport:
+def max_principle_check(result: SolveResult) -> MaxPrincipleReport:
     """Verify min(data) <= u <= max(data) (data: initial values and boundary
-    rows), and measure how far the late-interior maximum sits below the
-    global data maximum.  Requires zero forcing at every time node."""
+    rows) up to 1e-10 of the data's scale, and measure how far the
+    late-interior maximum sits below the global data maximum.  Requires zero
+    forcing at every time node."""
     spec = result.spec
     if spec.forcing is not None:
         pts = spec.space.node_points()
@@ -322,8 +332,7 @@ def max_principle_check(result: SolveResult, tol: float = 1e-10) -> MaxPrinciple
     lower, upper = float(data_vals.min()), float(data_vals.max())
     scale = max(abs(lower), abs(upper), 1.0)
     min_u, max_u = float(result.u.min()), float(result.u.max())
-    bounds_ok = (min_u >= lower - tol * scale) and (max_u <= upper + tol * scale)
-    worst = np.unravel_index(int(np.argmax(result.u)), result.u.shape)
+    bounds_ok = (min_u >= lower - 1e-10 * scale) and (max_u <= upper + 1e-10 * scale)
 
     # late interior cylinder: second half of time, inner half of every axis
     # (which leaves out the boundary nodes)
@@ -332,13 +341,12 @@ def max_principle_check(result: SolveResult, tol: float = 1e-10) -> MaxPrinciple
         (x >= lo + 0.25 * (hi - lo)) & (x <= hi - 0.25 * (hi - lo))
         for x, lo, hi in zip(space.axes(), space.lower, space.upper)])
     interior_max = float(result.u[tmask][:, inner].max())
-    constant = (upper - lower) <= tol * scale
+    constant = (upper - lower) <= 1e-10 * scale
     return MaxPrincipleReport(
         lower=lower, upper=upper, min_u=min_u, max_u=max_u,
         bounds_ok=bounds_ok, interior_max=interior_max,
         interior_margin=upper - interior_max,
-        constant_data=constant, worst_location=tuple(int(i) for i in worst),
-    )
+        constant_data=constant)
 
 
 # ---------------------------------------------------------------------------
@@ -347,16 +355,14 @@ def max_principle_check(result: SolveResult, tol: float = 1e-10) -> MaxPrinciple
 
 @dataclass(frozen=True)
 class ConeWeight:
-    """Clamped-cone weight: 1 inside the plateau, linear decay to 0 at the
-    support radius.  Superlevel sets are concentric balls, hence convex."""
+    """Clamped-cone weight: 1 inside the plateau (the inner half of the
+    support radius), linear decay to 0 at the support radius.  Superlevel
+    sets are concentric balls, hence convex."""
 
     center: tuple
     radius: float
-    flat_fraction: float = 0.5
 
     def __post_init__(self):
-        if not (0.0 <= self.flat_fraction < 1.0):
-            raise InvalidWeightError("flat_fraction must lie in [0, 1)")
         if self.radius <= 0.0:
             raise InvalidWeightError("support radius must be positive")
         object.__setattr__(self, "center",
@@ -365,9 +371,7 @@ class ConeWeight:
     def values(self, space: SpaceGrid) -> np.ndarray:
         _check_center(self.center, space)
         dist = np.sqrt(_dist2(space.axes(), self.center))
-        r_flat = self.flat_fraction * self.radius
-        ramp = (self.radius - dist) / (self.radius - r_flat)
-        return np.clip(ramp, 0.0, 1.0)
+        return np.clip((self.radius - dist) / (0.5 * self.radius), 0.0, 1.0)
 
     @property
     def diameter(self) -> float:
@@ -385,8 +389,8 @@ def _check_center(center, space: SpaceGrid) -> None:
             f"{space.dimension}")
 
 
-def cone_weight(space: SpaceGrid, center=None, radius: Optional[float] = None,
-                flat_fraction: float = 0.5) -> ConeWeight:
+def cone_weight(space: SpaceGrid, center=None,
+                radius: Optional[float] = None) -> ConeWeight:
     """Cone weight centered in the box, supported strictly inside it."""
     lo = np.asarray(space.lower)
     hi = np.asarray(space.upper)
@@ -396,8 +400,7 @@ def cone_weight(space: SpaceGrid, center=None, radius: Optional[float] = None,
     _check_center(center, space)
     if radius is None:
         radius = 0.45 * float((hi - lo).min())
-    w = ConeWeight(center=tuple(center), radius=float(radius),
-                   flat_fraction=flat_fraction)
+    w = ConeWeight(center=tuple(center), radius=float(radius))
     if np.any(center - radius < lo) or np.any(center + radius > hi):
         raise InvalidWeightError("cone support must fit inside the box")
     return w

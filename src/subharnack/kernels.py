@@ -13,12 +13,12 @@ measure behind all three, certified at build time by its exact moments.
 
 from __future__ import annotations
 
-import csv
 import math
 import numbers
 import warnings
 from dataclasses import dataclass, field
 from functools import lru_cache
+from pathlib import Path
 
 import numpy as np
 from scipy.special import gamma as gamma_fn
@@ -51,7 +51,9 @@ _ML_MAX_STEPS = 10000
 _S_ASYMPTOTIC = 1e6
 #: where the M-Wright ray E_alpha(-s) serves the scalar: its error, measured
 #: against 50-digit values (not checked at run time), stays under 8e-13 there
-_RULE_ALPHAS, _RULE_RTOL = (0.1, 0.999), 1e-11
+_RULE_ALPHAS = (0.1, 0.999)
+#: relative accuracy the series guard and the contour integral certify
+_ML_RTOL = 1e-11
 
 KINDS = ("riemann_liouville", "yosida_g", "yosida_h", "resolvent", "custom")
 SAMPLINGS = ("grunwald", "cell_average", "node")
@@ -65,6 +67,15 @@ def _as_alpha(alpha, *, classical_ok: bool = False) -> float:
         rng = "(0, 1]" if classical_ok else "(0, 1)"
         raise DomainError(f"alpha must lie in {rng}, got {a}")
     return a
+
+
+def _csv_text(header: str, rows) -> str:
+    """CSV text with LF line endings: numbers (bools excepted) as the
+    shortest round-trip float, every other value by ``str``."""
+    body = (",".join(repr(float(v)) if isinstance(v, (int, float))
+                     and not isinstance(v, bool) else str(v) for v in row)
+            for row in rows)
+    return "\n".join([header, *body]) + "\n"
 
 
 def _as_count(value, what: str, least: int = 0) -> int:
@@ -147,16 +158,12 @@ class KernelTable:
         return 0.5 * (self.values[:-1] + self.values[1:])
 
     def to_csv(self, path) -> None:
-        with open(path, "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(["t", "value"])
-            for t, v in zip(self.times, self.values):
-                w.writerow([repr(float(t)), repr(float(v))])
+        Path(path).write_text(_csv_text("t,value", zip(self.times, self.values)),
+                              newline="")
 
     @classmethod
-    def from_csv(cls, path, kind: str = "custom", sampling: str = "node") -> "KernelTable":
-        with open(path, newline="") as fh:
-            rows = list(csv.reader(fh))
+    def from_csv(cls, path, sampling: str = "node") -> "KernelTable":
+        rows = [line.split(",") for line in Path(path).read_text().splitlines()]
         if not rows:
             raise ValueError(f"{path}: empty file, expected header t,value")
         if rows[0][:2] != ["t", "value"]:
@@ -169,7 +176,7 @@ class KernelTable:
         dts = np.diff(t)
         if not np.allclose(dts, dts[0], rtol=1e-12, atol=0.0):
             raise ValueError("grid in CSV is not uniform")
-        return cls(dt=float(dts[0]), values=np.asarray(v), kind=kind, sampling=sampling)
+        return cls(dt=float(dts[0]), values=np.asarray(v), sampling=sampling)
 
 
 def rl_kernel(beta: float, t: float) -> float:
@@ -342,14 +349,14 @@ def _ml_asymptotic(alpha: float, beta: float, s):
     return -np.polyval(np.append(coeffs, 0.0), -1.0 / s)
 
 
-def mittag_leffler(alpha: float, beta: float, z: float, rtol: float = 1e-11) -> float:
+def mittag_leffler(alpha: float, beta: float, z: float) -> float:
     """Generalized Mittag-Leffler function E_{alpha,beta}(z) for real z.
 
     The arguments alone fix the path.  The power series serves |z| <= 5
-    wherever its rounding floor certifies ``rtol``.  Where it does not, for
-    0 < alpha < 1, z <= -1e6 takes the asymptotic sum; E_alpha(-s) the
-    M-Wright ray (building the rule if it is not cached) where alpha and
-    ``rtol`` lie in the range over which its error was measured; beta >=
+    wherever its rounding floor certifies ``_ML_RTOL``.  Where it does not,
+    for 0 < alpha < 1, z <= -1e6 takes the asymptotic sum; E_alpha(-s) the
+    M-Wright ray (building the rule if it is not cached) where alpha lies
+    in the range over which its error was measured; beta >=
     1 + alpha, alpha <= 1, steps of E_{a,b}(z) = (E_{a,b-a}(z) -
     1/Gamma(b-a)) / z back into this list, at most ``_ML_MAX_STEPS`` of
     them; and the contour integral the rest.  The classical
@@ -370,14 +377,13 @@ def mittag_leffler(alpha: float, beta: float, z: float, rtol: float = 1e-11) -> 
                     f"E_(1,1)({z}) overflows double precision") from None
             break
         if abs(z) <= Z_SWITCH or z > 0.0 or alpha >= 1.0:
-            val, ok = _ml_series(alpha, beta, z, rtol)
+            val, ok = _ml_series(alpha, beta, z, _ML_RTOL)
             if ok:
                 break
         if alpha < 1.0 and z <= -_S_ASYMPTOTIC:
             val = float(_ml_asymptotic(alpha, beta, -z))
             break
-        if (z < 0.0 and beta == 1.0 and rtol >= _RULE_RTOL
-                and _RULE_ALPHAS[0] <= alpha <= _RULE_ALPHAS[1]):
+        if z < 0.0 and beta == 1.0 and _RULE_ALPHAS[0] <= alpha <= _RULE_ALPHAS[1]:
             val = float(ml_on_negative_axis(alpha, 1.0)(-z))
             break
         if alpha <= 1.0 and beta >= 1.0 + alpha:
@@ -398,7 +404,7 @@ def mittag_leffler(alpha: float, beta: float, z: float, rtol: float = 1e-11) -> 
                 beta = beta - alpha
             continue
         if alpha < 1.0:
-            val = _ml_integral(alpha, beta, z, rtol)
+            val = _ml_integral(alpha, beta, z, _ML_RTOL)
             break
         raise AccuracyError(
             f"no convergent evaluation path for E_({alpha},{beta})({z})")
@@ -708,8 +714,8 @@ def yosida_kernels(alpha, n: int, dt: float, m: int):
     return g_table, h_table
 
 
-def yosida_l1_distance(alpha, n: int, T: float = 1.0) -> float:
-    """L1([0, T]) distance between the level-n regularized kernel and its limit.
+def yosida_l1_distance(alpha, n: int) -> float:
+    """L1([0, 1]) distance of the level-n regularized kernel from its limit.
 
     Uses the closed form of the bounded kernel through the Mittag-Leffler
     function, with graded Gauss panels toward the origin where the limit
@@ -718,11 +724,11 @@ def yosida_l1_distance(alpha, n: int, T: float = 1.0) -> float:
     """
     a, n = _as_alpha(alpha), _as_count(n, "n", 1)
     ray = ml_on_negative_axis(a, 1.0)
-    a0 = T * 1e-14
+    a0 = 1e-14
     # analytic head: on [0, a0] the bounded kernel is ~ n, the limit dominates
     head = a0 ** (1.0 - a) / gamma_fn(2.0 - a) - n * a0
     tm, wm = _gauss_panels(
-        np.concatenate([[a0], np.geomspace(a0 * 10.0, T, 140)]), 40)
+        np.concatenate([[a0], np.geomspace(a0 * 10.0, 1.0, 140)]), 40)
     diff = tm ** (-a) / gamma_fn(1.0 - a) - n * ray(n * tm ** a)
     return float(abs(head) + np.dot(wm, np.abs(diff)))
 

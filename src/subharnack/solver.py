@@ -13,6 +13,7 @@ from __future__ import annotations
 import struct
 from dataclasses import dataclass, field
 from functools import cached_property, reduce
+from pathlib import Path
 from typing import Callable, Iterator, Optional, Union
 
 import numpy as np
@@ -21,7 +22,8 @@ from scipy.sparse.linalg import splu
 
 from .errors import DomainError, GridMismatchError, LinearSolveError
 from .fracops import SampledPath, TimeGrid, _causal_march, _l1_scheme
-from .kernels import _as_alpha, _as_count, rl_kernel_table, solve_volterra
+from .kernels import (_as_alpha, _as_count, _csv_text, rl_kernel_table,
+                      solve_volterra)
 
 __all__ = [
     "SpaceGrid",
@@ -254,16 +256,12 @@ class SolveResult:
 
     def export_csv(self, path) -> None:
         """Long-format CSV: t,x[,y],u with one row per space-time node."""
-        pts = self.spec.space.node_points()
         dim = self.spec.space.dimension
-        with open(path, "w", newline="") as fh:
-            fh.write("t,x,u\n" if dim == 1 else "t,x,y,u\n")
-            for n, t in enumerate(self.times):
-                flat_u = self.u[n].reshape(-1)
-                flat_p = pts.reshape(-1, dim)
-                for p, val in zip(flat_p, flat_u):
-                    coords = ",".join(repr(float(c)) for c in p)
-                    fh.write(f"{t!r},{coords},{val!r}\n")
+        pts = self.spec.space.node_points().reshape(-1, dim)
+        rows = ((t, *p, v) for t, u_t in zip(self.times, self.u)
+                for p, v in zip(pts, u_t.reshape(-1)))
+        Path(path).write_text(_csv_text("t,x,u" if dim == 1 else "t,x,y,u",
+                                        rows), newline="")
 
     def export_binary(self, path) -> None:
         """Binary layout (little endian), documented byte-exactly in README:

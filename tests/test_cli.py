@@ -1,4 +1,6 @@
+import argparse
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -120,7 +122,7 @@ def test_deterministic_output(tmp_path):
     cfg = write_cfg(tmp_path, "experiment=maxprinciple\nruns=6\nseed=7\n")
     out_a, out_b = tmp_path / "a", tmp_path / "b"
     assert cli.main([cfg, "--out", str(out_a)]) == 0
-    assert cli.main([cfg, "--out", str(out_b), "--threads", "3"]) == 0
+    assert cli.main([cfg, "--out", str(out_b)]) == 0
     for name in ("maxprinciple_runs.csv", "maxprinciple_summary.txt"):
         assert (out_a / name).read_bytes() == (out_b / name).read_bytes()
 
@@ -216,6 +218,56 @@ def test_out_of_range_config_exits_2_without_files(tmp_path, experiment,
     cfg = write_cfg(tmp_path, f"experiment={experiment}\n{setting}\n")
     out = tmp_path / "out"
     assert cli.main([cfg, "--out", str(out)]) == 2
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("experiment,setting", [
+    # the seed feeds numpy's generator, which takes no negative seed
+    ("maxprinciple", "seed=-1\nruns=2"),
+    # values the parser passed before, which then failed inside a run
+    ("optimality", "N=4"),
+    ("optimality", "eps_max=2"),
+    ("optimality", "eps_min=1"),
+    ("identities", "alpha=1.0"),
+    ("harnack", "alpha=1.0"),
+    ("optimality", "alpha=1.0"),
+])
+def test_out_of_domain_config_is_a_config_error(tmp_path, capsys, experiment,
+                                                setting):
+    cfg = write_cfg(tmp_path, f"experiment={experiment}\n{setting}\n")
+    out = tmp_path / "out"
+    assert cli.main([cfg, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("[subharnack] config error:")
+    assert err.count("\n") == 1 and "Traceback" not in err
+    assert not out.exists()
+
+
+def test_options_match_readme_usage(tmp_path, monkeypatch):
+    """The flags ``main`` accepts are exactly those on README's usage line."""
+    seen = []
+    parse_args = argparse.ArgumentParser.parse_args
+
+    def spy(parser, *args, **kwargs):
+        seen.append({opt for action in parser._actions
+                     for opt in action.option_strings} - {"-h", "--help"})
+        return parse_args(parser, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "parse_args", spy)
+    assert cli.main([str(tmp_path / "missing.cfg")]) == 2
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    usage = [line for line in readme.splitlines()
+             if line.startswith("subharnack <config-file>")]
+    assert len(usage) == 1
+    assert seen == [set(re.findall(r"--[a-z-]+", usage[0]))]
+
+
+def test_removed_threads_option_exits_2(tmp_path):
+    cfg = write_cfg(tmp_path, "experiment=maxprinciple\nruns=2\n")
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as exc:
+        cli.main([cfg, "--out", str(out), "--threads", "2"])
+    assert exc.value.code == 2
     assert not out.exists()
 
 

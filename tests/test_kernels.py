@@ -104,6 +104,28 @@ def test_kernel_table_csv_roundtrip(tmp_path):
     assert math.isnan(back.values[0])
 
 
+def test_kernel_table_csv_writes_lf_and_reads_back_exactly(tmp_path):
+    tab = K.resolvent_kernel(0.5, 2.0, 0.01, 64)
+    path = tmp_path / "kernel.csv"
+    tab.to_csv(path)
+    blob = path.read_bytes()
+    assert b"\r" not in blob
+    lines = blob.decode().split("\n")
+    assert lines[0] == "t,value" and lines[-1] == ""
+    assert len(lines) == tab.values.size + 2
+    assert [float(line.split(",")[1]) for line in lines[2:-1]] == \
+        tab.values[1:].tolist()
+    back = K.KernelTable.from_csv(path)
+    assert back.kind == "custom" and back.sampling == "node"
+    assert np.array_equal(back.times, tab.times)
+    assert np.array_equal(back.values[1:], tab.values[1:])
+    assert math.isnan(back.values[0])
+    # a table written with CRLF line endings still reads
+    path.write_bytes(blob.replace(b"\n", b"\r\n"))
+    assert np.array_equal(K.KernelTable.from_csv(path).values[1:],
+                          tab.values[1:])
+
+
 # ---------------------------------------------------------------------------
 # Mittag-Leffler
 # ---------------------------------------------------------------------------
