@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from subharnack import cli
+from subharnack import cli, solver
 from subharnack.errors import ConfigError
 
 
@@ -124,6 +124,22 @@ def test_deterministic_output(tmp_path):
     assert cli.main([cfg, "--out", str(out_a)]) == 0
     assert cli.main([cfg, "--out", str(out_b)]) == 0
     for name in ("maxprinciple_runs.csv", "maxprinciple_summary.txt"):
+        assert (out_a / name).read_bytes() == (out_b / name).read_bytes()
+
+
+@pytest.mark.parametrize("experiment", ["maxprinciple", "harnack"])
+def test_default_run_does_not_depend_on_stencil_cache(tmp_path, experiment):
+    # the second run builds every grid's stencil afresh; the first reuses
+    # whatever earlier problems on equal grids left in the cache
+    cfg = write_cfg(tmp_path, f"experiment={experiment}\n")
+    out_a, out_b = tmp_path / "a", tmp_path / "b"
+    assert cli.main([cfg, "--out", str(out_a)]) == 0
+    assert solver._grid_stencil.cache_info().currsize > 0
+    solver._grid_stencil.cache_clear()
+    assert cli.main([cfg, "--out", str(out_b)]) == 0
+    names = sorted(p.name for p in out_a.iterdir())
+    assert names == sorted(p.name for p in out_b.iterdir())
+    for name in names:
         assert (out_a / name).read_bytes() == (out_b / name).read_bytes()
 
 

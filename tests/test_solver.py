@@ -13,6 +13,7 @@ from subharnack import solver as S
 from subharnack.errors import DomainError, GridMismatchError, LinearSolveError
 from subharnack import fracops as F
 from subharnack.fracops import TimeGrid
+from subharnack.harnack import HarnackConfig
 from subharnack.kernels import mittag_leffler
 
 
@@ -573,6 +574,114 @@ def test_factorization_failure_is_linear_solve_error(monkeypatch):
         S.solve_subdiffusion(rect_spec())
 
 
+def rough_block_spec():
+    """A 64x64-cell square with an 8x8 block field spanning [1, 5], at
+    alpha = 0.5 on 48 levels to 1.25 Harnack horizons: the size and c0 of
+    the rough2d benchmark's static solve."""
+    g = S.SpaceGrid.rectangle((0.0, 0.0), (1.0, 1.0), (64, 64))
+    u = np.random.default_rng(21).uniform(size=(8, 8))
+    blocks = 1.0 + 4.0 * (u - u.min()) / (u.max() - u.min())
+
+    def evaluate(_ti, pts):
+        idx = np.clip(np.floor(8.0 * pts).astype(int), 0, 7)
+        return blocks[idx[..., 0], idx[..., 1]]
+
+    field = S.CoefficientField(evaluate=evaluate, nu=1.0,
+                               lambda_bound=5.0 * np.sqrt(2.0),
+                               time_dependent=False)
+    config = HarnackConfig(delta=0.5, eta=2.0, tau=1.0, t0=0.0,
+                           x0=(0.5, 0.5), r=0.2, alpha=0.5)
+    return S.ProblemSpec(alpha=0.5, space=g,
+                         time=TimeGrid.from_horizon(1.25 * config.horizon, 48),
+                         u0=np.zeros(g.shape), boundary=1.0,
+                         coefficients=field)
+
+
+def test_symmetric_ordering_fills_less_with_diagonal_pivots(monkeypatch):
+    spec = rough_block_spec()
+    factored = []
+
+    def recording(A, *args, **kwargs):
+        lu = spl.splu(A, *args, **kwargs)
+        factored.append((A, lu))
+        return lu
+
+    monkeypatch.setattr(S, "splu", recording)
+    S.solve_subdiffusion(spec)
+    [(A, lu)] = factored
+    colamd = spl.splu(A)
+    assert lu.L.nnz + lu.U.nnz < colamd.L.nnz + colamd.U.nnz
+    # partial pivoting keeps the diagonal of the dominant block
+    assert np.array_equal(lu.perm_r, lu.perm_c)
+
+    # SuperLU's own failure under the solver's arguments is still wrapped
+    def singular(A, *args, **kwargs):
+        return spl.splu(sp.csc_matrix(A.shape), *args, **kwargs)
+
+    monkeypatch.setattr(S, "splu", singular)
+    with pytest.raises(LinearSolveError, match="level 1.*singular"):
+        S.solve_subdiffusion(spec)
+
+
+def stencil_arrays(stencil):
+    found, todo = [], list(vars(stencil).values())
+    while todo:
+        value = todo.pop()
+        if isinstance(value, (tuple, list)):
+            todo.extend(value)
+        elif isinstance(value, np.ndarray):
+            found.append(value)
+    return found
+
+
+def test_equal_grids_share_one_read_only_stencil():
+    S._grid_stencil.cache_clear()
+    a = S.solve_subdiffusion(rect_spec())
+    b = S.solve_subdiffusion(rect_spec(time_flip=2))
+    assert a.spec.space is not b.spec.space and a.spec.space == b.spec.space
+    assert a._stencil is b._stencil
+    assert S._grid_stencil.cache_info().misses == 1
+    arrays = stencil_arrays(a._stencil)
+    assert len(arrays) >= 15
+    assert not any(arr.flags.writeable for arr in arrays)
+    # -0.0 and 0.0 bounds are one grid with one set of node points
+    signed = S.SpaceGrid.interval(-0.0, 1.0, 8)
+    assert math.copysign(1.0, signed.lower[0]) == 1.0
+
+
+def test_evaluator_cannot_write_shared_quarter_points():
+    def vandal(_ti, pts):
+        pts[..., 0] = 0.0
+        return np.ones(pts.shape[:-1])
+
+    field = S.CoefficientField(evaluate=vandal, nu=1.0, lambda_bound=1.0)
+    with pytest.raises(ValueError, match="read-only"):
+        S.solve_subdiffusion(interval_spec(coefficients=field))
+
+
+@pytest.mark.parametrize("make", [interval_spec, rect_spec])
+def test_cached_stencil_run_bitwise_equal_after_cache_clear(make):
+    rng = np.random.default_rng(31)
+    shape = make().space.shape
+    flipping = S.checkerboard_coefficients(make().space, 2, 0.5, 4.0,
+                                           time_flip=3)
+    spec = make(u0=rng.uniform(-1.0, 2.0, size=shape),
+                boundary=lambda t, pts: np.cos(3.0 * t + pts[..., 0]),
+                forcing=lambda t, pts: np.sin(pts[..., 0] - t),
+                coefficients=flipping)
+    # another problem on an equal grid warms the cache
+    S.solve_subdiffusion(make())
+    warm = S.solve_subdiffusion(spec)
+    warm_form = S.supersolution_residual(warm)
+    S._grid_stencil.cache_clear()
+    cold = S.solve_subdiffusion(spec)
+    cold_form = S.supersolution_residual(cold)
+    assert warm._stencil is not cold._stencil
+    assert warm.u.tobytes() == cold.u.tobytes()
+    assert warm.diagnostics == cold.diagnostics
+    assert struct.pack("<d", warm_form) == struct.pack("<d", cold_form)
+
+
 def test_static_field_factorized_once(monkeypatch):
     calls = count_splu(monkeypatch)
     S.solve_subdiffusion(rect_spec())
@@ -727,9 +836,7 @@ def long_spec(dim, **kw):
     return rect_spec(time_flip=7, m=LONG_M, **defaults)
 
 
-@pytest.mark.parametrize("dim", [1, 2])
-def test_blocked_history_matches_direct_march(dim):
-    spec = long_spec(dim)
+def assert_matches_direct_march(spec):
     assert spec.time.m > 4 * F._BLOCK
     res = S.solve_subdiffusion(spec)
     want = direct_march(spec)
@@ -738,6 +845,33 @@ def test_blocked_history_matches_direct_march(dim):
     assert len(res.diagnostics) == spec.time.m
     assert all(0.0 <= r <= 1e-12 for r in res.diagnostics)
     assert max(res.diagnostics) > 0.0
+    return res
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_blocked_history_matches_direct_march(dim):
+    assert_matches_direct_march(long_spec(dim))
+
+
+def test_symmetric_ordering_matches_default_ordering_march():
+    # direct_march's spsolve keeps SuperLU's default column ordering, which
+    # permutes this grid's blocks differently from the solver's
+    g = S.SpaceGrid.rectangle((0.0, 0.0), (1.0, 1.0), (24, 24))
+    rng = np.random.default_rng(44)
+    spec = S.ProblemSpec(
+        alpha=0.4, space=g, time=TimeGrid.from_horizon(0.3, LONG_M),
+        u0=rng.uniform(-1.0, 2.0, size=g.shape),
+        boundary=lambda t, p: 0.5 * np.sin(4.0 * t + p[..., 0] - p[..., 1]),
+        forcing=lambda t, p: np.cos(p[..., 1] + t),
+        coefficients=S.checkerboard_coefficients(g, 3, 0.5, 4.0, time_flip=7))
+    res = assert_matches_direct_march(spec)
+    ops, _ = res._operators
+    assert len(ops) == 2
+    c0 = spec.time.dt ** (-spec.alpha) / gamma(2.0 - spec.alpha)
+    for L in ops:
+        A, _ = res._stencil.blocks(L.data, c0)
+        assert not np.array_equal(
+            spl.splu(A).perm_c, spl.splu(A, permc_spec="MMD_AT_PLUS_A").perm_c)
 
 
 @pytest.mark.parametrize("dim", [1, 2])
