@@ -20,22 +20,16 @@ from .errors import (
 from .fracops import (
     SampledPath,
     TimeGrid,
-    causal_convolve,
-    commutation_inequality_margin,
     commutation_residual_1,
     commutation_residual_2,
     fundamental_identity_history,
     fundamental_identity_residual,
     l1_weights,
-    rl_derivative,
 )
 from .fundsol import (
-    ExponentReport,
     FundamentalSolutionEvaluator,
     critical_exponent,
     divergence_exponent,
-    exponent_report,
-    kappa,
     log_growth_fit,
     loglog_slope,
     optimality_experiment,
@@ -62,7 +56,6 @@ from .kernels import (
     KernelTable,
     mittag_leffler,
     ml_on_negative_axis,
-    resolvent_kernel,
     rl_kernel,
     rl_kernel_table,
     solve_volterra,

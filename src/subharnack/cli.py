@@ -63,8 +63,9 @@ def _at_least(lo):
 
 def _entries(count, rule):
     ok, text = rule
-    return ((lambda v: len(v) >= count and all(map(ok, v))),
-            f"a list of {count} or more entries, each {text}")
+    return ((lambda v: len(v) >= count and all(map(ok, v))
+             and all(a < b for a, b in zip(v, v[1:]))),
+            f"a strictly increasing list of {count} or more entries, each {text}")
 
 
 _POSITIVE = (lambda v: v > 0.0), "positive"
@@ -199,6 +200,15 @@ def _atomic_write_all(out_dir: Path, files: dict) -> None:
             tmp.unlink(missing_ok=True)
 
 
+def _require_inside(what: str, x0: float, radius: float) -> None:
+    """Raise ``ConfigError`` unless [x0 - radius, x0 + radius] lies in the
+    domain [0, 1], with the 1e-12 slack the region checks allow."""
+    if x0 - radius < -1e-12 or x0 + radius > 1.0 + 1e-12:
+        raise ConfigError(
+            f"the ball {what} = [{x0 - radius!r}, {x0 + radius!r}] is not "
+            "contained in the domain [0, 1]")
+
+
 def _flag(ok: bool) -> str:
     return "pass" if ok else "fail"
 
@@ -290,7 +300,8 @@ def _run_converge(cfg: ExperimentConfig):
         err = abs(path.values[-1] - exact) / abs(exact)
         rows.append((grid.dt, err))
         errs.append(err)
-    orders = [math.log2(errs[i] / errs[i + 1]) for i in range(len(errs) - 1)]
+    orders = [math.log2(errs[i] / errs[i + 1]) / math.log2(ms[i + 1] / ms[i])
+              for i in range(len(errs) - 1)]
     expected = 1.0 + alpha  # rate of the integrated-form product integration
     ok = all(abs(o - expected) <= 0.3 for o in orders)
     files = {"relaxation_convergence.csv": _csv_text("dt,error", rows)}
@@ -319,6 +330,7 @@ def _harnack_bench(cfg: ExperimentConfig, nx: int, m: int, period: int):
 
 def _run_harnack(cfg: ExperimentConfig):
     p = cfg.params
+    _require_inside("x0 +- eta*r", p["x0"], p["eta"] * p["r"])
     config = harnack.HarnackConfig(delta=p["delta"], eta=p["eta"],
                                    tau=p["tau"], t0=p["t0"], x0=(p["x0"],),
                                    r=p["r"], alpha=cfg.alpha)
@@ -399,6 +411,7 @@ def _run_continuity(cfg: ExperimentConfig):
     p = cfg.params
     alpha = cfg.alpha
     r0, eta = p["r0"], p["eta"]
+    _require_inside("x0 +- r0", p["x0"], r0)
     space = solver.SpaceGrid.interval(0.0, 1.0, p["nx"])
     horizon = eta * r0 ** (2.0 / alpha)
     time = fracops.TimeGrid.from_horizon(horizon, p["m"])

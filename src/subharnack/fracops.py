@@ -1,6 +1,6 @@
-"""Discrete causal convolution, the blocked march for causal Toeplitz
-systems, the fractional time derivative, and numerical verifiers for the
-product-rule identities of d/dt (k * u) with regular kernels."""
+"""Discrete causal sums, the blocked march for causal Toeplitz systems, the
+L1 scheme for the fractional time derivative, and numerical verifiers for
+the product-rule identities of d/dt (k * u) with regular kernels."""
 
 from __future__ import annotations
 
@@ -17,13 +17,10 @@ __all__ = [
     "TimeGrid",
     "SampledPath",
     "causal_sum",
-    "causal_convolve",
     "l1_weights",
-    "rl_derivative",
     "fundamental_identity_residual",
     "fundamental_identity_history",
     "commutation_residual_1",
-    "commutation_inequality_margin",
     "commutation_residual_2",
 ]
 
@@ -132,22 +129,6 @@ def _causal_march(lo, hi, leaf, rows, w):
     _causal_march(mid, hi, leaf, rows, w)
 
 
-def causal_convolve(k: KernelTable, v: SampledPath) -> SampledPath:
-    """Product-integration approximation of (k * v) at the grid nodes.
-
-    The path is treated as piecewise constant per cell with its right-node
-    value, the kernel through its per-cell representatives, so the rule is
-    exact whenever v really is piecewise constant and k is stored by cell
-    averages.  Output node 0 is 0 (an empty integral).
-    """
-    _match_grids(k, v.grid)
-    m = v.grid.m
-    cells = k.cell_values()
-    out = np.zeros(m + 1)
-    out[1:] = causal_sum(cells, v.values[1:]) * v.grid.dt
-    return SampledPath(v.grid, out)
-
-
 def l1_weights(alpha: float, m: int) -> np.ndarray:
     """Weights b_j = (j+1)^(1-alpha) - j^(1-alpha); b_0 = 1, strictly decreasing."""
     j = np.arange(0, m, dtype=float)
@@ -166,22 +147,6 @@ def _l1_scheme(alpha: float, dt: float, m: int, dx=None):
     out = causal_sum(b, dx)
     out *= c0
     return c0, b, out
-
-
-def rl_derivative(v: SampledPath, v0: float, alpha) -> SampledPath:
-    """Fractional derivative of order alpha of (v - v0), by the L1 scheme.
-
-    At t_n the scheme returns
-        dt^(-alpha)/Gamma(2-alpha) * sum_j b_j (v_{n-j} - v_{n-j-1})
-    which is the product integration of the memory integral with piecewise
-    linear v anchored at v0.  Node 0 carries 0.
-    """
-    a = _as_alpha(alpha, classical_ok=True)
-    grid = v.grid
-    vals = np.concatenate([[v0], v.values[1:]])
-    out = np.zeros(grid.m + 1)
-    out[1:] = _l1_scheme(a, grid.dt, grid.m, np.diff(vals))[2]
-    return SampledPath(grid, out)
 
 
 # ---------------------------------------------------------------------------
@@ -326,19 +291,6 @@ def commutation_residual_1(v: SampledPath, phi: SampledPath, alpha) -> float:
     rhs = term1 + corr1 - corr2
     mask = _interior_mask(v.grid, 0.0)
     return float(np.abs(lhs - rhs)[mask].max())
-
-
-def commutation_inequality_margin(v: SampledPath, phi: SampledPath, alpha) -> float:
-    """Most negative nodal margin of the one-sided form of the exchange rule,
-    valid for nonnegative v and nondecreasing phi (should be >= -O(dt))."""
-    if np.any(v.values < 0.0):
-        raise DomainError("inequality form requires v >= 0")
-    if np.any(np.diff(phi.values) < -1e-14 * max(1.0, np.abs(phi.values).max())):
-        raise DomainError("inequality form requires nondecreasing phi")
-    lhs, term1, _, corr2 = _comm1_terms(v, phi, alpha)
-    margin = lhs - (term1 - corr2)
-    mask = _interior_mask(v.grid, 0.0)
-    return float(margin[mask].min())
 
 
 def commutation_residual_2(k: KernelTable, v: SampledPath,

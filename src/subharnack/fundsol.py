@@ -16,10 +16,7 @@ from .kernels import (_as_alpha, _as_count, _exp_mixture, _gauss_panels,
 
 __all__ = [
     "critical_exponent",
-    "kappa",
     "divergence_exponent",
-    "ExponentReport",
-    "exponent_report",
     "FundamentalSolutionEvaluator",
     "spatial_mass",
     "optimality_experiment",
@@ -36,17 +33,6 @@ def critical_exponent(alpha, N: int) -> float:
     return (2.0 + N * a) / (2.0 + N * a - 2.0 * a)
 
 
-def kappa(p, N: int) -> float:
-    """Interpolation exponent (2p+N(p-1))/(2+N(p-1)); kappa(inf) = 1 + 2/N."""
-    N = _as_count(N, "N", 1)
-    if p == math.inf:
-        return 1.0 + 2.0 / N
-    p = float(p)
-    if p <= 1.0:
-        raise DomainError(f"p must exceed 1 (or be inf), got {p}")
-    return (2.0 * p + N * (p - 1.0)) / (2.0 + N * (p - 1.0))
-
-
 def divergence_exponent(alpha, N: int, p: float) -> float:
     """Exponent of t in the small-time integral of the p-th power of the
     fundamental solution over a fixed ball: alpha*(N-N*p)/2 + (alpha-1)*p."""
@@ -54,23 +40,6 @@ def divergence_exponent(alpha, N: int, p: float) -> float:
     if p <= 0.0:
         raise DomainError(f"p must be positive, got {p}")
     return a * (N - N * p) / 2.0 + (a - 1.0) * p
-
-
-@dataclass(frozen=True)
-class ExponentReport:
-    alpha: float
-    N: int
-    p: float
-    critical_p: float
-    divergence_exponent: float
-    diverges: bool
-
-
-def exponent_report(alpha, N: int, p: float) -> ExponentReport:
-    e = divergence_exponent(alpha, N, p)
-    return ExponentReport(alpha=float(alpha), N=N, p=p,
-                          critical_p=critical_exponent(alpha, N),
-                          divergence_exponent=e, diverges=e <= -1.0)
 
 
 # ---------------------------------------------------------------------------

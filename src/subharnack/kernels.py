@@ -1,9 +1,9 @@
 """Scalar convolution kernels on uniform time grids.
 
-Power kernels t^(beta-1)/Gamma(beta), the generalized Mittag-Leffler function,
-Yosida-regularized kernels obtained from scalar Volterra equations, and the
-bounded resolvent kernel.  A generic product-integration Volterra solver, on
-the blocked causal march of ``fracops``, cross-checks every closed form here.
+Power kernels t^(beta-1)/Gamma(beta), the generalized Mittag-Leffler function
+and Yosida-regularized kernels obtained from scalar Volterra equations.  A
+generic product-integration Volterra solver, on the blocked causal march of
+``fracops``, builds the Yosida kernels and cross-checks every closed form here.
 
 The Mittag-Leffler rays E_alpha(-s) and E_{alpha,alpha}(-s), and the
 fundamental solution in ``fundsol``, are positive mixtures of the M-Wright
@@ -40,7 +40,6 @@ __all__ = [
     "solve_volterra",
     "yosida_kernels",
     "yosida_l1_distance",
-    "resolvent_kernel",
 ]
 
 #: switch point between the power series and the integral representation
@@ -55,7 +54,7 @@ _RULE_ALPHAS = (0.1, 0.999)
 #: relative accuracy the series guard and the contour integral certify
 _ML_RTOL = 1e-11
 
-KINDS = ("riemann_liouville", "yosida_g", "yosida_h", "resolvent", "custom")
+KINDS = ("riemann_liouville", "yosida_g", "yosida_h", "custom")
 SAMPLINGS = ("grunwald", "cell_average", "node")
 
 
@@ -126,13 +125,13 @@ class KernelTable:
             raise ValueError(f"unknown sampling {self.sampling!r}")
         if not np.all(np.isfinite(vals[1:])):
             raise ValueError("values must be finite for j >= 1")
-        if self.kind in ("yosida_g", "resolvent"):
+        if self.kind == "yosida_g":
             body = vals[1:] if not np.isfinite(vals[0]) else vals
             scale = max(abs(body[0]), 1.0)
             if np.any(body < -1e-14 * scale):
-                raise ValueError(f"{self.kind} table must be nonnegative")
+                raise ValueError("yosida_g table must be nonnegative")
             if np.any(np.diff(body) > 1e-13 * scale):
-                raise ValueError(f"{self.kind} table must be nonincreasing")
+                raise ValueError("yosida_g table must be nonincreasing")
         if self.kind == "yosida_h":
             if np.any(vals[1:] < -1e-13 * max(abs(vals[1]), 1.0)):
                 raise ValueError("yosida_h table must be nonnegative")
@@ -658,37 +657,20 @@ def _solve_nodes(kernel: KernelTable, f: np.ndarray, rule: str) -> np.ndarray:
 
 
 def solve_volterra(kernel: KernelTable, f, rule: str = "trapezoid") -> KernelTable:
-    """Solve x + (kernel * x) = f by implicit product integration.
-
-    ``f`` may be a finite node-sampled array (length kernel.m + 1), or a
-    power-kernel table (singular right-hand side); in the latter case the
-    equation is integrated once, solved for the bounded cumulative unknown,
-    and differenced back, so the solution is returned as a cell-average table.
+    """Solve x + (kernel * x) = f by implicit product integration for a
+    finite node-sampled right-hand side f (length kernel.m + 1).
 
     The implicit "trapezoid" rule treats the unknown as piecewise linear with
     exact kernel moments, "rectangle" as piecewise constant (positive and
     monotone for stiff kernels); both march on ``fracops._causal_march``.
     """
-    if isinstance(f, KernelTable):
-        if f.kind != "riemann_liouville":
-            raise ValueError("singular right-hand sides must be power-kernel tables")
-        if abs(f.dt - kernel.dt) > 1e-12 * kernel.dt or f.m != kernel.m:
-            raise ValueError("kernel and right-hand side live on different grids")
-        beta, scale = f.params
-        t = f.times
-        f_int = scale * t ** beta / gamma_fn(beta + 1.0)
-        y = _solve_nodes(kernel, f_int, rule)
-        cells = np.diff(y) / kernel.dt
-        values = np.concatenate([[math.nan], cells])
-        return KernelTable(dt=kernel.dt, values=values, kind="custom",
-                           sampling="cell_average")
     f_arr = np.asarray(f, dtype=float)
     if f_arr.shape != (kernel.m + 1,):
         raise ValueError(
             f"f must have length {kernel.m + 1}, got shape {f_arr.shape}"
         )
     if not np.all(np.isfinite(f_arr)):
-        raise ValueError("f must be finite; pass singular data as a KernelTable")
+        raise ValueError("f must be finite")
     x = _solve_nodes(kernel, f_arr, rule)
     return KernelTable(dt=kernel.dt, values=x, kind="custom", sampling="node")
 
@@ -732,24 +714,3 @@ def yosida_l1_distance(alpha, n: int) -> float:
     diff = tm ** (-a) / gamma_fn(1.0 - a) - n * ray(n * tm ** a)
     return float(abs(head) + np.dot(wm, np.abs(diff)))
 
-
-def resolvent_kernel(alpha, theta: float, dt: float, m: int) -> KernelTable:
-    """Bounded-perturbation resolvent of the power kernel, via its closed form.
-
-    The table holds Gamma(alpha) * g_alpha(t) * E_{alpha,alpha}(-theta t^alpha)
-    at the nodes; strictly positive and nonincreasing.  theta = 0 reproduces
-    the plain power kernel samples; alpha = 1 is the classical limit exp(-theta t).
-    """
-    a = _as_alpha(alpha, classical_ok=True)
-    if theta < 0.0:
-        raise DomainError(f"theta must be nonnegative, got {theta}")
-    t = np.arange(1, m + 1) * dt
-    if a == 1.0:
-        values = np.concatenate([[1.0], np.exp(-theta * t)])
-    else:
-        # Gamma(alpha) * g_alpha(t) = t**(alpha-1)
-        ray = ml_on_negative_axis(a, a)
-        body = t ** (a - 1.0) * ray(theta * t ** a)
-        values = np.concatenate([[math.nan], body])
-    return KernelTable(dt=dt, values=values, kind="resolvent",
-                       sampling="node", params=(a, float(theta)))

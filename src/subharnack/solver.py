@@ -10,7 +10,6 @@ holds exactly.
 
 from __future__ import annotations
 
-import struct
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache, reduce
 from pathlib import Path
@@ -265,24 +264,6 @@ class SolveResult:
                 for p, v in zip(pts, u_t.reshape(-1)))
         Path(path).write_text(_csv_text("t,x,u" if dim == 1 else "t,x,y,u",
                                         rows), newline="")
-
-    def export_binary(self, path) -> None:
-        """Binary layout (little endian), documented byte-exactly in README:
-        magic "SUBHARN1", uint32 dim, uint32 time levels, uint32 nodes per
-        axis, float64 dt, float64 lower bounds, float64 cell widths, then the
-        solution as row-major float64."""
-        space = self.spec.space
-        with open(path, "wb") as fh:
-            fh.write(b"SUBHARN1")
-            fh.write(struct.pack("<II", space.dimension, self.u.shape[0]))
-            for nnodes in space.shape:
-                fh.write(struct.pack("<I", nnodes))
-            fh.write(struct.pack("<d", self.spec.time.dt))
-            for a in space.lower:
-                fh.write(struct.pack("<d", a))
-            for h in space.h:
-                fh.write(struct.pack("<d", h))
-            fh.write(np.ascontiguousarray(self.u, dtype="<f8").tobytes())
 
 
 # ---------------------------------------------------------------------------

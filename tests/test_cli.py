@@ -103,6 +103,17 @@ def test_converge_run(tmp_path):
     assert len(body) == 3
 
 
+def test_converge_order_is_per_doubling_of_m(tmp_path):
+    # a 4x refinement is two doublings: the order is still about 1 + alpha
+    cfg = write_cfg(tmp_path, "experiment=converge\nm_list=64,256\n")
+    out = tmp_path / "out"
+    assert cli.main([cfg, "--out", str(out)]) == 0
+    summary = dict(line.split("=", 1) for line in
+                   (out / "converge_summary.txt").read_text().splitlines())
+    assert summary["order_band"] == "pass"
+    assert abs(float(summary["orders"]) - 1.5) <= 0.3
+
+
 def test_threads_env_is_not_read(tmp_path, monkeypatch):
     cfg = write_cfg(tmp_path, "experiment=maxprinciple\nruns=2\n")
     monkeypatch.setenv("SUBHARNACK_THREADS", "abc")
@@ -201,8 +212,8 @@ def test_optimality_run_at_critical_exponent(tmp_path):
 
 
 def test_numerical_failure_exits_3(tmp_path):
-    # two-box geometry falls outside the unit interval: domain error -> 3
-    cfg = write_cfg(tmp_path, "experiment=harnack\nr=5.0\nrefine=0\n")
+    # the two boxes hold no cell midpoint of the 4-cell grid: empty region -> 3
+    cfg = write_cfg(tmp_path, "experiment=harnack\nnx=4\nr=0.05\nrefine=0\n")
     out = tmp_path / "out"
     status = cli.main([cfg, "--out", str(out)])
     assert status == 3
@@ -228,12 +239,20 @@ def test_numerical_failure_exits_3(tmp_path):
     # count lists take integers only, rather than truncating 64.5 to 64
     ("converge", "m_list=64.5,128.9,256"),
     ("identities", "n_levels=1,4.7,16"),
+    # lists are read in order: each must be strictly increasing
+    ("converge", "m_list=128,64"),
+    ("converge", "m_list=64,64"),
+    ("harnack", "p_list=1.5,1.0,0.5"),
+    ("identities", "n_levels=256,64,16"),
 ])
-def test_out_of_range_config_exits_2_without_files(tmp_path, experiment,
-                                                   setting):
+def test_out_of_range_config_exits_2_without_files(tmp_path, capsys,
+                                                   experiment, setting):
     cfg = write_cfg(tmp_path, f"experiment={experiment}\n{setting}\n")
     out = tmp_path / "out"
     assert cli.main([cfg, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("[subharnack] config error:")
+    assert err.count("\n") == 1
     assert not out.exists()
 
 
@@ -247,6 +266,10 @@ def test_out_of_range_config_exits_2_without_files(tmp_path, experiment,
     ("identities", "alpha=1.0"),
     ("harnack", "alpha=1.0"),
     ("optimality", "alpha=1.0"),
+    # geometry outside the unit interval, rejected before any solve
+    ("harnack", "x0=0.1"),
+    ("harnack", "r=5.0\nrefine=0"),
+    ("continuity", "x0=2.0"),
 ])
 def test_out_of_domain_config_is_a_config_error(tmp_path, capsys, experiment,
                                                 setting):
@@ -332,7 +355,7 @@ def run_fresh(args):
     (1, "experiment=identities\nm=8\nn_levels=1,4\ngnprop_m=2\n", "out"),
     (2, "experiment=converge\nm_list=64\n", "out"),
     (2, "experiment=converge\nm_list=16,32\n", "plain_file/sub"),
-    (3, "experiment=harnack\nr=5.0\nrefine=0\n", "out"),
+    (3, "experiment=harnack\nnx=4\nr=0.05\nrefine=0\n", "out"),
 ])
 def test_fresh_interpreter_exit_codes_without_traceback(tmp_path, status,
                                                         text, out):

@@ -87,23 +87,27 @@ def test_time_grid_step_must_be_finite_and_positive():
             F.TimeGrid.from_horizon(T, 4)
 
 
+def product_integral(k, v, dt):
+    """(k * v) at nodes 1..m by product integration: v piecewise constant
+    per cell with its right-node value, k through its cell values."""
+    return F.causal_sum(k.cell_values(), v[1:]) * dt
+
+
 def test_convolve_inverse_identity():
     m = 512
     grid = make_grid(m)
     ka = K.rl_kernel_table(0.5, grid.dt, m)
     kb = K.rl_kernel_table(0.5, grid.dt, m)
-    v = F.SampledPath(grid, np.concatenate([[0.0], kb.values[1:]]))
-    out = F.causal_convolve(ka, v)
-    assert out.values[0] == 0.0
-    assert np.abs(out.values[1:] - 1.0).max() <= 1e-12
+    out = product_integral(ka, kb.values, grid.dt)
+    assert np.abs(out - 1.0).max() <= 1e-12
 
 
 def test_convolve_unit_kernel_integrates():
     m = 128
     grid = make_grid(m)
     one = K.rl_kernel_table(1.0, grid.dt, m)
-    out = F.causal_convolve(one, F.SampledPath(grid, np.ones(m + 1)))
-    assert np.abs(out.values - grid.nodes).max() == 0.0
+    out = product_integral(one, np.ones(m + 1), grid.dt)
+    assert np.abs(out - grid.nodes[1:]).max() == 0.0
 
 
 def test_convolve_commutativity():
@@ -111,10 +115,8 @@ def test_convolve_commutativity():
     grid = make_grid(m)
     ka = K.rl_kernel_table(0.4, grid.dt, m, sampling="cell_average")
     kb = K.rl_kernel_table(0.8, grid.dt, m, sampling="cell_average")
-    va = F.SampledPath(grid, np.concatenate([[0.0], ka.cell_values()]))
-    vb = F.SampledPath(grid, np.concatenate([[0.0], kb.cell_values()]))
-    ab = F.causal_convolve(ka, vb).values
-    ba = F.causal_convolve(kb, va).values
+    ab = product_integral(ka, kb.values, grid.dt)
+    ba = product_integral(kb, ka.values, grid.dt)
     assert np.abs(ab - ba).max() < 1e-14 * np.abs(ab).max()
 
 
@@ -125,23 +127,22 @@ def test_convolve_exact_for_piecewise_constant_data():
     grid = make_grid(m, T=2.0)
     rng = np.random.default_rng(3)
     cells = rng.uniform(-1.0, 2.0, size=m)
-    v = F.SampledPath(grid, np.concatenate([[0.0], cells]))
     kern = K.rl_kernel_table(beta, grid.dt, m, sampling="cell_average")
-    got = F.causal_convolve(kern, v).values
+    got = product_integral(kern, np.concatenate([[0.0], cells]), grid.dt)
     G = lambda s: np.maximum(s, 0.0) ** beta / gamma(beta + 1.0)
     t = grid.nodes
-    exact = np.zeros(m + 1)
+    exact = np.zeros(m)
     for j in range(1, m + 1):
         i = np.arange(1, j + 1)
-        exact[j] = np.sum(cells[: j] * (G(t[j] - t[i - 1]) - G(t[j] - t[i])))
+        exact[j - 1] = np.sum(cells[: j] * (G(t[j] - t[i - 1]) - G(t[j] - t[i])))
     assert np.abs(got - exact).max() < 1e-13 * np.abs(exact).max()
 
 
 def test_convolve_grid_mismatch():
-    kern = K.rl_kernel_table(0.5, 0.01, 64)
+    kern = K.rl_kernel_table(1.5, 0.01, 64, sampling="node")
     path = F.SampledPath(make_grid(32), np.ones(33))
     with pytest.raises(GridMismatchError):
-        F.causal_convolve(kern, path)
+        F.fundamental_identity_residual(path, kern, lambda u: u, np.ones_like)
 
 
 # ---------------------------------------------------------------------------
@@ -155,11 +156,16 @@ def test_l1_weights_monotone():
     assert np.all(np.diff(b) < 0.0)
 
 
+def l1_derivative(grid, values, v0, alpha):
+    """The solver's L1 memory derivative of (v - v0) at nodes 1..m."""
+    dx = np.diff(np.concatenate([[v0], values[1:]]))
+    return F._l1_scheme(alpha, grid.dt, grid.m, dx)[2]
+
+
 def test_derivative_of_constant_is_zero():
     grid = make_grid(64)
-    path = F.SampledPath(grid, np.full(65, 3.7))
-    out = F.rl_derivative(path, 3.7, 0.5)
-    assert np.abs(out.values).max() == 0.0
+    out = l1_derivative(grid, np.full(65, 3.7), 3.7, 0.5)
+    assert np.abs(out).max() == 0.0
 
 
 def quadrature_derivative_oracle(grid, values, v0, alpha):
@@ -167,9 +173,8 @@ def quadrature_derivative_oracle(grid, values, v0, alpha):
     with (v - v0), then difference in time."""
     kern = K.rl_kernel_table(1.0 - alpha, grid.dt, grid.m,
                              sampling="cell_average")
-    shifted = F.SampledPath(grid, values - v0)
-    cum = F.causal_convolve(kern, shifted).values
-    return np.diff(cum) / grid.dt
+    cum = product_integral(kern, values - v0, grid.dt)
+    return np.diff(cum, prepend=0.0) / grid.dt
 
 
 def test_derivative_of_power_reaches_gamma():
@@ -178,11 +183,11 @@ def test_derivative_of_power_reaches_gamma():
     errs = []
     for m in (256, 512, 1024):
         grid = make_grid(m)
-        path = F.SampledPath(grid, 1.0 + grid.nodes ** alpha)
-        out = F.rl_derivative(path, 1.0, alpha)
-        window = grid.nodes >= 0.1
-        errs.append(np.abs(out.values - gamma(1.0 + alpha))[window].max())
-        oracle = quadrature_derivative_oracle(grid, path.values, 1.0, alpha)
+        values = 1.0 + grid.nodes ** alpha
+        out = l1_derivative(grid, values, 1.0, alpha)
+        window = grid.nodes[1:] >= 0.1
+        errs.append(np.abs(out - gamma(1.0 + alpha))[window].max())
+        oracle = quadrature_derivative_oracle(grid, values, 1.0, alpha)
         assert np.abs(oracle[m // 2:] - gamma(1.0 + alpha)).max() < 0.05
     assert errs[0] > errs[1] > errs[2]
     assert math.log2(errs[1] / errs[2]) > 1.2  # observed rate ~ 2 - alpha
@@ -191,10 +196,9 @@ def test_derivative_of_power_reaches_gamma():
 def test_derivative_of_linear_path():
     alpha, m = 0.5, 512
     grid = make_grid(m)
-    path = F.SampledPath(grid, 5.0 + grid.nodes)
-    out = F.rl_derivative(path, 5.0, alpha)
-    exact = 2.0 * np.sqrt(grid.nodes / math.pi)
-    assert np.abs(out.values - exact)[1:].max() < 1e-12
+    out = l1_derivative(grid, 5.0 + grid.nodes, 5.0, alpha)
+    exact = 2.0 * np.sqrt(grid.nodes[1:] / math.pi)
+    assert np.abs(out - exact).max() < 1e-12
 
 
 def test_derivative_inverse_property():
@@ -204,11 +208,11 @@ def test_derivative_inverse_property():
     errs = []
     for m in (256, 512, 1024):
         grid = make_grid(m)
-        path = F.SampledPath(grid, np.sin(2.0 * grid.nodes))
-        d = F.rl_derivative(path, 0.0, alpha)
+        values = np.sin(2.0 * grid.nodes)
+        d = l1_derivative(grid, values, 0.0, alpha)
         kern = K.rl_kernel_table(alpha, grid.dt, m, sampling="cell_average")
-        rec = F.causal_convolve(kern, d)
-        errs.append(np.abs(rec.values - path.values).max())
+        rec = F.causal_sum(kern.cell_values(), d) * grid.dt
+        errs.append(np.abs(rec - values[1:]).max())
     assert math.log2(errs[0] / errs[1]) > 0.9
     assert math.log2(errs[1] / errs[2]) > 0.9
 
@@ -315,15 +319,6 @@ def test_commutation_1_requires_zero_start():
     v = F.SampledPath(grid, np.ones(33))
     with pytest.raises(DomainError):
         F.commutation_residual_1(v, v, 0.5)
-
-
-def test_commutation_1_inequality_margin():
-    # nonnegative v, nondecreasing phi: one-sided form up to O(dt)
-    for m in (128, 256):
-        grid = make_grid(m)
-        v = F.SampledPath(grid, grid.nodes + 0.3 * np.sin(2.0 * grid.nodes))
-        phi = F.SampledPath(grid, 1.0 + 0.5 * grid.nodes ** 2)
-        assert F.commutation_inequality_margin(v, phi, 0.5) >= -5.0 * grid.dt
 
 
 def loop_comm1_correction(v, phi, alpha):

@@ -25,19 +25,9 @@ def test_critical_exponent_values():
         assert FS.critical_exponent(0.3, N) > 1.0
 
 
-def test_kappa_values():
-    assert FS.kappa(math.inf, 2) == pytest.approx(2.0)
-    assert FS.kappa(1.0 + 1e-9, 3) == pytest.approx(1.0, abs=1e-8)
-    alpha = 0.5
-    assert FS.kappa(1.0 / (1.0 - alpha), 1) == pytest.approx(
-        FS.critical_exponent(alpha, 1), rel=1e-14)
-    with pytest.raises(DomainError):
-        FS.kappa(0.9, 2)
-
-
 @pytest.mark.parametrize("N", [0, 1.5, math.nan, "2"])
 def test_dimension_is_a_count(N):
-    for call in (lambda: FS.critical_exponent(0.5, N), lambda: FS.kappa(2.0, N),
+    for call in (lambda: FS.critical_exponent(0.5, N),
                  lambda: FS.divergence_exponent(0.5, N, 2.0)):
         with pytest.raises(DomainError, match="N must be an integer"):
             call()
@@ -55,13 +45,6 @@ def test_divergence_at_critical_is_minus_one():
             d = FS.divergence_exponent(alpha, N,
                                        FS.critical_exponent(alpha, N))
             assert abs(d + 1.0) <= 1e-12
-
-
-def test_exponent_report_flags():
-    rep = FS.exponent_report(0.5, 1, 2.0)
-    assert rep.diverges and rep.divergence_exponent <= -1.0
-    rep = FS.exponent_report(0.5, 1, 1.0)
-    assert not rep.diverges
 
 
 # ---------------------------------------------------------------------------

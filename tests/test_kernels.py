@@ -105,7 +105,7 @@ def test_kernel_table_csv_roundtrip(tmp_path):
 
 
 def test_kernel_table_csv_writes_lf_and_reads_back_exactly(tmp_path):
-    tab = K.resolvent_kernel(0.5, 2.0, 0.01, 64)
+    tab = K.rl_kernel_table(0.5, 0.01, 64, sampling="node")
     path = tmp_path / "kernel.csv"
     tab.to_csv(path)
     blob = path.read_bytes()
@@ -505,9 +505,9 @@ def test_scalar_ml_matches_reference(alpha, beta, s, ref):
 
 @pytest.mark.parametrize("alpha", (0.001, 0.999999))
 def test_ml_ray_outside_its_measured_range(alpha):
-    # the scalar does not take the ray here, resolvent_kernel and
-    # yosida_l1_distance do: its documented error, 8.3e-11 (beta = 1) and
-    # 1.5e-10 (beta = alpha, s = 3e5) at alpha = 0.999999, 3.7e-11 at 0.001
+    # the scalar does not take the ray here, yosida_l1_distance (beta = 1)
+    # does: its documented error, 8.3e-11 (beta = 1) and 1.5e-10
+    # (beta = alpha, s = 3e5) at alpha = 0.999999, 3.7e-11 at 0.001
     s = np.array(ML_REF_S)
     for beta, row, bound in zip((1.0, alpha), ML_REF[alpha], (1e-10, 2e-10)):
         got = K.ml_on_negative_axis(alpha, beta)(s)
@@ -600,22 +600,6 @@ def test_volterra_classical_decay():
     assert np.abs(out.values - exact).max() < 5e-5
 
 
-def test_volterra_matches_resolvent_closed_form():
-    # singular right-hand side via the integrated reduction; O(dt) agreement
-    theta, alpha = 3.0, 0.5
-    res = []
-    for m in (256, 512):
-        dt = 1.0 / m
-        kern = K.rl_kernel_table(alpha, dt, m, scale=theta)
-        rhs = K.rl_kernel_table(alpha, dt, m)
-        cells = K.solve_volterra(kern, rhs).values[1:]
-        closed = K.resolvent_kernel(alpha, theta, dt, m).values[1:]
-        t = np.arange(1, m + 1) * dt
-        res.append(np.abs(cells - closed)[t >= 0.1].max())
-    # two-grid estimated first-order constant: res(dt/2) <= 0.65 * res(dt)
-    assert res[1] <= 0.65 * res[0]
-
-
 def test_volterra_linearity():
     rng = np.random.default_rng(7)
     for m in (64, LONG_M):
@@ -697,32 +681,3 @@ def test_yosida_rejects_bad_level():
             K.yosida_kernels(0.5, n, 0.01, 16)
         with pytest.raises(DomainError, match="n must be an integer"):
             K.yosida_l1_distance(0.5, n)
-
-
-# ---------------------------------------------------------------------------
-# resolvent kernel
-# ---------------------------------------------------------------------------
-
-def test_resolvent_theta_zero_is_power_kernel():
-    r = K.resolvent_kernel(0.5, 0.0, 0.01, 50)
-    g = K.rl_kernel_table(0.5, 0.01, 50, sampling="node")
-    assert np.abs(r.values[1:] - g.values[1:]).max() < 1e-14
-
-
-def test_resolvent_classical_limit():
-    r = K.resolvent_kernel(1.0, 2.0, 0.5, 2)
-    assert r.values[2] == pytest.approx(math.exp(-2.0), rel=1e-14)
-
-
-def test_resolvent_positivity_sweep():
-    dt, m = 0.05, 40
-    for alpha in (0.25, 0.5, 0.75):
-        for theta in (0.0, 1.0, 10.0, 100.0):
-            r = K.resolvent_kernel(alpha, theta, dt, m)
-            assert np.all(r.values[1:] > 0.0)
-            assert np.all(np.diff(r.values[1:]) <= 1e-13)
-
-
-def test_resolvent_rejects_negative_theta():
-    with pytest.raises(DomainError):
-        K.resolvent_kernel(0.5, -1.0, 0.1, 8)

@@ -373,24 +373,6 @@ def test_csv_export_roundtrip(tmp_path):
         assert np.array_equal(table[:, -1], res.u.reshape(-1))
 
 
-def test_binary_export_layout(tmp_path):
-    spec = interval_spec(nx=4, m=2, T=0.1)
-    res = S.solve_subdiffusion(spec)
-    path = tmp_path / "solve.bin"
-    res.export_binary(path)
-    blob = path.read_bytes()
-    assert blob[:8] == b"SUBHARN1"
-    dim, levels = struct.unpack_from("<II", blob, 8)
-    assert (dim, levels) == (1, 3)
-    (nodes,) = struct.unpack_from("<I", blob, 16)
-    assert nodes == 5
-    dt, lower, h = struct.unpack_from("<ddd", blob, 20)
-    assert dt == pytest.approx(0.05)
-    assert lower == 0.0 and h == pytest.approx(0.25)
-    data = np.frombuffer(blob, dtype="<f8", offset=44).reshape(3, 5)
-    assert np.array_equal(data, res.u)
-
-
 # ---------------------------------------------------------------------------
 # sparse LU solve path and input checks
 # ---------------------------------------------------------------------------
