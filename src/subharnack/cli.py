@@ -166,6 +166,9 @@ def parse_config(text: str) -> ExperimentConfig:
             values[key] = default
         if rule is not None and not rule[0](values[key]):
             raise ConfigError(f"{key} must be {rule[1]}, got {values[key]!r}")
+    if exp == "harnack" and values["low"] > values["high"]:
+        raise ConfigError(f"low must be at most high, got low={values['low']!r}"
+                          f" and high={values['high']!r}")
     return ExperimentConfig(
         experiment=values.pop("experiment"),
         alpha=values.pop("alpha"),

@@ -84,24 +84,32 @@ def causal_sum(w, x, lo: int = 0, hi: int | None = None) -> np.ndarray:
     """Causal sum out[n] = sum_{j<=n} w[j] * x[n-j] along axis 0, for
     lo <= n < hi (by default the len(x) outputs x covers).
 
-    ``x`` may carry trailing space axes and is taken as zero past its end;
-    ``w`` holds at least ``hi`` weights.  A 1-D ``x`` is summed directly
-    (exact products in a fixed order, so results are reproducible bit for
-    bit); a space-time ``x`` goes through one real FFT along time, whose
-    rounding is a few ulps of sum_j |w[j]| * max |x| at every output.  The
-    transform is circular: once ``lo >= len(x) - 1`` the outputs wanted
-    are free of wrap-around at length ``hi``, else it pads to the full
-    ``hi + len(x) - 1``.
+    ``x`` may carry trailing axes (space, or a stack of traces that share
+    ``w``) and is taken as zero past its end; ``w`` holds at least ``hi``
+    weights.  A 1-D ``x`` is summed directly (exact products in a fixed
+    order, so results are reproducible bit for bit); any other ``x`` goes
+    through one real FFT along axis 0, whose rounding is a few ulps of
+    sum_j |w[j]| * max |x| at every output.  The transform is circular:
+    once ``lo >= len(x) - 1`` the outputs wanted are free of wrap-around at
+    length ``hi``, else it pads to the full ``hi + len(x) - 1``.
     """
     x = np.asarray(x, dtype=float)
-    n = x.shape[0]
-    hi = n if hi is None else hi
+    hi = x.shape[0] if hi is None else hi
     if x.ndim == 1:
         return np.convolve(w, x)[lo:hi]
+    return _fft_window(w, x, lo, hi, {})
+
+
+def _fft_window(w, x, lo, hi, spectra):
+    """``causal_sum``'s FFT path; ``spectra`` keeps the transform of each
+    weight window ``w[:hi]`` under its length and size, for reuse."""
+    n = x.shape[0]
     size = next_fast_len(hi if lo >= n - 1 else hi + n - 1, real=True)
+    wspec = spectra.get((hi, size))
+    if wspec is None:
+        wspec = spectra[hi, size] = rfft(np.asarray(w, dtype=float)[:hi], size)
     spec = rfft(x, size, axis=0)
-    spec *= rfft(np.asarray(w, dtype=float)[:hi], size).reshape(
-        (-1,) + (1,) * (x.ndim - 1))
+    spec *= wspec.reshape((-1,) + (1,) * (x.ndim - 1))
     out = irfft(spec, size, axis=0, overwrite_x=True)
     # the spectrum is freed before the window is copied out, and the copy
     # lets the rest of the transform buffer go with it
@@ -112,21 +120,23 @@ def causal_sum(w, x, lo: int = 0, hi: int | None = None) -> np.ndarray:
 _BLOCK = 64
 
 
-def _causal_march(lo, hi, leaf, rows, w):
+def _causal_march(lo, hi, leaf, rows, w, spectra=None):
     """Solve levels lo..hi-1 of a causal system whose level n has the
     history sum_{j>=1} w[j] rows[n-j], kept in its unsolved row n.
     ``leaf(a, z)`` solves up to ``_BLOCK`` levels, summing the history from
     within them directly; a longer span is marched in halves, the first
-    adding its share to the second by one windowed ``causal_sum`` (Hairer,
-    Lubich & Schlichte 1985), O(m log^2 m) per column.  A scalar keeps one
-    column, so that sum takes its FFT path.  Module-level: no closure refers
-    to itself, so a solve's buffers are freed with its result at once."""
+    adding its share to the second by one windowed FFT sum (Hairer, Lubich
+    & Schlichte 1985), O(m log^2 m) per column.  Its weight window depends
+    only on the span's length, so ``spectra`` carries each length's
+    transform down the recursion.  Module-level: no closure refers to
+    itself, so a solve's buffers are freed with its result at once."""
     if hi - lo <= _BLOCK:
         return leaf(lo, hi)
+    spectra = {} if spectra is None else spectra
     mid = (lo + hi) // 2
-    _causal_march(lo, mid, leaf, rows, w)
-    rows[mid:hi] += causal_sum(w, rows[lo:mid], mid - lo, hi - lo)
-    _causal_march(mid, hi, leaf, rows, w)
+    _causal_march(lo, mid, leaf, rows, w, spectra)
+    rows[mid:hi] += _fft_window(w, rows[lo:mid], mid - lo, hi - lo, spectra)
+    _causal_march(mid, hi, leaf, rows, w, spectra)
 
 
 def l1_weights(alpha: float, m: int) -> np.ndarray:
@@ -173,13 +183,16 @@ def _centered(y: np.ndarray, dt: float) -> np.ndarray:
 
 
 def _trapezoid_convolve(k: np.ndarray, v: np.ndarray, dt: float) -> np.ndarray:
-    return dt * (causal_sum(k, v) - 0.5 * k * v[0] - 0.5 * k[0] * v)
+    """Trapezoid rule for (k * v)(t_n) at every node, for one trace ``v``
+    (a direct sum) or an (m + 1, c) stack of traces (one FFT)."""
+    kc = k.reshape((-1,) + (1,) * (v.ndim - 1))
+    return dt * (causal_sum(k, v) - 0.5 * kc * v[0] - 0.5 * k[0] * v)
 
 
-def _interior_mask(grid: TimeGrid, t_min: float) -> np.ndarray:
-    mask = np.zeros(grid.m + 1, dtype=bool)
-    mask[1: grid.m] = True
-    return mask & (grid.nodes >= t_min)
+def _interior_max(lhs, rhs, grid: TimeGrid, t_min: float = 0.0) -> float:
+    """Max |lhs - rhs| over the interior nodes with t >= t_min."""
+    keep = grid.nodes[1:-1] >= t_min
+    return float(np.abs(lhs - rhs)[1:-1][keep].max())
 
 
 def fundamental_identity_history(u: SampledPath, k: KernelTable, H, Hp) -> np.ndarray:
@@ -188,17 +201,17 @@ def fundamental_identity_history(u: SampledPath, k: KernelTable, H, Hp) -> np.nd
     Discretized by the trapezoid rule on the lag variable with the kernel
     derivative taken by centered differences; term-by-term nonnegative when
     H is convex and the kernel table is nonincreasing.  The bracket is
-    expanded into trapezoidal causal sums of -k' against 1, H(u) and u.
+    expanded into trapezoidal causal sums of -k' against one stack of 1,
+    H(u) and u.
     """
     kv = _require_regular(k)
     _match_grids(k, u.grid)
     dt = u.grid.dt
     uu = u.values
-    neg_kdot = -_centered(kv, dt)
-    S = _trapezoid_convolve(neg_kdot, np.ones_like(uu), dt)
-    T1 = _trapezoid_convolve(neg_kdot, H(uu), dt)
-    T2 = _trapezoid_convolve(neg_kdot, uu, dt)
-    return T1 - H(uu) * S - Hp(uu) * (T2 - uu * S)
+    Hu = H(uu)
+    S, T1, T2 = _trapezoid_convolve(
+        -_centered(kv, dt), np.column_stack([np.ones_like(uu), Hu, uu]), dt).T
+    return T1 - Hu * S - Hp(uu) * (T2 - uu * S)
 
 
 def fundamental_identity_residual(
@@ -217,14 +230,15 @@ def fundamental_identity_residual(
     _match_grids(k, u.grid)
     dt = u.grid.dt
     uu = u.values
-    lhs = Hp(uu) * _centered(_trapezoid_convolve(kv, uu, dt), dt)
+    Hu, Hpu = H(uu), Hp(uu)
+    ku, kH = _trapezoid_convolve(kv, np.column_stack([uu, Hu]), dt).T
+    lhs = Hpu * _centered(ku, dt)
     rhs = (
-        _centered(_trapezoid_convolve(kv, H(uu), dt), dt)
-        + (-H(uu) + Hp(uu) * uu) * kv
+        _centered(kH, dt)
+        + (-Hu + Hpu * uu) * kv
         + fundamental_identity_history(u, k, H, Hp)
     )
-    mask = _interior_mask(u.grid, t_min)
-    return float(np.abs(lhs - rhs)[mask].max())
+    return _interior_max(lhs, rhs, u.grid, t_min)
 
 
 def _neg_gdot_pi(alpha: float, dt: float, m: int):
@@ -258,15 +272,12 @@ def _comm1_terms(v: SampledPath, phi: SampledPath, alpha: float):
     vdot = _centered(vv, dt)
     phid = _centered(ph, dt)
     gcells = rl_kernel_table(a, dt, m, sampling="cell_average").cell_values()
-
-    def conv_mid(data):
-        out = np.zeros(m + 1)
-        out[1:] = causal_sum(gcells, 0.5 * (data[:-1] + data[1:])) * dt
-        return out
-
-    lhs = conv_mid(ph * vdot)
-    term1 = ph * conv_mid(vdot)
-    corr2 = conv_mid(phid * vv)
+    # g against the cell midpoints of phi vdot, vdot and phid v, as one stack
+    data = np.column_stack([ph * vdot, vdot, phid * vv])
+    conv = np.zeros((m + 1, 3))
+    conv[1:] = causal_sum(gcells, 0.5 * (data[:-1] + data[1:])) * dt
+    lhs, conv_vdot, corr2 = conv.T
+    term1 = ph * conv_vdot
     # corr1[j] = w_first D(1) + sum_{l=1}^{j-1} D(l) (M0 - M1/dt)[l-1]
     # + D(l+1) M1[l-1]/dt with D(l) = (phi_j - phi_{j-l}) v_{j-l}; the lag-j
     # term of the (M0 - M1/dt) part is left out, so that part runs on v_0 := 0
@@ -274,8 +285,10 @@ def _comm1_terms(v: SampledPath, phi: SampledPath, alpha: float):
     k_in = np.concatenate([[0.0], M0 - M1 / dt])
     k_end = np.concatenate([[0.0, w_first], M1[:-1] / dt])
     v_in = np.concatenate([[0.0], vv[1:]])
-    corr1 = (ph * (causal_sum(k_in, v_in) + causal_sum(k_end, vv))
-             - causal_sum(k_in, ph * v_in) - causal_sum(k_end, ph * vv))
+    # each kernel against its trace and phi times it, as one stack
+    kv_in, kpv_in = causal_sum(k_in, np.column_stack([v_in, ph * v_in])).T
+    kv_end, kpv_end = causal_sum(k_end, np.column_stack([vv, ph * vv])).T
+    corr1 = ph * (kv_in + kv_end) - kpv_in - kpv_end
     return lhs, term1, corr1, corr2
 
 
@@ -288,27 +301,23 @@ def commutation_residual_1(v: SampledPath, phi: SampledPath, alpha) -> float:
     moments, which keeps the residual first-order accurate.
     """
     lhs, term1, corr1, corr2 = _comm1_terms(v, phi, alpha)
-    rhs = term1 + corr1 - corr2
-    mask = _interior_mask(v.grid, 0.0)
-    return float(np.abs(lhs - rhs)[mask].max())
+    return _interior_max(lhs, term1 + corr1 - corr2, v.grid)
 
 
 def commutation_residual_2(k: KernelTable, v: SampledPath,
                            phi: SampledPath) -> float:
     """Max nodal residual of the product rule for phi(t) d/dt (k * v) with a
     regular (H^1) kernel table; trapezoidal quadratures and centered
-    differences throughout."""
+    differences throughout; k and k' each act on one stack of v, phi v."""
     kv = _require_regular(k)
     _match_grids(k, v.grid)
     _match_grids_path(v, phi)
     dt = v.grid.dt
     vv, ph = v.values, phi.values
-    kdot = _centered(kv, dt)
-    lhs = ph * _centered(_trapezoid_convolve(kv, vv, dt), dt)
-    d2 = _centered(_trapezoid_convolve(kv, ph * vv, dt), dt)
+    traces = np.column_stack([vv, ph * vv])
+    kv_v, kv_pv = _trapezoid_convolve(kv, traces, dt).T
+    lhs = ph * _centered(kv_v, dt)
+    d2 = _centered(kv_pv, dt)
     # trapezoid rule for int k'(s) (phi(t) - phi(t-s)) v(t-s) ds
-    corr = (ph * _trapezoid_convolve(kdot, vv, dt)
-            - _trapezoid_convolve(kdot, ph * vv, dt))
-    rhs = d2 + corr
-    mask = _interior_mask(v.grid, 0.0)
-    return float(np.abs(lhs - rhs)[mask].max())
+    kdot_v, kdot_pv = _trapezoid_convolve(_centered(kv, dt), traces, dt).T
+    return _interior_max(lhs, d2 + ph * kdot_v - kdot_pv, v.grid)

@@ -366,3 +366,16 @@ def test_fresh_interpreter_exit_codes_without_traceback(tmp_path, status,
     assert "Traceback" not in proc.stderr
     if status >= 2:
         assert proc.stderr.count("[subharnack]") == 1
+
+
+def test_fresh_interpreter_rejects_low_above_high(tmp_path):
+    # the checkerboard needs 0 < low <= high: a config error, not a run failure
+    cfg = write_cfg(tmp_path, "experiment=harnack\nlow=5\nhigh=1\nrefine=0\n")
+    out = tmp_path / "out"
+    proc = run_fresh([cfg, "--out", str(out)])
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr.startswith("[subharnack] config error: low must be")
+    assert proc.stderr.count("\n") == 1 and "Traceback" not in proc.stderr
+    assert not out.exists()
+    equal = cli.parse_config("experiment=harnack\nlow=2\nhigh=2\n")
+    assert equal.params["low"] == equal.params["high"] == 2.0

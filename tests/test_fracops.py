@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.fft import next_fast_len
 from scipy.special import gamma
 
 from subharnack import fracops as F
@@ -65,6 +66,25 @@ def test_causal_sum_window_matches_loop(lo, hi, ndim):
     assert np.abs(got - want).max() <= 1e-13 * bound
     if (lo, hi) == (0, 40):
         assert np.array_equal(got, F.causal_sum(w, x))
+
+
+@pytest.mark.parametrize("m", [66, 100, 255, 4096])
+@pytest.mark.parametrize("cols", [1, 2, 3, 5])
+def test_stacked_sums_match_direct_per_column(m, cols):
+    # each column of a stack goes through the FFT padded to a fast length
+    assert next_fast_len(2 * m + 1, real=True) > 2 * m + 1
+    rng = np.random.default_rng(10 * m + cols)
+    k = rng.uniform(-1.0, 1.0, size=m + 1)
+    v = rng.uniform(-2.0, 2.0, size=(m + 1, cols))
+    dt = 1.0 / m
+    bound = 1e-13 * np.abs(k).sum() * np.abs(v).max()
+    sums = F.causal_sum(k, v)
+    conv = F._trapezoid_convolve(k, v, dt)
+    assert sums.shape == conv.shape == v.shape
+    for c in range(cols):
+        assert np.abs(sums[:, c] - F.causal_sum(k, v[:, c])).max() <= bound
+        direct = F._trapezoid_convolve(k, v[:, c], dt)
+        assert np.abs(conv[:, c] - direct).max() <= dt * bound
 
 
 def test_time_grid_step_count_must_be_integral():
@@ -392,3 +412,82 @@ def test_commutation_2_two_grid_rate():
     C = res[0] * 128
     assert math.log2(res[0] / res[1]) > 0.8
     assert res[2] <= 1.3 * C / 512
+
+
+# ---------------------------------------------------------------------------
+# the verifiers' stacked FFT sums against one direct sum per trace
+# ---------------------------------------------------------------------------
+
+def trapezoid_1d(k, v, dt):
+    return dt * (F.causal_sum(k, v) - 0.5 * k * v[0] - 0.5 * k[0] * v)
+
+
+def direct_identity_history(u, k, H, Hp):
+    dt, uu = u.grid.dt, u.values
+    neg_kdot = -F._centered(k.values, dt)
+    S, T1, T2 = (trapezoid_1d(neg_kdot, y, dt)
+                 for y in (np.ones_like(uu), H(uu), uu))
+    return T1 - H(uu) * S - Hp(uu) * (T2 - uu * S)
+
+
+def direct_identity_residual(u, k, H, Hp, t_min):
+    dt, uu, kv = u.grid.dt, u.values, k.values
+    lhs = Hp(uu) * F._centered(trapezoid_1d(kv, uu, dt), dt)
+    rhs = (F._centered(trapezoid_1d(kv, H(uu), dt), dt)
+           + (-H(uu) + Hp(uu) * uu) * kv + direct_identity_history(u, k, H, Hp))
+    return np.abs(lhs - rhs)[1:-1][u.grid.nodes[1:-1] >= t_min].max()
+
+
+def direct_commutation_1(v, phi, alpha):
+    dt, m = v.grid.dt, v.grid.m
+    vv, ph = v.values, phi.values
+    vdot, phid = F._centered(vv, dt), F._centered(ph, dt)
+    gcells = K.rl_kernel_table(alpha, dt, m, sampling="cell_average").cell_values()
+
+    def conv_mid(data):
+        out = np.zeros(m + 1)
+        out[1:] = F.causal_sum(gcells, 0.5 * (data[:-1] + data[1:])) * dt
+        return out
+
+    M0, M1, w_first = F._neg_gdot_pi(alpha, dt, m)
+    k_in = np.concatenate([[0.0], M0 - M1 / dt])
+    k_end = np.concatenate([[0.0, w_first], M1[:-1] / dt])
+    v_in = np.concatenate([[0.0], vv[1:]])
+    corr1 = (ph * (F.causal_sum(k_in, v_in) + F.causal_sum(k_end, vv))
+             - F.causal_sum(k_in, ph * v_in) - F.causal_sum(k_end, ph * vv))
+    rhs = ph * conv_mid(vdot) + corr1 - conv_mid(phid * vv)
+    return np.abs(conv_mid(ph * vdot) - rhs)[1:m].max()
+
+
+def direct_commutation_2(k, v, phi):
+    dt, m = v.grid.dt, v.grid.m
+    vv, ph, kv = v.values, phi.values, k.values
+    kdot = F._centered(kv, dt)
+    lhs = ph * F._centered(trapezoid_1d(kv, vv, dt), dt)
+    d2 = F._centered(trapezoid_1d(kv, ph * vv, dt), dt)
+    corr = ph * trapezoid_1d(kdot, vv, dt) - trapezoid_1d(kdot, ph * vv, dt)
+    return np.abs(lhs - d2 - corr)[1:m].max()
+
+
+@pytest.mark.parametrize("m", [256, 512, 4096])
+def test_verifiers_match_one_direct_sum_per_trace(m):
+    # the spectral benchmark's paths and kernels; the stacked FFT sums may
+    # move a residual by rounding only, far below its discretization size
+    grid = make_grid(m)
+    t = grid.nodes
+    u = smooth_path(grid)
+    v = F.SampledPath(grid, t + 0.3 * np.sin(2.0 * t))
+    phi = F.SampledPath(grid, 1.0 + 0.5 * t ** 2)
+    w = F.SampledPath(grid, 1.0 + 0.5 * np.cos(3.0 * t))
+    g4, _ = K.yosida_kernels(0.5, 4, grid.dt, m)
+    g2, _ = K.yosida_kernels(0.5, 2, grid.dt, m)
+    pairs = [
+        (F.fundamental_identity_residual(u, g4, *H2, t_min=0.1),
+         direct_identity_residual(u, g4, *H2, 0.1)),
+        (F.commutation_residual_1(v, phi, 0.5), direct_commutation_1(v, phi, 0.5)),
+        (F.commutation_residual_2(g2, w, phi), direct_commutation_2(g2, w, phi)),
+    ]
+    for got, want in pairs:
+        assert abs(got - want) <= 1e-12
+    hist = F.fundamental_identity_history(u, g4, *H2)
+    assert np.abs(hist - direct_identity_history(u, g4, *H2)).max() <= 1e-12

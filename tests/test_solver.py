@@ -12,6 +12,7 @@ from scipy.special import erfcx, gamma
 from subharnack import solver as S
 from subharnack.errors import DomainError, GridMismatchError, LinearSolveError
 from subharnack import fracops as F
+from subharnack import kernels as K
 from subharnack.fracops import TimeGrid
 from subharnack.harnack import HarnackConfig
 from subharnack.kernels import mittag_leffler
@@ -833,6 +834,40 @@ def assert_matches_direct_march(spec):
 @pytest.mark.parametrize("dim", [1, 2])
 def test_blocked_history_matches_direct_march(dim):
     assert_matches_direct_march(long_spec(dim))
+
+
+def march_transforming_every_split(lo, hi, leaf, rows, w):
+    """The blocked march with its weight window transformed again by
+    ``causal_sum`` at every split."""
+    if hi - lo <= F._BLOCK:
+        return leaf(lo, hi)
+    mid = (lo + hi) // 2
+    march_transforming_every_split(lo, mid, leaf, rows, w)
+    rows[mid:hi] += F.causal_sum(w, rows[lo:mid], mid - lo, hi - lo)
+    march_transforming_every_split(mid, hi, leaf, rows, w)
+
+
+def scalar_relaxation(rule):
+    time = TimeGrid.from_horizon(2.0, LONG_M)
+    if rule == "trapezoid":
+        return S.solve_scalar_relaxation(0.5, 3.0, 1.5, time).values
+    kern = K.rl_kernel_table(0.5, time.dt, time.m, sampling="cell_average",
+                             scale=3.0)
+    return K.solve_volterra(kern, np.full(time.m + 1, 1.5), rule=rule).values
+
+
+@pytest.mark.parametrize("case", ["trapezoid", "rectangle", 1, 2])
+def test_march_spectrum_reuse_is_bitwise(monkeypatch, case):
+    # LONG_M splits into uneven halves, so a depth has two span lengths
+    if isinstance(case, str):
+        run = lambda: scalar_relaxation(case)
+    else:
+        spec = long_spec(case)
+        run = lambda: S.solve_subdiffusion(spec).u
+    got = run()
+    monkeypatch.setattr(F, "_causal_march", march_transforming_every_split)
+    monkeypatch.setattr(S, "_causal_march", march_transforming_every_split)
+    assert np.array_equal(got, run())
 
 
 def test_symmetric_ordering_matches_default_ordering_march():
