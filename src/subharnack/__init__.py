@@ -72,7 +72,6 @@ from .solver import (
     solve_scalar_relaxation,
     solve_subdiffusion,
     supersolution_residual,
-    tent_test_fields,
 )
 
 __version__ = "0.1.0"

@@ -80,29 +80,29 @@ def _match_grids_path(v: SampledPath, w: SampledPath) -> None:
         raise GridMismatchError("paths live on different grids")
 
 
-def causal_sum(w, x, lo: int = 0, hi: int | None = None) -> np.ndarray:
-    """Causal sum out[n] = sum_{j<=n} w[j] * x[n-j] along axis 0, for
-    lo <= n < hi (by default the len(x) outputs x covers).
+def causal_sum(w, x) -> np.ndarray:
+    """Causal sum out[n] = sum_{j<=n} w[j] * x[n-j] along axis 0, for the
+    len(x) outputs x covers.
 
     ``x`` may carry trailing axes (space, or a stack of traces that share
-    ``w``) and is taken as zero past its end; ``w`` holds at least ``hi``
-    weights.  A 1-D ``x`` is summed directly (exact products in a fixed
-    order, so results are reproducible bit for bit); any other ``x`` goes
-    through one real FFT along axis 0, whose rounding is a few ulps of
-    sum_j |w[j]| * max |x| at every output.  The transform is circular:
-    once ``lo >= len(x) - 1`` the outputs wanted are free of wrap-around at
-    length ``hi``, else it pads to the full ``hi + len(x) - 1``.
+    ``w``); ``w`` holds at least len(x) weights.  A 1-D ``x`` is summed
+    directly (exact products in a fixed order, so results are reproducible
+    bit for bit); any other ``x`` goes through one real FFT along axis 0,
+    whose rounding is a few ulps of sum_j |w[j]| * max |x| at every output.
     """
     x = np.asarray(x, dtype=float)
-    hi = x.shape[0] if hi is None else hi
     if x.ndim == 1:
-        return np.convolve(w, x)[lo:hi]
-    return _fft_window(w, x, lo, hi, {})
+        return np.convolve(w, x)[:x.shape[0]]
+    return _fft_window(w, x, 0, x.shape[0], {})
 
 
 def _fft_window(w, x, lo, hi, spectra):
-    """``causal_sum``'s FFT path; ``spectra`` keeps the transform of each
-    weight window ``w[:hi]`` under its length and size, for reuse."""
+    """``causal_sum``'s FFT path for the outputs lo <= n < hi, with ``x``
+    taken as zero past its end and ``w`` holding at least ``hi`` weights;
+    ``spectra`` keeps the transform of each weight window ``w[:hi]`` under
+    its length and size, for reuse.  The transform is circular: once
+    ``lo >= len(x) - 1`` the outputs wanted are free of wrap-around at
+    length ``hi``, else it pads to the full ``hi + len(x) - 1``."""
     n = x.shape[0]
     size = next_fast_len(hi if lo >= n - 1 else hi + n - 1, real=True)
     wspec = spectra.get((hi, size))

@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache, reduce
 from pathlib import Path
-from typing import Callable, Iterator, Optional, Union
+from typing import Callable, Optional, Union
 
 import numpy as np
 import scipy.sparse as sp
@@ -34,7 +34,6 @@ __all__ = [
     "solve_subdiffusion",
     "solve_scalar_relaxation",
     "supersolution_residual",
-    "tent_test_fields",
 ]
 
 BoundaryData = Union[None, float, Callable[[float, np.ndarray], np.ndarray]]
@@ -249,10 +248,6 @@ class SolveResult:
         return self.spec.time.nodes
 
     @cached_property
-    def _stencil(self):
-        return _grid_stencil(self.spec.space)
-
-    @cached_property
     def _operators(self):
         return _level_operators(self.spec)
 
@@ -461,7 +456,7 @@ def solve_subdiffusion(spec: ProblemSpec) -> SolveResult:
     rows = U.reshape(m + 1, -1)
     result = SolveResult(spec=spec, u=U)
     ops, state = result._operators
-    stencil = result._stencil
+    stencil = _grid_stencil(space)
     inner, outer = stencil.inner, stencil.outer
     pts_in, pts_out = stencil.pts_in, stencil.pts_out
     factors = [None] * len(ops)
@@ -559,10 +554,10 @@ def solve_scalar_relaxation(alpha, sigma: float, u0: float,
 # discrete weak form
 # ---------------------------------------------------------------------------
 
-def tent_test_fields(spec: ProblemSpec) -> Iterator[np.ndarray]:
-    """Nonnegative product tent fields vanishing on the spatial boundary and
-    at the final time, as arrays on the space-time nodes; yielded one at a
-    time, so the weak form holds one field, not the family, next to u."""
+def _tent_factors(spec: ProblemSpec):
+    """Temporal factors (3, m+1) and spatial factors (3, nodes) of the nine
+    product tents tau_a(t) sigma_b(x): nonnegative, vanishing on the
+    spatial boundary and at the final time."""
     space, time = spec.space, spec.time
     T = time.horizon
     tn = time.nodes
@@ -570,52 +565,48 @@ def tent_test_fields(spec: ProblemSpec) -> Iterator[np.ndarray]:
     def hat(x, c, w):
         return np.maximum(0.0, 1.0 - np.abs(x - c) / w)
 
-    temporal = [
+    temporal = np.array([
         np.maximum(0.0, 1.0 - tn / T),
         hat(tn, T / 3.0, T / 3.0),
         hat(tn, T / 2.0, T / 2.0 - 1e-12 * T),
-    ]
-    spatial = []
-    for frac_c, frac_w in ((0.5, 0.45), (0.35, 0.25), (0.65, 0.25)):
-        spatial.append(_tensor_field(np.multiply, [
-            hat(xs, a + frac_c * (b - a), frac_w * (b - a))
-            for xs, a, b in zip(space.axes(), space.lower, space.upper)]))
-    for tt in temporal:
-        for ss in spatial:
-            yield np.multiply.outer(tt, ss)
+    ])
+    spatial = np.array([_tensor_field(np.multiply, [
+        hat(xs, a + frac_c * (b - a), frac_w * (b - a))
+        for xs, a, b in zip(space.axes(), space.lower, space.upper)]).ravel()
+        for frac_c, frac_w in ((0.5, 0.45), (0.35, 0.25), (0.65, 0.25))])
+    return temporal, spatial
 
 
-def supersolution_residual(result: SolveResult, test_fields=None) -> float:
-    """Most negative value of the discrete weak form over the test family.
+def supersolution_residual(result: SolveResult) -> float:
+    """Most negative value of the discrete weak form over the nine tents.
 
     The form pairs the memory derivative with the test field and adds the
     discrete Dirichlet energy; by exact summation by parts it equals the
     forcing paired with the test field, so it is nonnegative (up to
-    rounding) exactly when the run is a supersolution.  The memory
-    derivative plus L u, with each level's operator L from the same walk
-    the solve factorized, forms one residual array R, and each test field
-    eta contributes <R, eta>.
+    rounding) exactly when the run is a supersolution.  Each tent is a
+    product tau(t) sigma(x), so the form contracts space first: the memory
+    derivative acts on the traces u . sigma, and L u, with each level's
+    operator L from the same walk the solve factorized, on the rows
+    sigma L.  Nothing of the size of u is allocated.
     """
     spec = result.spec
     m = spec.time.m
-    U = result.u
+    rows = result.u.reshape(m + 1, -1)
+    tau, sigma = _tent_factors(spec)
 
-    R = _l1_scheme(spec.alpha, spec.time.dt, m,
-                   np.diff(U, axis=0))[2].reshape(m, -1)
-    V = U[1:].reshape(m, -1)
+    # F[n - 1, b]: the memory derivative plus L u at level n, paired with
+    # sigma_b
+    F = _l1_scheme(spec.alpha, spec.time.dt, m,
+                   np.diff(rows @ sigma.T, axis=0))[2]
     ops, state = result._operators
+    # sigma L, not L sigma: L need not be symmetric
+    paired = [sigma @ L for L in ops]
     # runs of consecutive levels in one state: slices, not gathered copies
     edges = [0, *(np.flatnonzero(np.diff(state)) + 1), m]
     for lo, hi in zip(edges[:-1], edges[1:]):
-        R[lo:hi] += (ops[state[lo]] @ V[lo:hi].T).T
-
-    if test_fields is None:
-        test_fields = tent_test_fields(spec)
-    worst = np.inf
-    for eta in test_fields:
-        if eta.shape != U.shape:
-            raise GridMismatchError("test field shape does not match solution")
-        # the cell measure dt * prod(h) scales form and norm alike
-        norm = max(float(np.sum(np.abs(eta))), 1e-300)
-        worst = min(worst, float(np.vdot(R, eta[1:])) / norm)
-    return float(worst)
+        F[lo:hi] += rows[lo + 1:hi + 1] @ paired[state[lo]].T
+    # the factors are nonnegative, so a tent's L1 norm is the product of
+    # their sums; the cell measure dt * prod(h) scales form and norm alike
+    form = (tau[:, 1:] @ F) / np.multiply.outer(tau.sum(axis=1),
+                                                 sigma.sum(axis=1))
+    return float(form.min())

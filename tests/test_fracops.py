@@ -60,11 +60,13 @@ def test_causal_sum_window_matches_loop(lo, hi, ndim):
     padded = np.zeros((100,) + x.shape[1:])
     padded[:40] = x
     want = naive_causal_sum(w, padded)[lo:hi]
-    got = F.causal_sum(w, x, lo, hi)
+    got = F._fft_window(w, x, lo, hi, {})
     assert got.shape == want.shape
     bound = np.abs(w).sum() * np.abs(x).max()
     assert np.abs(got - want).max() <= 1e-13 * bound
-    if (lo, hi) == (0, 40):
+    # a stack's causal sum is the default window; a single trace is summed
+    # directly instead
+    if (lo, hi) == (0, 40) and ndim == 2:
         assert np.array_equal(got, F.causal_sum(w, x))
 
 

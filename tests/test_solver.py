@@ -1,6 +1,7 @@
 import gc
 import math
 import struct
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -316,30 +317,61 @@ def weak_form_cases():
     return [one_d, two_d]
 
 
+def tents(spec):
+    """The nine product tents as space-time arrays."""
+    tau, sigma = S._tent_factors(spec)
+    shape = (spec.time.m + 1,) + spec.space.shape
+    return [np.multiply.outer(t, s).reshape(shape) for t in tau for s in sigma]
+
+
 @pytest.mark.parametrize("case", [0, 1, 2],
                          ids=["1d_static", "2d_time_flip", "2d_hand_made"])
 def test_weak_form_matches_level_loop(case):
     spec = weak_form_cases()[min(case, 1)]
     res = S.solve_subdiffusion(spec)
-    rng = np.random.default_rng(case)
     if case == 2:
         # built by hand, so the weak form walks the operators itself
+        rng = np.random.default_rng(case)
         res = S.SolveResult(spec=spec,
                             u=res.u + rng.uniform(-1.0, 1.0, res.u.shape))
-    fields = [*S.tent_test_fields(spec), rng.uniform(-1.0, 1.0, res.u.shape)]
-    want = loop_supersolution_values(res, fields)
-    got = np.array([S.supersolution_residual(res, [eta]) for eta in fields])
-    assert np.abs(got - want).max() <= 1e-12 * max(1.0, np.abs(want).max())
-    assert S.supersolution_residual(res, fields) == got.min()
+    want = loop_supersolution_values(res, tents(spec))
+    got = S.supersolution_residual(res)
+    assert abs(got - want.min()) <= 1e-12 * max(1.0, np.abs(want).max())
 
 
-def test_tent_fields_shape_and_sign():
-    spec = weak_spec(None)
-    for eta in S.tent_test_fields(spec):
-        assert eta.shape == (25, 65)
-        assert eta.min() >= 0.0
-        assert np.abs(eta[-1]).max() == 0.0  # vanishes at final time
-        assert np.abs(eta[:, 0]).max() == 0.0 and np.abs(eta[:, -1]).max() == 0.0
+@pytest.mark.parametrize("dim", [1, 2])
+def test_tent_factors_vanish_on_boundary_and_at_final_time(dim):
+    spec = weak_spec(None) if dim == 1 else rect_spec()
+    tau, sigma = S._tent_factors(spec)
+    boundary = spec.space.boundary_mask().ravel()
+    assert tau.shape == (3, spec.time.m + 1)
+    assert sigma.shape == (3, boundary.size)
+    assert tau.min() >= 0.0 and sigma.min() >= 0.0
+    assert np.all(tau.sum(axis=1) > 0.0) and np.all(sigma.sum(axis=1) > 0.0)
+    assert np.abs(tau[:, -1]).max() == 0.0
+    assert np.abs(sigma[:, boundary]).max() == 0.0
+
+
+@pytest.mark.parametrize("shape", [(160,), (64, 64)], ids=["1d", "2d"])
+def test_weak_form_allocates_far_less_than_the_solution(shape):
+    # a residual array and a space-time tent array of u's size, with FFT
+    # buffers twice as long in time, would peak near 5 u.nbytes
+    lower, upper = (0.0,) * len(shape), (1.0,) * len(shape)
+    g = S.SpaceGrid(lower, upper, shape)
+    m = 2048 if len(shape) == 1 else 48
+    spec = S.ProblemSpec(
+        alpha=0.5, space=g, time=TimeGrid.from_horizon(0.2, m),
+        u0=np.ones(g.shape), boundary=0.0,
+        coefficients=S.checkerboard_coefficients(g, 8, 1.0, 5.0))
+    res = S.solve_subdiffusion(spec)
+    S.supersolution_residual(res)
+    tracemalloc.start()
+    try:
+        S.supersolution_residual(res)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 0.5 * res.u.nbytes
 
 
 # ---------------------------------------------------------------------------
@@ -510,7 +542,7 @@ def test_stencil_operators_bitwise_equal_coo_assembly(monkeypatch, cells,
         ref = coo_operator(spec, 1 + int(np.argmax(state == s)))
         A_ref = (ref[inner][:, inner]
                  + c0 * sp.identity(inner.size, format="csr")).tocsc()
-        A, B = res._stencil.blocks(L.data, c0)
+        A, B = S._grid_stencil(g).blocks(L.data, c0)
         for got, want in ((L, ref), (factorized[s], A_ref), (A, A_ref),
                           (B, ref[inner][:, outer])):
             assert got.format == want.format and got.shape == want.shape
@@ -622,9 +654,10 @@ def test_equal_grids_share_one_read_only_stencil():
     a = S.solve_subdiffusion(rect_spec())
     b = S.solve_subdiffusion(rect_spec(time_flip=2))
     assert a.spec.space is not b.spec.space and a.spec.space == b.spec.space
-    assert a._stencil is b._stencil
+    stencil = S._grid_stencil(a.spec.space)
+    assert S._grid_stencil(b.spec.space) is stencil
     assert S._grid_stencil.cache_info().misses == 1
-    arrays = stencil_arrays(a._stencil)
+    arrays = stencil_arrays(stencil)
     assert len(arrays) >= 15
     assert not any(arr.flags.writeable for arr in arrays)
     # -0.0 and 0.0 bounds are one grid with one set of node points
@@ -656,10 +689,11 @@ def test_cached_stencil_run_bitwise_equal_after_cache_clear(make):
     S.solve_subdiffusion(make())
     warm = S.solve_subdiffusion(spec)
     warm_form = S.supersolution_residual(warm)
+    warm_stencil = S._grid_stencil(spec.space)
     S._grid_stencil.cache_clear()
     cold = S.solve_subdiffusion(spec)
     cold_form = S.supersolution_residual(cold)
-    assert warm._stencil is not cold._stencil
+    assert S._grid_stencil(spec.space) is not warm_stencil
     assert warm.u.tobytes() == cold.u.tobytes()
     assert warm.diagnostics == cold.diagnostics
     assert struct.pack("<d", warm_form) == struct.pack("<d", cold_form)
@@ -837,13 +871,13 @@ def test_blocked_history_matches_direct_march(dim):
 
 
 def march_transforming_every_split(lo, hi, leaf, rows, w):
-    """The blocked march with its weight window transformed again by
-    ``causal_sum`` at every split."""
+    """The blocked march with its weight window transformed again at every
+    split."""
     if hi - lo <= F._BLOCK:
         return leaf(lo, hi)
     mid = (lo + hi) // 2
     march_transforming_every_split(lo, mid, leaf, rows, w)
-    rows[mid:hi] += F.causal_sum(w, rows[lo:mid], mid - lo, hi - lo)
+    rows[mid:hi] += F._fft_window(w, rows[lo:mid], mid - lo, hi - lo, {})
     march_transforming_every_split(mid, hi, leaf, rows, w)
 
 
@@ -886,7 +920,7 @@ def test_symmetric_ordering_matches_default_ordering_march():
     assert len(ops) == 2
     c0 = spec.time.dt ** (-spec.alpha) / gamma(2.0 - spec.alpha)
     for L in ops:
-        A, _ = res._stencil.blocks(L.data, c0)
+        A, _ = S._grid_stencil(g).blocks(L.data, c0)
         assert not np.array_equal(
             spl.splu(A).perm_c, spl.splu(A, permc_spec="MMD_AT_PLUS_A").perm_c)
 
