@@ -348,6 +348,23 @@ def _ml_asymptotic(alpha: float, beta: float, s):
     return -np.polyval(np.append(coeffs, 0.0), -1.0 / s)
 
 
+def _ml_asymptotic_sum(alpha: float, beta: float, s: float):
+    """E_{alpha,beta}(-s) as -sum_k (-s)^-k / Gamma(beta - alpha k), summed
+    while the envelope s^-k Gamma(1 + alpha k - beta) of its terms falls;
+    the sum once the envelope is below 1e-17 of it, else None.  Needs
+    beta < 1 + alpha, so the envelope is finite from k = 1."""
+    total, prev = 0.0, math.inf
+    for k in range(1, _SERIES_NMAX):
+        total -= (-s) ** -k * rgamma(beta - alpha * k)
+        env = math.exp(gammaln(1.0 + alpha * k - beta) - k * math.log(s))
+        if k > 2 and total != 0.0 and env < 1e-17 * abs(total):
+            return total
+        if k > 2 and env > prev:
+            return None
+        prev = env
+    return None
+
+
 def mittag_leffler(alpha: float, beta: float, z: float) -> float:
     """Generalized Mittag-Leffler function E_{alpha,beta}(z) for real z.
 
@@ -358,7 +375,10 @@ def mittag_leffler(alpha: float, beta: float, z: float) -> float:
     in the range over which its error was measured; beta >=
     1 + alpha, alpha <= 1, steps of E_{a,b}(z) = (E_{a,b-a}(z) -
     1/Gamma(b-a)) / z back into this list, at most ``_ML_MAX_STEPS`` of
-    them; and the contour integral the rest.  The classical
+    them; and the contour integral the rest.  Where the contour gives up
+    for z < -5 (alpha = 0.001, beta = 1 for 5 < -z < 1e6), the asymptotic
+    series serves if its envelope falls below 1e-17 of its sum (23 terms,
+    4.4e-16 from a 40-digit value, at -z = 6).  The classical
     limits alpha = 1, beta = 1 (exponential) and alpha > 1 on the series'
     safe range are supported as documented special cases.
     """
@@ -403,7 +423,17 @@ def mittag_leffler(alpha: float, beta: float, z: float) -> float:
                 beta = beta - alpha
             continue
         if alpha < 1.0:
-            val = _ml_integral(alpha, beta, z, _ML_RTOL)
+            try:
+                val = _ml_integral(alpha, beta, z, _ML_RTOL)
+            except AccuracyError:
+                # the contour's rule cannot follow u^(alpha - beta) for alpha
+                # near 0 (alpha = 0.001, beta = 1 from s = 6 on); there the
+                # asymptotic series converges to rounding before it diverges
+                val = None
+                if z < -Z_SWITCH:
+                    val = _ml_asymptotic_sum(alpha, beta, -z)
+                if val is None:
+                    raise
             break
         raise AccuracyError(
             f"no convergent evaluation path for E_({alpha},{beta})({z})")
@@ -442,9 +472,20 @@ def _exp_mixture(x: np.ndarray, rates: np.ndarray,
     return out.reshape(x.shape)
 
 
+@lru_cache(maxsize=None)
+def _gauss_legendre(n: int):
+    """Read-only nodes and weights of the n-point Gauss-Legendre rule on
+    [-1, 1], memoized: the module uses a few fixed orders, and each
+    ``leggauss`` call is an eigenvalue solve."""
+    x, w = np.polynomial.legendre.leggauss(n)
+    x.setflags(write=False)
+    w.setflags(write=False)
+    return x, w
+
+
 def _gauss_panels(edges: np.ndarray, n: int):
     """Composite n-point Gauss-Legendre rule on consecutive edges (last axis)."""
-    x, w = np.polynomial.legendre.leggauss(n)
+    x, w = _gauss_legendre(n)
     mid = 0.5 * (edges[..., 1:] + edges[..., :-1])
     half = 0.5 * (edges[..., 1:] - edges[..., :-1])
     shape = edges.shape[:-1] + (-1,)
@@ -576,8 +617,11 @@ def ml_on_negative_axis(alpha: float, beta: float):
         s = np.asarray(s, dtype=float)
         if not np.all(s >= 0.0):
             raise DomainError("the ray takes s >= 0")
-        far = _ml_asymptotic(a, beta, np.maximum(s, _S_ASYMPTOTIC))
-        return np.where(s >= _S_ASYMPTOTIC, far, _exp_mixture(s, nodes, weights))
+        out = _exp_mixture(s, nodes, weights)
+        far = s >= _S_ASYMPTOTIC
+        if far.any():
+            out[far] = _ml_asymptotic(a, beta, s[far])
+        return out
 
     return ray
 
@@ -696,21 +740,48 @@ def yosida_kernels(alpha, n: int, dt: float, m: int):
     return g_table, h_table
 
 
+def _sign_changes(f, edges: np.ndarray) -> np.ndarray:
+    """The points where f changes sign between consecutive (increasing,
+    positive) edges, to rounding: every bracket is bisected in log t at
+    once, one call of f per step."""
+    up = f(edges) > 0.0
+    cut = np.flatnonzero(up[:-1] != up[1:])
+    lo, hi, up = np.log(edges[cut]), np.log(edges[cut + 1]), up[cut]
+    while True:
+        mid = 0.5 * (lo + hi)
+        if not np.any((lo < mid) & (mid < hi)):
+            return np.exp(hi)
+        left = (f(np.exp(mid)) > 0.0) == up
+        lo, hi = np.where(left, mid, lo), np.where(left, hi, mid)
+
+
 def yosida_l1_distance(alpha, n: int) -> float:
     """L1([0, 1]) distance of the level-n regularized kernel from its limit.
 
     Uses the closed form of the bounded kernel through the Mittag-Leffler
-    function, with graded Gauss panels toward the origin where the limit
-    kernel is singular; grid tables cannot resolve the initial layer once
-    n is large, this quadrature can.
+    ray, with 70 geometric 16-point Gauss panels toward the origin where the
+    limit kernel is singular; grid tables cannot resolve the initial layer
+    once n is large, this quadrature can.  The integrand
+    t^-alpha/Gamma(1-alpha) - n E_alpha(-n t^alpha) is n h(n t^alpha) with
+    h(s) = 1/(s Gamma(1-alpha)) - E_alpha(-s); for alpha > 1/2 h turns
+    negative (its s^-2 term 1/Gamma(1-2 alpha) is), so each sign change
+    between panel edges becomes an edge too, and every panel integrates a
+    smooth function.  Against the same integrand on 140 80-point panels,
+    split the same way, it is within 2.1e-11 relative for alpha in {0.001,
+    0.3, 0.5, 0.7, 0.9, 0.999} and n in {1, 16, 256, 65536}; the unsplit
+    140 x 40-point rule it replaces was off by up to 8.4e-7 relative for
+    alpha > 1/2, so those distances moved by as much.
     """
     a, n = _as_alpha(alpha), _as_count(n, "n", 1)
     ray = ml_on_negative_axis(a, 1.0)
     a0 = 1e-14
     # analytic head: on [0, a0] the bounded kernel is ~ n, the limit dominates
     head = a0 ** (1.0 - a) / gamma_fn(2.0 - a) - n * a0
-    tm, wm = _gauss_panels(
-        np.concatenate([[a0], np.geomspace(a0 * 10.0, 1.0, 140)]), 40)
-    diff = tm ** (-a) / gamma_fn(1.0 - a) - n * ray(n * tm ** a)
-    return float(abs(head) + np.dot(wm, np.abs(diff)))
 
+    def diff(t):
+        return t ** (-a) / gamma_fn(1.0 - a) - n * ray(n * t ** a)
+
+    edges = np.concatenate([[a0], np.geomspace(a0 * 10.0, 1.0, 70)])
+    edges = np.sort(np.concatenate([edges, _sign_changes(diff, edges)]))
+    tm, wm = _gauss_panels(edges, 16)
+    return float(abs(head) + np.dot(wm, np.abs(diff(tm))))

@@ -10,8 +10,9 @@ holds exactly.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from dataclasses import dataclass, field
-from functools import cached_property, lru_cache, reduce
+from functools import cached_property, reduce
 from pathlib import Path
 from typing import Callable, Optional, Union
 
@@ -348,13 +349,15 @@ class _Stencil:
         # in the interior block a row's diagonal follows its interior low
         # neighbours
         self.diag = self.parts[0][2][:-1] + (~bmask[col[:, :dim]]).sum(axis=1)
-        shared = list(vars(self).values())
+        shared, sizes = list(vars(self).values()), {}
         while shared:
             value = shared.pop()
             if isinstance(value, (tuple, list)):
                 shared.extend(value)
             elif isinstance(value, np.ndarray):
                 value.flags.writeable = False
+                sizes[id(value)] = value.nbytes
+        self.nbytes = sum(sizes.values())
 
     def operator(self, w: np.ndarray):
         """L in CSR for face weights w.  ``bincount`` adds each diagonal's
@@ -376,11 +379,47 @@ class _Stencil:
                 sp.csr_matrix((data[tb], ib, pb), shape=(n_in, n_out)))
 
 
-@lru_cache(maxsize=128)
-def _grid_stencil(space: SpaceGrid) -> _Stencil:
-    """The stencil of ``space``, memoized on the grid (the 128 most recent):
-    equal grids share one read-only stencil."""
-    return _Stencil(space)
+#: bytes of stencil arrays that ``_grid_stencil`` keeps: some fifteen
+#: 256 x 256-cell grids (17 MB each), or thousands of small ones
+_STENCIL_BUDGET = 256 * 2 ** 20
+
+_StencilCacheInfo = namedtuple("_StencilCacheInfo",
+                               "hits misses nbytes currsize")
+
+
+class _StencilCache:
+    """Memo from grid to stencil, least recently used first out, bounded by
+    the stencils' bytes (``_STENCIL_BUDGET``) rather than their count: equal
+    grids share one read-only stencil.  The newest stencil stays even when
+    it alone exceeds the budget."""
+
+    def __init__(self):
+        self.cache_clear()
+
+    def __call__(self, space: SpaceGrid) -> _Stencil:
+        # a plain dict keeps insertion order: re-inserting a hit makes it
+        # the most recently used
+        stencil = self._kept.pop(space, None)
+        if stencil is None:
+            self.misses += 1
+            stencil = _Stencil(space)
+            self.nbytes += stencil.nbytes
+            while self._kept and self.nbytes > _STENCIL_BUDGET:
+                self.nbytes -= self._kept.pop(next(iter(self._kept))).nbytes
+        else:
+            self.hits += 1
+        self._kept[space] = stencil
+        return stencil
+
+    def cache_info(self) -> _StencilCacheInfo:
+        return _StencilCacheInfo(self.hits, self.misses, self.nbytes,
+                                 len(self._kept))
+
+    def cache_clear(self) -> None:
+        self._kept, self.hits, self.misses, self.nbytes = {}, 0, 0, 0
+
+
+_grid_stencil = _StencilCache()
 
 
 def _level_operators(spec: ProblemSpec):

@@ -6,6 +6,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy.optimize import brentq
 from scipy.special import erfcx, gamma, gammaln
 
 from subharnack import fracops as F
@@ -212,14 +213,11 @@ def test_ml_beta_lowering_takes_many_steps():
     # 79 steps from beta = 40.5; 500-digit value of the power series
     ref = 1.35158643865780223952647843053e-48
     assert abs(K.mittag_leffler(0.5, 40.5, -30.0) / ref - 1.0) <= 1e-13
-    # about 1000 steps, past the interpreter's recursion limit: the contour
-    # at alpha = 0.001 may then give up, but only with AccuracyError
-    try:
-        val = K.mittag_leffler(0.001, 2.0, -30.0)
-    except AccuracyError:
-        pass
-    else:
-        assert math.isfinite(val)
+    # about 1000 steps, past the interpreter's recursion limit, down to
+    # beta = 1, where the contour at alpha = 0.001 gives up and the
+    # asymptotic series serves; 60-digit mpmath sum of that series
+    ref = 0.032271255966421054829170491998630757817504
+    assert abs(K.mittag_leffler(0.001, 2.0, -30.0) / ref - 1.0) <= 1e-13
     # an alpha below beta's rounding lowers nothing: a bounded number of steps
     # (also where (beta - 1)/alpha overflows)
     for alpha in (1e-20, 1e-320):
@@ -302,13 +300,13 @@ def test_ml_ray_takes_beta_one_or_alpha():
 
 
 def _scipy_integrate_and_interpolate_after(code):
-    """The scipy.integrate and scipy.interpolate modules loaded after running
-    ``code`` in a fresh interpreter."""
+    """The scipy.integrate, scipy.interpolate and scipy.optimize modules
+    loaded after running ``code`` in a fresh interpreter."""
     src = str(Path(K.__file__).resolve().parents[1])
     env = {**os.environ,
            "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
     code += ("; print(sorted(m for m in sys.modules if m.startswith("
-             "('scipy.integrate', 'scipy.interpolate'))))")
+             "('scipy.integrate', 'scipy.interpolate', 'scipy.optimize'))))")
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True).stdout
     return out.strip()
@@ -330,6 +328,13 @@ def test_scalar_ml_at_a_fresh_alpha_skips_scipy_integrate():
     # the first call at an alpha builds its rule rather than take the contour
     assert _scipy_integrate_and_interpolate_after(
         "import sys, subharnack; subharnack.mittag_leffler(0.3, 1.0, -30.0)"
+    ) == "[]"
+
+
+def test_yosida_l1_distance_split_skips_scipy_integrate_and_optimize():
+    # alpha = 0.7 has a sign change to bisect; the ray's rule is built cold
+    assert _scipy_integrate_and_interpolate_after(
+        "import sys, subharnack; subharnack.yosida_l1_distance(0.7, 16)"
     ) == "[]"
 
 
@@ -484,10 +489,9 @@ def test_scalar_ml_matches_reference(alpha, beta, s, ref):
         contour = K._ml_integral(alpha, beta, -s, 1e-11)
     except AccuracyError:
         # only the contour's algebraic-weight rule at alpha = 0.001, beta = 1
-        # gives up, and no other path serves that case
+        # gives up; the scalar then sums the asymptotic series
         assert alpha == 0.001 and beta == 1.0
-        with pytest.raises(AccuracyError):
-            K.mittag_leffler(alpha, beta, -s)
+        assert abs(K.mittag_leffler(alpha, beta, -s) / ref - 1.0) <= 1e-13
         return
     assert abs(contour / ref - 1.0) <= 1e-13
     lo, hi = K._RULE_ALPHAS
@@ -659,6 +663,53 @@ def test_yosida_l1_distances_decrease():
     integrand = np.abs(t ** -0.5 / gamma(0.5) - 4.0 * erfcx(4.0 * np.sqrt(t)))
     oracle = np.trapezoid(integrand, t)
     assert dists[1] == pytest.approx(oracle, rel=2e-3)
+
+
+def yosida_l1_oracle(alpha, n):
+    """The integrand of ``yosida_l1_distance``, with its analytic head, on
+    140 geometric 80-point Gauss panels, split where a scan of 4000 points
+    sees it change sign (refined by brentq)."""
+    ray = K.ml_on_negative_axis(alpha, 1.0)
+
+    def f(t):
+        return t ** -alpha / gamma(1.0 - alpha) - n * ray(n * t ** alpha)
+
+    a0 = 1e-14
+    head = a0 ** (1.0 - alpha) / gamma(2.0 - alpha) - n * a0
+    scan = np.geomspace(a0, 1.0, 4000)
+    up = f(scan) > 0.0
+    roots = [brentq(lambda t: float(f(t)), scan[i], scan[i + 1],
+                    xtol=1e-300, rtol=1e-15)
+             for i in np.flatnonzero(up[:-1] != up[1:])]
+    edges = np.sort(np.concatenate(
+        [[a0], np.geomspace(1e-13, 1.0, 140), roots]))
+    x, w = np.polynomial.legendre.leggauss(80)
+    mid, half = 0.5 * (edges[1:] + edges[:-1]), 0.5 * np.diff(edges)
+    t = (mid[:, None] + half[:, None] * x).ravel()
+    return abs(head) + np.dot((half[:, None] * w).ravel(), np.abs(f(t)))
+
+
+@pytest.mark.parametrize("alpha", [0.001, 0.3, 0.5, 0.7, 0.9, 0.999])
+def test_yosida_l1_distance_matches_the_split_80_point_rule(alpha):
+    # for alpha > 1/2 the integrand changes sign once in (0, 1): a panel
+    # across that kink left the unsplit 40-point rule ~1e-6 off at 0.7
+    for n in (1, 16, 256, 65536):
+        ref = yosida_l1_oracle(alpha, n)
+        assert abs(K.yosida_l1_distance(alpha, n) - ref) <= 1e-10 * min(ref, 1.0)
+
+
+@pytest.mark.parametrize("n", [12, 16, 40])
+def test_gauss_panels_are_the_fresh_leggauss_rule(n):
+    edges = np.array([[0.0, 0.5, 2.0, 7.0], [-1.0, 0.0, 1e-3, 1.0]])
+    x, w = np.polynomial.legendre.leggauss(n)
+    mid = 0.5 * (edges[:, 1:] + edges[:, :-1])
+    half = 0.5 * (edges[:, 1:] - edges[:, :-1])
+    want = ((mid[..., None] + half[..., None] * x).reshape(2, -1),
+            (half[..., None] * w).reshape(2, -1))
+    for _ in range(2):      # the first call may build the memoized rule
+        got = K._gauss_panels(edges, n)
+        assert [g.tobytes() for g in got] == [v.tobytes() for v in want]
+    assert not any(arr.flags.writeable for arr in K._gauss_legendre(n))
 
 
 def test_yosida_finite_at_origin_and_monotone():

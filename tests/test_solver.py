@@ -665,6 +665,36 @@ def test_equal_grids_share_one_read_only_stencil():
     assert math.copysign(1.0, signed.lower[0]) == 1.0
 
 
+def test_stencil_cache_evicts_least_recently_used_past_its_byte_budget(
+        monkeypatch):
+    S._grid_stencil.cache_clear()
+    a, b, c = (S.SpaceGrid.interval(0.0, 1.0, n) for n in (8, 16, 32))
+    sizes = [S._Stencil(g).nbytes for g in (a, b, c)]
+    for g, size in zip((a, b, c), sizes):
+        # every distinct array once: the face axes sit in two attributes
+        arrays = {id(x): x.nbytes for x in stencil_arrays(S._Stencil(g))}
+        assert size == sum(arrays.values())
+    monkeypatch.setattr(S, "_STENCIL_BUDGET", sum(sizes) - 1)
+    first_a, first_b = S._grid_stencil(a), S._grid_stencil(b)
+    assert S._grid_stencil(a) is first_a        # a hit: a is now the newest
+    S._grid_stencil(c)                          # one byte over: b goes
+    info = S._grid_stencil.cache_info()
+    assert (info.hits, info.misses, info.currsize) == (1, 3, 2)
+    assert info.nbytes == sizes[0] + sizes[2]
+    assert S._grid_stencil(a) is first_a
+    rebuilt = S._grid_stencil(b)                # a miss, and c goes
+    assert rebuilt is not first_b
+    assert S._grid_stencil.cache_info()[1:] == (4, sizes[0] + sizes[1], 2)
+    old, new = stencil_arrays(first_b), stencil_arrays(rebuilt)
+    assert [(x.dtype, x.shape, x.tobytes()) for x in old] == [
+        (x.dtype, x.shape, x.tobytes()) for x in new]
+    # a stencil over the budget on its own is still kept, alone
+    monkeypatch.setattr(S, "_STENCIL_BUDGET", 1)
+    assert S._grid_stencil(c) is S._grid_stencil(c)
+    assert S._grid_stencil.cache_info().currsize == 1
+    S._grid_stencil.cache_clear()
+
+
 def test_evaluator_cannot_write_shared_quarter_points():
     def vandal(_ti, pts):
         pts[..., 0] = 0.0
