@@ -174,14 +174,6 @@ def _require_regular(k: KernelTable) -> np.ndarray:
     return k.values
 
 
-def _centered(y: np.ndarray, dt: float) -> np.ndarray:
-    d = np.empty_like(y)
-    d[1:-1] = (y[2:] - y[:-2]) / (2.0 * dt)
-    d[0] = (y[1] - y[0]) / dt
-    d[-1] = (y[-1] - y[-2]) / dt
-    return d
-
-
 def _trapezoid_convolve(k: np.ndarray, v: np.ndarray, dt: float) -> np.ndarray:
     """Trapezoid rule for (k * v)(t_n) at every node, for one trace ``v``
     (a direct sum) or an (m + 1, c) stack of traces (one FFT)."""
@@ -210,7 +202,7 @@ def fundamental_identity_history(u: SampledPath, k: KernelTable, H, Hp) -> np.nd
     uu = u.values
     Hu = H(uu)
     S, T1, T2 = _trapezoid_convolve(
-        -_centered(kv, dt), np.column_stack([np.ones_like(uu), Hu, uu]), dt).T
+        -np.gradient(kv, dt), np.column_stack([np.ones_like(uu), Hu, uu]), dt).T
     return T1 - Hu * S - Hp(uu) * (T2 - uu * S)
 
 
@@ -232,9 +224,9 @@ def fundamental_identity_residual(
     uu = u.values
     Hu, Hpu = H(uu), Hp(uu)
     ku, kH = _trapezoid_convolve(kv, np.column_stack([uu, Hu]), dt).T
-    lhs = Hpu * _centered(ku, dt)
+    lhs = Hpu * np.gradient(ku, dt)
     rhs = (
-        _centered(kH, dt)
+        np.gradient(kH, dt)
         + (-Hu + Hpu * uu) * kv
         + fundamental_identity_history(u, k, H, Hp)
     )
@@ -269,8 +261,8 @@ def _comm1_terms(v: SampledPath, phi: SampledPath, alpha: float):
     scale = max(np.abs(vv).max(), 1.0)
     if abs(vv[0]) > 1e-12 * scale:
         raise DomainError("commutation identity requires v(0) = 0")
-    vdot = _centered(vv, dt)
-    phid = _centered(ph, dt)
+    vdot = np.gradient(vv, dt)
+    phid = np.gradient(ph, dt)
     gcells = rl_kernel_table(a, dt, m, sampling="cell_average").cell_values()
     # g against the cell midpoints of phi vdot, vdot and phid v, as one stack
     data = np.column_stack([ph * vdot, vdot, phid * vv])
@@ -316,8 +308,8 @@ def commutation_residual_2(k: KernelTable, v: SampledPath,
     vv, ph = v.values, phi.values
     traces = np.column_stack([vv, ph * vv])
     kv_v, kv_pv = _trapezoid_convolve(kv, traces, dt).T
-    lhs = ph * _centered(kv_v, dt)
-    d2 = _centered(kv_pv, dt)
+    lhs = ph * np.gradient(kv_v, dt)
+    d2 = np.gradient(kv_pv, dt)
     # trapezoid rule for int k'(s) (phi(t) - phi(t-s)) v(t-s) ds
-    kdot_v, kdot_pv = _trapezoid_convolve(_centered(kv, dt), traces, dt).T
+    kdot_v, kdot_pv = _trapezoid_convolve(np.gradient(kv, dt), traces, dt).T
     return _interior_max(lhs, d2 + ph * kdot_v - kdot_pv, v.grid)

@@ -440,11 +440,16 @@ def _trapezoid_weights(space: SpaceGrid) -> np.ndarray:
     return _tensor_field(np.multiply, parts)
 
 
-def weighted_poincare_check(space: SpaceGrid, u: np.ndarray, weight,
-                            slack: float = 0.02) -> PoincareCheck:
+# relative allowance on the Poincare bound for the trapezoid quadrature and
+# the finite-difference gradient that discretize both of its sides
+_POINCARE_SLACK = 0.02
+
+
+def weighted_poincare_check(space: SpaceGrid, u: np.ndarray,
+                            weight) -> PoincareCheck:
     """Check the weighted mean-deviation bound: the phi-weighted variance of
     u is controlled by 2 d^2 mu(supp phi)/|phi|_1 times the phi-weighted
-    gradient energy."""
+    gradient energy, up to the relative ``_POINCARE_SLACK``."""
     u = np.asarray(u, dtype=float)
     if u.shape != space.shape:
         raise DomainError(f"u has shape {u.shape}, grid nodes {space.shape}")
@@ -476,5 +481,5 @@ def weighted_poincare_check(space: SpaceGrid, u: np.ndarray, weight,
     # absolute rounding allowance so constant fields (rhs = 0) pass cleanly
     eps_abs = 1e-24 * float(np.sum(qw * u * u * phi) + 1.0)
     return PoincareCheck(lhs=lhs, rhs=rhs,
-                         passed=lhs <= rhs * (1.0 + slack) + eps_abs,
+                         passed=lhs <= rhs * (1.0 + _POINCARE_SLACK) + eps_abs,
                          ratio=lhs / rhs if rhs > 0.0 else math.inf)

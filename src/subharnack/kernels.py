@@ -18,7 +18,6 @@ import numbers
 import warnings
 from dataclasses import dataclass, field
 from functools import lru_cache
-from pathlib import Path
 
 import numpy as np
 from scipy.special import gamma as gamma_fn
@@ -142,10 +141,6 @@ class KernelTable:
     def m(self) -> int:
         return self.values.size - 1
 
-    @property
-    def times(self) -> np.ndarray:
-        return np.arange(self.values.size) * self.dt
-
     def cell_values(self) -> np.ndarray:
         """Per-cell representative values used by causal convolution (cells 1..m)."""
         if self.sampling in ("grunwald", "cell_average"):
@@ -156,26 +151,6 @@ class KernelTable:
             )
         return 0.5 * (self.values[:-1] + self.values[1:])
 
-    def to_csv(self, path) -> None:
-        Path(path).write_text(_csv_text("t,value", zip(self.times, self.values)),
-                              newline="")
-
-    @classmethod
-    def from_csv(cls, path, sampling: str = "node") -> "KernelTable":
-        rows = [line.split(",") for line in Path(path).read_text().splitlines()]
-        if not rows:
-            raise ValueError(f"{path}: empty file, expected header t,value")
-        if rows[0][:2] != ["t", "value"]:
-            raise ValueError(f"expected header t,value, got {rows[0]}")
-        if len(rows) < 3:
-            raise ValueError(f"{path}: a table needs at least two rows after "
-                             f"the header, got {len(rows) - 1}")
-        t = np.array([float(row[0]) for row in rows[1:]])
-        v = [float(row[1]) for row in rows[1:]]
-        dts = np.diff(t)
-        if not np.allclose(dts, dts[0], rtol=1e-12, atol=0.0):
-            raise ValueError("grid in CSV is not uniform")
-        return cls(dt=float(dts[0]), values=np.asarray(v), sampling=sampling)
 
 
 def rl_kernel(beta: float, t: float) -> float:

@@ -13,7 +13,6 @@ from __future__ import annotations
 from collections import namedtuple
 from dataclasses import dataclass, field
 from functools import cached_property, reduce
-from pathlib import Path
 from typing import Callable, Optional, Union
 
 import numpy as np
@@ -22,8 +21,7 @@ from scipy.sparse.linalg import splu
 
 from .errors import DomainError, GridMismatchError, LinearSolveError
 from .fracops import SampledPath, TimeGrid, _causal_march, _l1_scheme
-from .kernels import (_as_alpha, _as_count, _csv_text, rl_kernel_table,
-                      solve_volterra)
+from .kernels import _as_alpha, _as_count, rl_kernel_table, solve_volterra
 
 __all__ = [
     "SpaceGrid",
@@ -244,22 +242,9 @@ class SolveResult:
     u: np.ndarray
     diagnostics: list = field(default_factory=list)
 
-    @property
-    def times(self) -> np.ndarray:
-        return self.spec.time.nodes
-
     @cached_property
     def _operators(self):
         return _level_operators(self.spec)
-
-    def export_csv(self, path) -> None:
-        """Long-format CSV: t,x[,y],u with one row per space-time node."""
-        dim = self.spec.space.dimension
-        pts = self.spec.space.node_points().reshape(-1, dim)
-        rows = ((t, *p, v) for t, u_t in zip(self.times, self.u)
-                for p, v in zip(pts, u_t.reshape(-1)))
-        Path(path).write_text(_csv_text("t,x,u" if dim == 1 else "t,x,y,u",
-                                        rows), newline="")
 
 
 # ---------------------------------------------------------------------------

@@ -304,7 +304,7 @@ def test_criterion_11_weighted_poincare():
         u = sum(a[i, j] * np.cos(np.pi * (i * X[..., 0] + j * X[..., 1]))
                 + b[i, j] * np.sin(np.pi * (i * X[..., 0] - j * X[..., 1]))
                 for i in range(3) for j in range(3))
-        chk = harnack.weighted_poincare_check(space, u, weight, slack=0.02)
+        chk = harnack.weighted_poincare_check(space, u, weight)
         if not chk.passed:
             failures += 1
     report(11, failures == 0,

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from subharnack import cli, solver
+from subharnack import cli, kernels, solver
 from subharnack.errors import ConfigError
 
 
@@ -15,6 +15,20 @@ def write_cfg(tmp_path, text, name="exp.cfg"):
     path = tmp_path / name
     path.write_text(text)
     return str(path)
+
+
+def read_summary(out, experiment):
+    return dict(line.split("=", 1) for line in
+                (out / f"{experiment}_summary.txt").read_text().splitlines())
+
+
+def assert_verdict(out, experiment, status):
+    """``status=pass`` exactly when no other summary value reads fail, and
+    the exit status agrees with it."""
+    summary = read_summary(out, experiment)
+    verdict = summary.pop("status")
+    assert verdict == ("fail" if "fail" in summary.values() else "pass")
+    assert status == (0 if verdict == "pass" else 1)
 
 
 # ---------------------------------------------------------------------------
@@ -90,8 +104,15 @@ def test_identities_run_writes_summary(tmp_path):
     summary = (out / "identities_summary.txt").read_text()
     assert "g_conv_identity=pass" in summary
     assert "status=pass" in summary
-    assert (out / "yosida_l1.csv").read_text().startswith("n,l1")
     assert not [p for p in out.iterdir() if ".tmp" in p.name]
+    # the CSV formatter: LF endings and each float's exact round trip
+    blob = (out / "yosida_l1.csv").read_bytes()
+    assert b"\r" not in blob
+    lines = blob.decode().split("\n")
+    assert lines[0] == "n,l1" and lines[-1] == ""
+    rows = [[float(v) for v in line.split(",")] for line in lines[1:-1]]
+    assert rows == [[float(n), kernels.yosida_l1_distance(0.5, n)]
+                    for n in (1, 4)]
 
 
 def test_converge_run(tmp_path):
@@ -108,8 +129,7 @@ def test_converge_order_is_per_doubling_of_m(tmp_path):
     cfg = write_cfg(tmp_path, "experiment=converge\nm_list=64,256\n")
     out = tmp_path / "out"
     assert cli.main([cfg, "--out", str(out)]) == 0
-    summary = dict(line.split("=", 1) for line in
-                   (out / "converge_summary.txt").read_text().splitlines())
+    summary = read_summary(out, "converge")
     assert summary["order_band"] == "pass"
     assert abs(float(summary["orders"]) - 1.5) <= 0.3
 
@@ -160,6 +180,7 @@ TINY_CONFIGS = {
     "harnack": "nx=40\nm=12\nperiod=4\np_list=0.5,1.0\n",
     "optimality": "eps_count=4\n",
     "continuity": "nx=32\nm=64\nlevels=2\n",
+    "maxprinciple": "runs=3\n",
 }
 
 
@@ -176,6 +197,18 @@ def test_every_family_reruns_byte_identical(tmp_path, experiment):
     assert names == sorted(p.name for p in out_b.iterdir())
     for name in names:
         assert (out_a / name).read_bytes() == (out_b / name).read_bytes()
+    assert_verdict(out_a, experiment, status)
+
+
+def test_failed_gate_sets_status_and_exit_1(tmp_path):
+    text = "experiment=identities\nm=8\nn_levels=1,4\ngnprop_m=2\n"
+    # a runner returns its files and summary, no verdict of its own
+    files, summary = cli._RUNNERS["identities"](cli.parse_config(text))
+    assert "fail" in summary.values() and "status" not in summary
+    out = tmp_path / "out"
+    status = cli.main([write_cfg(tmp_path, text), "--out", str(out)])
+    assert status == 1
+    assert_verdict(out, "identities", status)
 
 
 def test_continuity_run(tmp_path):
@@ -247,7 +280,10 @@ def test_numerical_failure_exits_3(tmp_path):
 ])
 def test_out_of_range_config_exits_2_without_files(tmp_path, capsys,
                                                    experiment, setting):
-    cfg = write_cfg(tmp_path, f"experiment={experiment}\n{setting}\n")
+    text = f"experiment={experiment}\n{setting}\n"
+    with pytest.raises(ConfigError):
+        cli.parse_config(text)
+    cfg = write_cfg(tmp_path, text)
     out = tmp_path / "out"
     assert cli.main([cfg, "--out", str(out)]) == 2
     err = capsys.readouterr().err
@@ -270,10 +306,17 @@ def test_out_of_range_config_exits_2_without_files(tmp_path, capsys,
     ("harnack", "x0=0.1"),
     ("harnack", "r=5.0\nrefine=0"),
     ("continuity", "x0=2.0"),
+    # the eps grid is read from eps_min up to a larger eps_max
+    ("optimality", "eps_min=0.1\neps_max=1e-8"),
+    ("optimality", "eps_min=0.01\neps_max=0.01"),
 ])
 def test_out_of_domain_config_is_a_config_error(tmp_path, capsys, experiment,
                                                 setting):
-    cfg = write_cfg(tmp_path, f"experiment={experiment}\n{setting}\n")
+    text = f"experiment={experiment}\n{setting}\n"
+    # the parser itself rejects it, so no run starts
+    with pytest.raises(ConfigError):
+        cli.parse_config(text)
+    cfg = write_cfg(tmp_path, text)
     out = tmp_path / "out"
     assert cli.main([cfg, "--out", str(out)]) == 2
     err = capsys.readouterr().err
@@ -299,6 +342,24 @@ def test_options_match_readme_usage(tmp_path, monkeypatch):
              if line.startswith("subharnack <config-file>")]
     assert len(usage) == 1
     assert seen == [set(re.findall(r"--[a-z-]+", usage[0]))]
+
+
+def test_family_keys_match_readme():
+    """README's key paragraph names exactly the common keys and each
+    family's own keys, family by family."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    para = readme.split("Common keys:", 1)[1]
+    common, families = re.split(r"\.\s+Family-specific keys", para, 1)
+    common_keys = set(cli._COMMON) - {"experiment"}
+    assert set(re.findall(r"`(\w+)`", common)) == common_keys
+    # the family list ends with the sentence: a period, then a blank
+    families = re.split(r"\.\s", families, 1)[0]
+    parts = re.split(r"`(\w+)`:", families)[1:]
+    listed = dict(zip(parts[::2], parts[1::2]))
+    assert list(listed) == list(cli._SCHEMAS)
+    for family, text in listed.items():
+        assert set(re.findall(r"`(\w+)`", text)) == \
+            set(cli._SCHEMAS[family]) - common_keys, family
 
 
 def test_removed_threads_option_exits_2(tmp_path):

@@ -280,7 +280,7 @@ def loop_identity_history(u, k, H, Hp):
     """Trapezoid rule over the lag, one node at a time, on the bracket
     H(u_{j-l}) - H(u_j) - H'(u_j) (u_{j-l} - u_j)."""
     dt, m, uu = u.grid.dt, u.grid.m, u.values
-    kdot = F._centered(k.values, dt)
+    kdot = np.gradient(k.values, dt)
     out = np.zeros(m + 1)
     for j in range(1, m + 1):
         lag = np.arange(0, j + 1)
@@ -378,15 +378,15 @@ def test_commutation_2_matches_lag_loop():
     v = F.SampledPath(grid, 1.0 + 0.5 * np.cos(3.0 * grid.nodes))
     phi = F.SampledPath(grid, 1.0 + 0.5 * grid.nodes ** 2)
     vv, ph, kv = v.values, phi.values, g_t.values
-    kdot = F._centered(kv, dt)
+    kdot = np.gradient(kv, dt)
     corr = np.zeros(m + 1)
     for j in range(1, m + 1):
         lag = np.arange(0, j + 1)
         w = np.ones(j + 1)
         w[0] = w[-1] = 0.5
         corr[j] = dt * np.dot(w, kdot[lag] * (ph[j] - ph[j - lag]) * vv[j - lag])
-    lhs = ph * F._centered(F._trapezoid_convolve(kv, vv, dt), dt)
-    d2 = F._centered(F._trapezoid_convolve(kv, ph * vv, dt), dt)
+    lhs = ph * np.gradient(F._trapezoid_convolve(kv, vv, dt), dt)
+    d2 = np.gradient(F._trapezoid_convolve(kv, ph * vv, dt), dt)
     want = np.abs(lhs - d2 - corr)[1:m].max()
     assert abs(F.commutation_residual_2(g_t, v, phi) - want) <= 1e-13
 
@@ -426,7 +426,7 @@ def trapezoid_1d(k, v, dt):
 
 def direct_identity_history(u, k, H, Hp):
     dt, uu = u.grid.dt, u.values
-    neg_kdot = -F._centered(k.values, dt)
+    neg_kdot = -np.gradient(k.values, dt)
     S, T1, T2 = (trapezoid_1d(neg_kdot, y, dt)
                  for y in (np.ones_like(uu), H(uu), uu))
     return T1 - H(uu) * S - Hp(uu) * (T2 - uu * S)
@@ -434,8 +434,8 @@ def direct_identity_history(u, k, H, Hp):
 
 def direct_identity_residual(u, k, H, Hp, t_min):
     dt, uu, kv = u.grid.dt, u.values, k.values
-    lhs = Hp(uu) * F._centered(trapezoid_1d(kv, uu, dt), dt)
-    rhs = (F._centered(trapezoid_1d(kv, H(uu), dt), dt)
+    lhs = Hp(uu) * np.gradient(trapezoid_1d(kv, uu, dt), dt)
+    rhs = (np.gradient(trapezoid_1d(kv, H(uu), dt), dt)
            + (-H(uu) + Hp(uu) * uu) * kv + direct_identity_history(u, k, H, Hp))
     return np.abs(lhs - rhs)[1:-1][u.grid.nodes[1:-1] >= t_min].max()
 
@@ -443,7 +443,7 @@ def direct_identity_residual(u, k, H, Hp, t_min):
 def direct_commutation_1(v, phi, alpha):
     dt, m = v.grid.dt, v.grid.m
     vv, ph = v.values, phi.values
-    vdot, phid = F._centered(vv, dt), F._centered(ph, dt)
+    vdot, phid = np.gradient(vv, dt), np.gradient(ph, dt)
     gcells = K.rl_kernel_table(alpha, dt, m, sampling="cell_average").cell_values()
 
     def conv_mid(data):
@@ -464,9 +464,9 @@ def direct_commutation_1(v, phi, alpha):
 def direct_commutation_2(k, v, phi):
     dt, m = v.grid.dt, v.grid.m
     vv, ph, kv = v.values, phi.values, k.values
-    kdot = F._centered(kv, dt)
-    lhs = ph * F._centered(trapezoid_1d(kv, vv, dt), dt)
-    d2 = F._centered(trapezoid_1d(kv, ph * vv, dt), dt)
+    kdot = np.gradient(kv, dt)
+    lhs = ph * np.gradient(trapezoid_1d(kv, vv, dt), dt)
+    d2 = np.gradient(trapezoid_1d(kv, ph * vv, dt), dt)
     corr = ph * trapezoid_1d(kdot, vv, dt) - trapezoid_1d(kdot, ph * vv, dt)
     return np.abs(lhs - d2 - corr)[1:m].max()
 

@@ -83,50 +83,6 @@ def test_non_finite_or_zero_dt_is_rejected(dt, sampling):
         K.rl_kernel_table(0.5, dt, 4, sampling=sampling)
 
 
-@pytest.mark.parametrize("text, problem", [
-    ("", "empty"),
-    ("t,value\n", "got 0"),
-    ("t,value\n0.0,1.0\n", "got 1"),
-])
-def test_kernel_table_csv_too_short(tmp_path, text, problem):
-    path = tmp_path / "kernel.csv"
-    path.write_text(text)
-    with pytest.raises(ValueError, match=problem):
-        K.KernelTable.from_csv(path)
-
-
-def test_kernel_table_csv_roundtrip(tmp_path):
-    tab = K.rl_kernel_table(0.5, 0.01, 64, sampling="cell_average")
-    path = tmp_path / "kernel.csv"
-    tab.to_csv(path)
-    back = K.KernelTable.from_csv(path, sampling="cell_average")
-    assert back.dt == pytest.approx(tab.dt, rel=1e-15)
-    assert np.array_equal(back.values[1:], tab.values[1:])
-    assert math.isnan(back.values[0])
-
-
-def test_kernel_table_csv_writes_lf_and_reads_back_exactly(tmp_path):
-    tab = K.rl_kernel_table(0.5, 0.01, 64, sampling="node")
-    path = tmp_path / "kernel.csv"
-    tab.to_csv(path)
-    blob = path.read_bytes()
-    assert b"\r" not in blob
-    lines = blob.decode().split("\n")
-    assert lines[0] == "t,value" and lines[-1] == ""
-    assert len(lines) == tab.values.size + 2
-    assert [float(line.split(",")[1]) for line in lines[2:-1]] == \
-        tab.values[1:].tolist()
-    back = K.KernelTable.from_csv(path)
-    assert back.kind == "custom" and back.sampling == "node"
-    assert np.array_equal(back.times, tab.times)
-    assert np.array_equal(back.values[1:], tab.values[1:])
-    assert math.isnan(back.values[0])
-    # a table written with CRLF line endings still reads
-    path.write_bytes(blob.replace(b"\n", b"\r\n"))
-    assert np.array_equal(K.KernelTable.from_csv(path).values[1:],
-                          tab.values[1:])
-
-
 # ---------------------------------------------------------------------------
 # Mittag-Leffler
 # ---------------------------------------------------------------------------

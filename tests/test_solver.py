@@ -375,38 +375,6 @@ def test_weak_form_allocates_far_less_than_the_solution(shape):
 
 
 # ---------------------------------------------------------------------------
-# exports
-# ---------------------------------------------------------------------------
-
-def test_csv_export_roundtrip(tmp_path):
-    x = np.linspace(0.0, 1.0, 5)
-    rect = S.SpaceGrid.rectangle((0.0, -1.0), (1.0, 0.5), (4, 5))
-    specs = [
-        interval_spec(nx=4, m=2, T=0.1, u0=np.sin(np.pi * x)),
-        S.ProblemSpec(alpha=0.3, space=rect, time=TimeGrid.from_horizon(0.1, 3),
-                      u0=np.add.outer(x, np.linspace(0.0, 1.0, 6)),
-                      boundary=0.0),
-    ]
-    for spec, header in zip(specs, ("t,x,u", "t,x,y,u")):
-        res = S.solve_subdiffusion(spec)
-        path = tmp_path / "solve.csv"
-        res.export_csv(path)
-        blob = path.read_bytes()
-        assert b"\r" not in blob and blob.endswith(b"\n")
-        lines = blob.decode().splitlines()
-        assert lines[0] == header
-        # every field parses as a float and reproduces the solve exactly
-        table = np.array([[float(v) for v in line.split(",")]
-                          for line in lines[1:]])
-        dim = spec.space.dimension
-        nodes = spec.space.node_points().reshape(-1, dim)
-        assert table.shape == (len(res.times) * len(nodes), dim + 2)
-        assert np.array_equal(table[:, 0], np.repeat(res.times, len(nodes)))
-        assert np.array_equal(table[:, 1:-1], np.tile(nodes, (len(res.times), 1)))
-        assert np.array_equal(table[:, -1], res.u.reshape(-1))
-
-
-# ---------------------------------------------------------------------------
 # sparse LU solve path and input checks
 # ---------------------------------------------------------------------------
 
