@@ -139,15 +139,16 @@ def _require_inside(what: str, x0: float, radius: float) -> None:
 
 def _fit_window(alpha: float, p: dict):
     """The optimality eps grid, the critical exponent, whether ``p["p"]``
-    sits at it, and the mask of the grid points the fit uses."""
+    sits at it, the mask of the grid points the fit uses and the top of
+    its window [eps_min, top]."""
     e = np.geomspace(p["eps_min"], p["eps_max"], p["eps_count"])
     crit = fundsol.critical_exponent(alpha, p["N"])
     at_crit = abs(p["p"] - crit) <= 1e-3
     if at_crit:
-        sel = e <= 1e-2
+        top = 1e-2
     else:
-        sel = e <= e.min() * (10.0 if p["p"] < crit else 100.0)
-    return e, crit, at_crit, sel
+        top = e.min() * (10.0 if p["p"] < crit else 100.0)
+    return e, crit, at_crit, e <= top, top
 
 
 def parse_config(text: str) -> ExperimentConfig:
@@ -199,10 +200,16 @@ def parse_config(text: str) -> ExperimentConfig:
             raise ConfigError(f"eps_min must be below eps_max, got "
                               f"eps_min={values['eps_min']!r} and "
                               f"eps_max={values['eps_max']!r}")
-        n_fit = np.count_nonzero(_fit_window(values["alpha"], values)[3])
+        _, _, _, sel, top = _fit_window(values["alpha"], values)
+        n_fit = np.count_nonzero(sel)
         if n_fit < 3:
             raise ConfigError(f"the eps grid puts {n_fit} points in the fit "
                               "window; at least 3 are needed")
+        # a fit over a sliver of its window passes on no evidence
+        lo, hi, top = values["eps_min"], values["eps_max"], float(top)
+        if top < 10.0 * lo * (1 - 1e-12) or hi < top * (1 - 1e-12):
+            raise ConfigError(f"the eps grid [{lo!r}, {hi!r}] must cover its "
+                              f"fit window [{lo!r}, {top!r}], a decade or more")
     return ExperimentConfig(
         experiment=values.pop("experiment"),
         alpha=values.pop("alpha"),
@@ -387,7 +394,7 @@ def _run_harnack(cfg: ExperimentConfig):
 def _run_optimality(cfg: ExperimentConfig):
     p = cfg.params
     alpha, N = cfg.alpha, p["N"]
-    e, crit, at_crit, sel = _fit_window(alpha, p)
+    e, crit, at_crit, sel, _ = _fit_window(alpha, p)
     pairs = fundsol.optimality_experiment(alpha, N, p["p"], list(e))
     files = {"optimality.csv": _csv_text("epsilon,integral", pairs)}
     I = np.array([v for _, v in pairs])

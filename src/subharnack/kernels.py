@@ -715,18 +715,24 @@ def yosida_kernels(alpha, n: int, dt: float, m: int):
     return g_table, h_table
 
 
-def _sign_changes(f, edges: np.ndarray) -> np.ndarray:
-    """The points where f changes sign between consecutive (increasing,
-    positive) edges, to rounding: every bracket is bisected in log t at
-    once, one call of f per step."""
-    up = f(edges) > 0.0
+@lru_cache(maxsize=64)
+def _yosida_sign_changes(a: float) -> tuple:
+    """The sign changes of h(s) = 1/(s Gamma(1-a)) - E_a(-s) to rounding,
+    memoized on a.  h > 0 below s = c = 1/Gamma(1-a), so h is sampled from
+    there to the ray's asymptotic switch, 20 points a decade; every bracket
+    is bisected in log s at once, one ray call per step."""
+    c, ray = 1.0 / gamma_fn(1.0 - a), ml_on_negative_axis(a, 1.0)
+    edges = np.geomspace(c, _S_ASYMPTOTIC,
+                         int(20 * math.log10(_S_ASYMPTOTIC / c)) + 2)
+    up = c / edges > ray(edges)
     cut = np.flatnonzero(up[:-1] != up[1:])
     lo, hi, up = np.log(edges[cut]), np.log(edges[cut + 1]), up[cut]
     while True:
         mid = 0.5 * (lo + hi)
         if not np.any((lo < mid) & (mid < hi)):
-            return np.exp(hi)
-        left = (f(np.exp(mid)) > 0.0) == up
+            return tuple(np.exp(hi))
+        s = np.exp(mid)
+        left = (c / s > ray(s)) == up
         lo, hi = np.where(left, mid, lo), np.where(left, hi, mid)
 
 
@@ -740,12 +746,13 @@ def yosida_l1_distance(alpha, n: int) -> float:
     t^-alpha/Gamma(1-alpha) - n E_alpha(-n t^alpha) is n h(n t^alpha) with
     h(s) = 1/(s Gamma(1-alpha)) - E_alpha(-s); for alpha > 1/2 h turns
     negative (its s^-2 term 1/Gamma(1-2 alpha) is), so each sign change
-    between panel edges becomes an edge too, and every panel integrates a
-    smooth function.  Against the same integrand on 140 80-point panels,
-    split the same way, it is within 2.1e-11 relative for alpha in {0.001,
-    0.3, 0.5, 0.7, 0.9, 0.999} and n in {1, 16, 256, 65536}; the unsplit
-    140 x 40-point rule it replaces was off by up to 8.4e-7 relative for
-    alpha > 1/2, so those distances moved by as much.
+    s* of h, found once per alpha, becomes an edge t* = (s*/n)^(1/alpha)
+    too, and every panel integrates a smooth function.  Against the same
+    integrand on 140 80-point panels, split the same way, it is within
+    2.1e-11 relative for alpha in {0.001, 0.3, 0.5, 0.7, 0.9, 0.999} and n
+    in {1, 16, 256, 65536}; the unsplit 140 x 40-point rule it replaces was
+    off by up to 8.4e-7 relative for alpha > 1/2, so those distances moved
+    by as much.
     """
     a, n = _as_alpha(alpha), _as_count(n, "n", 1)
     ray = ml_on_negative_axis(a, 1.0)
@@ -757,6 +764,7 @@ def yosida_l1_distance(alpha, n: int) -> float:
         return t ** (-a) / gamma_fn(1.0 - a) - n * ray(n * t ** a)
 
     edges = np.concatenate([[a0], np.geomspace(a0 * 10.0, 1.0, 70)])
-    edges = np.sort(np.concatenate([edges, _sign_changes(diff, edges)]))
+    cuts = (np.array(_yosida_sign_changes(a)) / n) ** (1.0 / a)
+    edges = np.sort(np.concatenate([edges, cuts[(a0 < cuts) & (cuts < 1.0)]]))
     tm, wm = _gauss_panels(edges, 16)
     return float(abs(head) + np.dot(wm, np.abs(diff(tm))))

@@ -17,7 +17,7 @@ from typing import Callable, Optional, Union
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.sparse.linalg import splu
+from scipy.linalg.lapack import dpbtrf, dpbtrs
 
 from .errors import DomainError, GridMismatchError, LinearSolveError
 from .fracops import SampledPath, TimeGrid, _causal_march, _l1_scheme
@@ -234,9 +234,9 @@ class ProblemSpec:
 class SolveResult:
     """Space-time solution array plus the problem that produced it;
     ``diagnostics`` holds each level's relative residual.  The coefficient
-    states' operators are walked once, on first use, for solve and weak form,
-    on the grid's one cached stencil, whose sparse pattern the solve's
-    blocks share."""
+    states' operators L are walked once, on first use, for solve and weak
+    form, on the grid's one cached stencil, which maps L's data into the
+    solve's bands."""
 
     spec: ProblemSpec
     u: np.ndarray
@@ -279,9 +279,9 @@ class _Stencil:
     samples there, and ``h2`` is its h^2.  Row r of L holds, in column
     order, r's low neighbours (axis 0 first), r and its high neighbours;
     ``src`` gathers L's CSR data from the values -w of the faces followed by
-    the diagonal.  ``blocks`` gathers from that data the interior block
-    c0 I + L, symmetric with sorted indices (so its CSR arrays are its CSC
-    arrays), and the coupling L[inner][:, outer].
+    the diagonal.  In C order of the interior nodes c0 I + L is banded, with
+    ``kd`` superdiagonals; ``band_at`` and ``band_of`` map L's CSR data into
+    its upper band as LAPACK's band Cholesky stores it.
     """
 
     def __init__(self, space: SpaceGrid):
@@ -315,25 +315,21 @@ class _Stencil:
         steps = np.array([-k for k in stride] + [0] + stride[::-1], dtype=itype)
         col = nodes.reshape(-1, 1) + steps
         on = src >= 0
-
-        def indptr(sel):
-            return np.concatenate(([0], np.cumsum(sel.sum(axis=1)))).astype(itype)
-
-        self.src, self.indices, self.indptr = src[on], col[on], indptr(on)
+        self.src, self.indices = src[on], col[on]
+        self.indptr = np.concatenate(([0], np.cumsum(on.sum(axis=1)))).astype(itype)
         bmask = space.boundary_mask().ravel()
         self.inner, self.outer = np.flatnonzero(~bmask), np.flatnonzero(bmask)
         self.pts_in, self.pts_out = points[self.inner], points[self.outer]
-        # a node's rank among the interior or among the boundary nodes
-        before = np.cumsum(bmask) - bmask
-        rank = np.where(bmask, before, nodes.ravel() - before).astype(itype)
-        # interior rows have every slot: the two blocks split them by column
-        col = col[self.inner]
-        pos = self.indptr[self.inner, None] + np.arange(2 * dim + 1, dtype=itype)
-        self.parts = [(pos[sel], rank[col[sel]], indptr(sel))
-                      for sel in (~bmask[col], bmask[col])]
-        # in the interior block a row's diagonal follows its interior low
-        # neighbours
-        self.diag = self.parts[0][2][:-1] + (~bmask[col[:, :dim]]).sum(axis=1)
+        # L is symmetric: column j of the upper band holds row j's interior
+        # low neighbours, an interior stride k away on band row kd - k
+        ranks = np.arange(self.inner.size, dtype=itype).reshape(
+            [n - 1 for n in space.cells])
+        in_stride = np.array([k // ranks.itemsize for k in ranks.strides] + [0])
+        self.kd = int(in_stride[0])
+        keep = np.c_[~bmask[col[self.inner, :dim]], np.ones(self.inner.size, bool)]
+        at = ranks.reshape(-1, 1) * (self.kd + 1) + self.kd - in_stride
+        of = self.indptr[self.inner, None] + np.arange(dim + 1, dtype=itype)
+        self.band_at, self.band_of = at[keep], of[keep]
         shared, sizes = list(vars(self).values()), {}
         while shared:
             value = shared.pop()
@@ -353,15 +349,13 @@ class _Stencil:
         return sp.csr_matrix((data, self.indices, self.indptr),
                              shape=(self.size, self.size))
 
-    def blocks(self, data: np.ndarray, c0: float):
-        """c0 I + L on the interior nodes in CSC, and L[inner][:, outer] in
-        CSR, from the CSR data of L."""
-        (ta, ia, pa), (tb, ib, pb) = self.parts
-        a = data[ta]
-        a[self.diag] += c0
-        n_in, n_out = self.inner.size, self.outer.size
-        return (sp.csc_matrix((a, ia, pa), shape=(n_in, n_in)),
-                sp.csr_matrix((data[tb], ib, pb), shape=(n_in, n_out)))
+    def band(self, data: np.ndarray, c0: float) -> np.ndarray:
+        """The upper band of c0 I + L on the interior nodes from L's CSR
+        data: entry (i, j) at [kd + i - j, j] of a Fortran-ordered array."""
+        band = np.zeros((self.inner.size, self.kd + 1))
+        band.flat[self.band_at] = data[self.band_of]
+        band[:, self.kd] += c0
+        return band.T
 
 
 #: bytes of stencil arrays that ``_grid_stencil`` keeps: some fifteen
@@ -451,15 +445,15 @@ def solve_subdiffusion(spec: ProblemSpec) -> SolveResult:
     the discrete comparison principle.  L^n comes from the result's one
     operator walk, which the weak form reuses.  The sparse pattern, the
     quarter points and the node points come from the grid's stencil, built
-    once per grid per process; per state, the interior block c0 I + L and
-    the boundary coupling are gathers from L's data, and the block is
-    factorized when a level first needs it and back-substituted at every
-    level in that state.  The block is symmetric, so SuperLU orders it by
-    multiple minimum degree on A^T + A, which fills the factors about 40%
-    less than the default column ordering on 2D grids; being strictly
-    diagonally dominant, it keeps its diagonal pivots.
+    once per grid per process.  The interior block c0 I + L is symmetric,
+    strictly diagonally dominant with a positive diagonal, so positive
+    definite, and banded in C order.  Per state its upper band, one gather
+    from L's data, is factorized by ``dpbtrf`` when a level first needs it
+    and solved by ``dpbtrs`` at every level in that state.  The factor
+    fills the band, n_in * kd entries: past 64^2 cells it is slower than
+    a fill-reducing sparse LU.
 
-    Only the history and the back-substitution depend on earlier levels.
+    Only the history and the banded solve depend on earlier levels.
     The history of level n, b_{n-1} u0 + sum_j (b_{j-1} - b_j) u_{n-j},
     accumulates in row n of the result until ``fracops._causal_march``
     solves it.  The boundary and forcing values (a callable is called once
@@ -487,13 +481,19 @@ def solve_subdiffusion(spec: ProblemSpec) -> SolveResult:
 
     def factor(s, n):
         if factors[s] is None:
-            A, B = stencil.blocks(ops[s].data, c0)
-            try:
-                factors[s] = (splu(A, permc_spec="MMD_AT_PLUS_A"), A, B)
-            except RuntimeError as exc:
-                raise LinearSolveError(
-                    f"sparse LU failed at level {n}: {exc}") from exc
+            chol, info = dpbtrf(stencil.band(ops[s].data, c0), overwrite_ab=1)
+            if info > 0:
+                raise LinearSolveError(f"band Cholesky failed at level {n}: "
+                                       f"minor {info} not positive definite")
+            factors[s] = chol
         return factors[s]
+
+    def interior(L, vals, where):
+        """(L[inner][:, where] @ vals.T).T, bitwise: the other nodes' 0.0
+        values add only signed zeros to each sum."""
+        X = np.zeros((stencil.size, len(vals)))
+        X[where] = vals.T
+        return (L @ X)[inner].T
 
     def data(lo, hi):
         G = np.empty((hi - lo, outer.size))
@@ -530,8 +530,8 @@ def solve_subdiffusion(spec: ProblemSpec) -> SolveResult:
             # runs of consecutive levels in one state
             cuts = [c, *(c + 1 + np.flatnonzero(np.diff(state[c - 1:e - 1]))), e]
             for a, z in zip(cuts[:-1], cuts[1:]):
-                lu, A, B = factor(state[a - 1], a)
-                BG = (B @ G[a - c:z - c].T).T
+                chol, L = factor(state[a - 1], a), ops[state[a - 1]]
+                BG = interior(L, G[a - c:z - c], outer)
                 for n in range(a, z):
                     hist = rows[n]
                     if n > lo:
@@ -541,14 +541,14 @@ def solve_subdiffusion(spec: ProblemSpec) -> SolveResult:
                     rhs = F[n - c]
                     np.add(c0 * hist[inner], rhs, out=rhs)
                     rhs -= BG[n - a]
-                    rows[n, inner] = lu.solve(rhs)
+                    rows[n, inner] = dpbtrs(chol, rhs)[0]
                 # set after the run: a history's boundary columns are unused
                 rows[a:z, outer] = G[a - c:z - c]
                 rhs = F[a - c:z - c]
-                res = A @ rows[a:z, inner].T
-                res -= rhs.T
+                u = rows[a:z, inner]
+                res = interior(L, u, inner) + c0 * u - rhs
                 result.diagnostics.extend(
-                    (np.linalg.norm(res, axis=0)
+                    (np.linalg.norm(res, axis=1)
                      / np.maximum(np.linalg.norm(rhs, axis=1), 1e-300)).tolist())
 
     _causal_march(1, m + 1, leaf, rows, d)

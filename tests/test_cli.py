@@ -417,6 +417,11 @@ def run_fresh(args):
     (2, "experiment=converge\nm_list=64\n", "out"),
     (2, "experiment=converge\nm_list=16,32\n", "plain_file/sub"),
     (3, "experiment=harnack\nnx=4\nr=0.05\nrefine=0\n", "out"),
+    # eps grids covering a tenth of the window's decade, below the critical
+    # exponent, and a thousandth of a decade at it
+    (2, "experiment=optimality\np=1.0\neps_min=1e-8\neps_max=1.1e-8\n",
+     "out"),
+    (2, "experiment=optimality\neps_min=0.00999\neps_max=0.01\n", "out"),
 ])
 def test_fresh_interpreter_exit_codes_without_traceback(tmp_path, status,
                                                         text, out):
@@ -427,6 +432,10 @@ def test_fresh_interpreter_exit_codes_without_traceback(tmp_path, status,
     assert "Traceback" not in proc.stderr
     if status >= 2:
         assert proc.stderr.count("[subharnack]") == 1
+    if status == 2 and "optimality" in text:
+        assert proc.stderr.startswith("[subharnack] config error: the eps grid")
+        assert proc.stderr.count("\n") == 1
+        assert not (tmp_path / out).exists()
 
 
 def test_fresh_interpreter_rejects_low_above_high(tmp_path):

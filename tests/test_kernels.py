@@ -654,6 +654,20 @@ def test_yosida_l1_distance_matches_the_split_80_point_rule(alpha):
         assert abs(K.yosida_l1_distance(alpha, n) - ref) <= 1e-10 * min(ref, 1.0)
 
 
+def test_yosida_sign_change_found_once_per_alpha():
+    # the root s* of h does not depend on n: one search per alpha, which
+    # every level maps to t* = (s*/n)^(1/alpha)
+    K._yosida_sign_changes.cache_clear()
+    for n in (1, 16, 256):
+        K.yosida_l1_distance(0.7, n)
+    assert K._yosida_sign_changes.cache_info()[:2] == (2, 1)  # hits, misses
+    [s] = K._yosida_sign_changes(0.7)
+    ray = K.ml_on_negative_axis(0.7, 1.0)
+    for x, sign in ((s * (1 - 1e-9), 1.0), (s * (1 + 1e-9), -1.0)):
+        assert sign * (1.0 / (x * gamma(0.3)) - ray(x)) > 0.0
+    assert K._yosida_sign_changes(0.5) == ()
+
+
 @pytest.mark.parametrize("n", [12, 16, 40])
 def test_gauss_panels_are_the_fresh_leggauss_rule(n):
     edges = np.array([[0.0, 0.5, 2.0, 7.0], [-1.0, 0.0, 1e-3, 1.0]])

@@ -15,7 +15,6 @@ from subharnack.errors import DomainError, GridMismatchError, LinearSolveError
 from subharnack import fracops as F
 from subharnack import kernels as K
 from subharnack.fracops import TimeGrid
-from subharnack.harnack import HarnackConfig
 from subharnack.kernels import mittag_leffler
 
 
@@ -375,7 +374,7 @@ def test_weak_form_allocates_far_less_than_the_solution(shape):
 
 
 # ---------------------------------------------------------------------------
-# sparse LU solve path and input checks
+# banded Cholesky solve path and input checks
 # ---------------------------------------------------------------------------
 
 def rect_spec(time_flip=None, m=12, **kw):
@@ -388,15 +387,27 @@ def rect_spec(time_flip=None, m=12, **kw):
                          time=TimeGrid.from_horizon(0.3, m), **defaults)
 
 
-def count_splu(monkeypatch):
-    calls = []
+def record_factors(monkeypatch):
+    """The bands the solve hands to its band Cholesky, copied before the
+    factorization overwrites them."""
+    bands = []
+    factor = S.dpbtrf
 
-    def counting(A, *args, **kwargs):
-        calls.append(A.shape)
-        return spl.splu(A, *args, **kwargs)
+    def recording(ab, *args, **kwargs):
+        bands.append(np.array(ab))
+        return factor(ab, *args, **kwargs)
 
-    monkeypatch.setattr(S, "splu", counting)
-    return calls
+    monkeypatch.setattr(S, "dpbtrf", recording)
+    return bands
+
+
+def upper_band(A, kd):
+    """LAPACK's upper band storage of the symmetric dense matrix A: entry
+    (i, j) at [kd + i - j, j]."""
+    band = np.zeros((kd + 1, A.shape[0]))
+    for k in range(kd + 1):
+        band[kd - k, k:] = np.diagonal(A, k)
+    return band
 
 
 def loop_operator(space, faces, c0):
@@ -492,31 +503,25 @@ def test_stencil_operators_bitwise_equal_coo_assembly(monkeypatch, cells,
              "anisotropic": anisotropic_field(dim)}[kind]
     spec = S.ProblemSpec(alpha=0.4, space=g, time=TimeGrid.from_horizon(0.3, 9),
                          u0=np.zeros(g.shape), boundary=0.0, coefficients=field)
-    factorized = []
-
-    def recording(A, *args, **kwargs):
-        factorized.append(A)
-        return spl.splu(A, *args, **kwargs)
-
-    monkeypatch.setattr(S, "splu", recording)
+    factorized = record_factors(monkeypatch)
     res = S.solve_subdiffusion(spec)
     ops, state = res._operators
     assert len(ops) == {"flip": 2, "anisotropic": 9}.get(kind, 1)
     assert len(factorized) == len(ops)
     c0 = spec.time.dt ** (-spec.alpha) / gamma(2.0 - spec.alpha)
-    bmask = g.boundary_mask().ravel()
-    inner, outer = np.flatnonzero(~bmask), np.flatnonzero(bmask)
+    inner = np.flatnonzero(~g.boundary_mask().ravel())
+    stencil = S._grid_stencil(g)
     for s, L in enumerate(ops):
         ref = coo_operator(spec, 1 + int(np.argmax(state == s)))
+        assert L.format == ref.format and L.shape == ref.shape
+        for part in ("data", "indices", "indptr"):
+            np.testing.assert_array_equal(getattr(L, part), getattr(ref, part))
         A_ref = (ref[inner][:, inner]
-                 + c0 * sp.identity(inner.size, format="csr")).tocsc()
-        A, B = S._grid_stencil(g).blocks(L.data, c0)
-        for got, want in ((L, ref), (factorized[s], A_ref), (A, A_ref),
-                          (B, ref[inner][:, outer])):
-            assert got.format == want.format and got.shape == want.shape
-            for part in ("data", "indices", "indptr"):
-                np.testing.assert_array_equal(getattr(got, part),
-                                              getattr(want, part))
+                 + c0 * sp.identity(inner.size, format="csr")).toarray()
+        band_ref = upper_band(A_ref, stencil.kd)
+        for got in (factorized[s], stencil.band(L.data, c0)):
+            assert got.shape == band_ref.shape
+            assert got.tobytes() == band_ref.tobytes()
 
 
 @pytest.mark.parametrize("make", [interval_spec, rect_spec])
@@ -549,61 +554,32 @@ def test_nonfinite_coefficients_rejected():
 
 
 def test_factorization_failure_is_linear_solve_error(monkeypatch):
-    def singular(A, *args, **kwargs):
-        raise RuntimeError("Factor is exactly singular")
+    def failing(ab, *args, **kwargs):
+        return ab, 3
 
-    monkeypatch.setattr(S, "splu", singular)
-    with pytest.raises(LinearSolveError, match="level 1"):
+    monkeypatch.setattr(S, "dpbtrf", failing)
+    with pytest.raises(LinearSolveError,
+                       match="level 1: minor 3 not positive definite"):
         S.solve_subdiffusion(rect_spec())
 
 
-def rough_block_spec():
-    """A 64x64-cell square with an 8x8 block field spanning [1, 5], at
-    alpha = 0.5 on 48 levels to 1.25 Harnack horizons: the size and c0 of
-    the rough2d benchmark's static solve."""
-    g = S.SpaceGrid.rectangle((0.0, 0.0), (1.0, 1.0), (64, 64))
-    u = np.random.default_rng(21).uniform(size=(8, 8))
-    blocks = 1.0 + 4.0 * (u - u.min()) / (u.max() - u.min())
+@pytest.mark.parametrize("time_flip, level", [(None, 1), (5, 5)])
+def test_non_positive_definite_band_is_linear_solve_error(monkeypatch,
+                                                          time_flip, level):
+    # LAPACK's band Cholesky itself rejects the last state's band, negated:
+    # the error names the level where that state first applies
+    band, made = S._Stencil.band, []
+    states = 1 if time_flip is None else 2
 
-    def evaluate(_ti, pts):
-        idx = np.clip(np.floor(8.0 * pts).astype(int), 0, 7)
-        return blocks[idx[..., 0], idx[..., 1]]
+    def injected(self, data, c0):
+        made.append(c0)
+        return (-1.0 if len(made) == states else 1.0) * band(self, data, c0)
 
-    field = S.CoefficientField(evaluate=evaluate, nu=1.0,
-                               lambda_bound=5.0 * np.sqrt(2.0),
-                               time_dependent=False)
-    config = HarnackConfig(delta=0.5, eta=2.0, tau=1.0, t0=0.0,
-                           x0=(0.5, 0.5), r=0.2, alpha=0.5)
-    return S.ProblemSpec(alpha=0.5, space=g,
-                         time=TimeGrid.from_horizon(1.25 * config.horizon, 48),
-                         u0=np.zeros(g.shape), boundary=1.0,
-                         coefficients=field)
-
-
-def test_symmetric_ordering_fills_less_with_diagonal_pivots(monkeypatch):
-    spec = rough_block_spec()
-    factored = []
-
-    def recording(A, *args, **kwargs):
-        lu = spl.splu(A, *args, **kwargs)
-        factored.append((A, lu))
-        return lu
-
-    monkeypatch.setattr(S, "splu", recording)
-    S.solve_subdiffusion(spec)
-    [(A, lu)] = factored
-    colamd = spl.splu(A)
-    assert lu.L.nnz + lu.U.nnz < colamd.L.nnz + colamd.U.nnz
-    # partial pivoting keeps the diagonal of the dominant block
-    assert np.array_equal(lu.perm_r, lu.perm_c)
-
-    # SuperLU's own failure under the solver's arguments is still wrapped
-    def singular(A, *args, **kwargs):
-        return spl.splu(sp.csc_matrix(A.shape), *args, **kwargs)
-
-    monkeypatch.setattr(S, "splu", singular)
-    with pytest.raises(LinearSolveError, match="level 1.*singular"):
-        S.solve_subdiffusion(spec)
+    monkeypatch.setattr(S._Stencil, "band", injected)
+    with pytest.raises(LinearSolveError,
+                       match=f"level {level}: .* not positive definite"):
+        S.solve_subdiffusion(rect_spec(time_flip=time_flip))
+    assert len(made) == states
 
 
 def stencil_arrays(stencil):
@@ -698,7 +674,7 @@ def test_cached_stencil_run_bitwise_equal_after_cache_clear(make):
 
 
 def test_static_field_factorized_once(monkeypatch):
-    calls = count_splu(monkeypatch)
+    calls = record_factors(monkeypatch)
     S.solve_subdiffusion(rect_spec())
     assert len(calls) == 1
     # a field flagged time-dependent whose values never change keeps one factor
@@ -714,7 +690,7 @@ def test_static_field_factorized_once(monkeypatch):
 
 @pytest.mark.parametrize("time_flip", [1, 3])
 def test_flipping_field_factorized_twice(monkeypatch, time_flip):
-    calls = count_splu(monkeypatch)
+    calls = record_factors(monkeypatch)
     S.solve_subdiffusion(rect_spec(time_flip=time_flip, m=12))
     assert len(calls) == 2
 
@@ -749,7 +725,7 @@ def test_field_claims_checked_at_every_solved_level(monkeypatch, bound, level,
 
     field = S.CoefficientField(evaluate=evaluate, nu=1.0, lambda_bound=2.0)
     spec = interval_spec(m=4, coefficients=field)
-    calls = count_splu(monkeypatch)
+    calls = record_factors(monkeypatch)
     with pytest.raises(DomainError, match=f"{bound}.* at level {level}"):
         S.solve_subdiffusion(spec)
     assert calls == []  # raised before any level is solved
@@ -798,10 +774,11 @@ def test_comparison_principle_exact_on_flipping_checkerboard_2d():
 # blocked history and the data pass
 # ---------------------------------------------------------------------------
 
-def direct_march(spec):
+def direct_march(spec, dense=False):
     """Level-by-level reference march with the full direct history sum:
     (c0 I + L) u_n = c0 (b_{n-1} u_0 + sum_j (b_{j-1} - b_j) u_{n-j}) + f
-    on the interior, u_n = g on the boundary."""
+    on the interior, u_n = g on the boundary; each level is solved by
+    SuperLU, or by ``numpy.linalg.solve`` on the dense matrix."""
     space, time = spec.space, spec.time
     dt, m, alpha = time.dt, time.m, spec.alpha
     c0 = dt ** (-alpha) / math.gamma(2.0 - alpha)
@@ -822,7 +799,8 @@ def direct_march(spec):
         rhs = (c0 * hist[inner] + spec.forcing_values(t, pts[inner])
                - L[:, outer] @ U[n, outer])
         A = L[:, inner] + c0 * sp.identity(inner.size)
-        U[n, inner] = spl.spsolve(A.tocsc(), rhs)
+        U[n, inner] = (np.linalg.solve(A.toarray(), rhs) if dense
+                       else spl.spsolve(A.tocsc(), rhs))
     return U.reshape((m + 1,) + space.shape)
 
 
@@ -902,9 +880,8 @@ def test_march_spectrum_reuse_is_bitwise(monkeypatch, case):
     assert np.array_equal(got, run())
 
 
-def test_symmetric_ordering_matches_default_ordering_march():
-    # direct_march's spsolve keeps SuperLU's default column ordering, which
-    # permutes this grid's blocks differently from the solver's
+def test_band_cholesky_matches_direct_march_on_long_square_run():
+    # a 23-wide band, factorized twice and back-substituted LONG_M times
     g = S.SpaceGrid.rectangle((0.0, 0.0), (1.0, 1.0), (24, 24))
     rng = np.random.default_rng(44)
     spec = S.ProblemSpec(
@@ -914,13 +891,30 @@ def test_symmetric_ordering_matches_default_ordering_march():
         forcing=lambda t, p: np.cos(p[..., 1] + t),
         coefficients=S.checkerboard_coefficients(g, 3, 0.5, 4.0, time_flip=7))
     res = assert_matches_direct_march(spec)
-    ops, _ = res._operators
-    assert len(ops) == 2
-    c0 = spec.time.dt ** (-spec.alpha) / gamma(2.0 - spec.alpha)
-    for L in ops:
-        A, _ = S._grid_stencil(g).blocks(L.data, c0)
-        assert not np.array_equal(
-            spl.splu(A).perm_c, spl.splu(A, permc_spec="MMD_AT_PLUS_A").perm_c)
+    assert len(res._operators[0]) == 2
+    assert S._grid_stencil(g).kd == 23
+
+
+@pytest.mark.parametrize("cells", [(5, 12), (12, 5), (16,), (8, 8)])
+@pytest.mark.parametrize("time_flip", [None, 3])
+def test_band_width_follows_the_grid(cells, time_flip):
+    # kd is the interior length of the last axis in 2D (11 on (5, 12), 4 on
+    # (12, 5)) and 1 in 1D; every width solves as a dense solve does
+    dim = len(cells)
+    g = S.SpaceGrid((0.0,) * dim, (1.0, 1.5)[:dim], cells)
+    rng = np.random.default_rng(sum(cells))
+    spec = S.ProblemSpec(
+        alpha=0.6, space=g, time=TimeGrid.from_horizon(0.4, 40),
+        u0=rng.uniform(-1.0, 2.0, size=g.shape),
+        boundary=lambda t, p: np.cos(3.0 * t + p[..., 0] - p[..., -1]),
+        forcing=lambda t, p: np.sin(2.0 * p[..., 0] - t),
+        coefficients=S.checkerboard_coefficients(g, 2, 0.5, 4.0,
+                                                 time_flip=time_flip))
+    res = S.solve_subdiffusion(spec)
+    assert S._grid_stencil(g).kd == (cells[1] - 1 if dim == 2 else 1)
+    assert len(res._operators[0]) == (1 if time_flip is None else 2)
+    want = direct_march(spec, dense=True)
+    assert np.abs(res.u - want).max() <= 1e-13 * np.abs(want).max()
 
 
 @pytest.mark.parametrize("dim", [1, 2])
