@@ -26,7 +26,7 @@ class SingularStepError(SubharnackError, RuntimeError):
 
 
 class LinearSolveError(SubharnackError, RuntimeError):
-    """The sparse direct solver could not factorize a level operator."""
+    """The band Cholesky factorization of a level's interior block failed."""
 
 
 class EmptyRegionError(SubharnackError, ValueError):

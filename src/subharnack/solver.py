@@ -1,8 +1,8 @@
 """Implicit finite-difference solver for time-fractional diffusion
 with measurable bounded coefficients on an interval or rectangle.
 
-Space: vertex-centered differences with harmonic-mean face coefficients,
-which keeps fluxes consistent across coefficient jumps.  Time: product
+Space: vertex-centered differences, one harmonic-mean weight per face,
+which keeps fluxes consistent across jumps and L symmetric.  Time: product
 integration of the memory term with positive decreasing weights, so every
 time level solves an M-matrix system and the discrete comparison principle
 holds exactly.
@@ -16,7 +16,6 @@ from functools import cached_property, reduce
 from typing import Callable, Optional, Union
 
 import numpy as np
-import scipy.sparse as sp
 from scipy.linalg.lapack import dpbtrf, dpbtrs
 
 from .errors import DomainError, GridMismatchError, LinearSolveError
@@ -234,9 +233,8 @@ class ProblemSpec:
 class SolveResult:
     """Space-time solution array plus the problem that produced it;
     ``diagnostics`` holds each level's relative residual.  The coefficient
-    states' operators L are walked once, on first use, for solve and weak
-    form, on the grid's one cached stencil, which maps L's data into the
-    solve's bands."""
+    states' operators L, each its per-axis face weights, are walked once,
+    on first use, for solve and weak form."""
 
     spec: ProblemSpec
     u: np.ndarray
@@ -268,68 +266,43 @@ def _check_samples(fld: CoefficientField, vals: np.ndarray, n: int) -> None:
 
 
 class _Stencil:
-    """Everything of the 3-/5-point operator L that depends only on the grid,
-    in closed form: its sparse pattern, the quarter points of its faces and
-    the node points.  Built once per grid per process (``_grid_stencil``)
-    and shared, so every array is read-only.
+    """What the 3-/5-point operator L needs of the grid: the quarter points
+    and widths of its faces, the interior and boundary nodes and their
+    points.  Built once per grid per process (``_grid_stencil``) and shared,
+    so every array is read-only.
 
-    Faces run axis by axis, each axis in C order of their low nodes.
-    ``quarters`` holds every face's low quarter point, then every face's
-    high one; ``pick`` takes a face's coefficient on its own axis from the
-    samples there, and ``h2`` is its h^2.  Row r of L holds, in column
-    order, r's low neighbours (axis 0 first), r and its high neighbours;
-    ``src`` gathers L's CSR data from the values -w of the faces followed by
-    the diagonal.  In C order of the interior nodes c0 I + L is banded, with
-    ``kd`` superdiagonals; ``band_at`` and ``band_of`` map L's CSR data into
-    its upper band as LAPACK's band Cholesky stores it.
+    A coefficient state's L is its face weights ``W``, one array per axis
+    shaped as that axis's faces (face i joins nodes i and i + 1).  Faces run
+    axis by axis in C order of their low nodes; ``quarters`` holds every
+    face's low quarter point, then every high one.  ``inner`` ranks the
+    interior nodes with the longer axis outermost, so c0 I + L on them is
+    banded with ``kd = min(cells) - 1`` superdiagonals (1 on an interval).
     """
 
     def __init__(self, space: SpaceGrid):
-        dim, self.size = space.dimension, int(np.prod(space.shape))
-        itype = np.int32 if self.size * (2 * dim + 1) < 2 ** 31 else np.int64
-        nodes = np.arange(self.size, dtype=itype).reshape(space.shape)
-        stride = [k // nodes.itemsize for k in nodes.strides]
-        points = space.node_points().reshape(-1, dim)
-        lo = [nodes[(slice(None),) * ax + (slice(-1),)].ravel() for ax in range(dim)]
-        hi = [k + step for k, step in zip(lo, stride)]
-        first = np.cumsum([0] + [k.size for k in lo])
-        self.lo = np.concatenate(lo)
-        self.axis = np.repeat(np.arange(dim, dtype=itype), np.diff(first))
-        face = np.arange(self.lo.size, dtype=itype)
-        h = np.asarray(space.h)[self.axis]
-        self.h2 = h * h
-        q = points[self.lo]
-        self.quarters = np.concatenate((q, q))
-        self.quarters[face, self.axis] += 0.25 * h
-        self.quarters[face.size + face, self.axis] += 0.75 * h
-        self.pick = ((face, self.axis), (face.size + face, self.axis))
-        # axis by axis, a face adds to the diagonal of its low node, then of
-        # its high node
-        self.ends = np.concatenate([k for pair in zip(lo, hi) for k in pair])
-        self.take = np.concatenate([np.tile(face[a:b], 2)
-                                    for a, b in zip(first, first[1:])])
-        src = np.full((self.size, 2 * dim + 1), -1, dtype=itype)
-        src[np.concatenate(hi), self.axis] = face
-        src[self.lo, 2 * dim - self.axis] = face
-        src[:, dim] = face.size + nodes.ravel()
-        steps = np.array([-k for k in stride] + [0] + stride[::-1], dtype=itype)
-        col = nodes.reshape(-1, 1) + steps
-        on = src >= 0
-        self.src, self.indices = src[on], col[on]
-        self.indptr = np.concatenate(([0], np.cumsum(on.sum(axis=1)))).astype(itype)
-        bmask = space.boundary_mask().ravel()
-        self.inner, self.outer = np.flatnonzero(~bmask), np.flatnonzero(bmask)
+        dim, cells = space.dimension, space.cells
+        points = space.node_points()
+        low, high, self.faces, stop = [], [], [], 0
+        for ax, h in enumerate(space.h):
+            q = points[(slice(None),) * ax + (slice(-1),)]
+            for frac, part in ((0.25, low), (0.75, high)):
+                part.append(q.copy())
+                part[-1][..., ax] += frac * h
+            start, stop = stop, stop + q[..., 0].size
+            self.faces.append((start, stop, q.shape[:-1], h * h))
+        self.quarters = np.concatenate([q.reshape(-1, dim) for q in low + high])
+        # the longer axis outermost; a square grid keeps C order
+        order = sorted(range(dim), key=lambda ax: -cells[ax])
+        self.ranked = tuple(cells[ax] - 1 for ax in order)
+        self.unrank = tuple(np.argsort(order).tolist()) + (dim,)
+        self.stride = [int(np.prod(self.ranked[order.index(ax) + 1:]))
+                       for ax in range(dim)]
+        self.kd = self.stride[order[0]]
+        nodes = np.arange(points[..., 0].size).reshape(space.shape)
+        self.inner = nodes[(slice(1, -1),) * dim].transpose(order).ravel()
+        self.outer = np.flatnonzero(space.boundary_mask())
+        points = points.reshape(-1, dim)
         self.pts_in, self.pts_out = points[self.inner], points[self.outer]
-        # L is symmetric: column j of the upper band holds row j's interior
-        # low neighbours, an interior stride k away on band row kd - k
-        ranks = np.arange(self.inner.size, dtype=itype).reshape(
-            [n - 1 for n in space.cells])
-        in_stride = np.array([k // ranks.itemsize for k in ranks.strides] + [0])
-        self.kd = int(in_stride[0])
-        keep = np.c_[~bmask[col[self.inner, :dim]], np.ones(self.inner.size, bool)]
-        at = ranks.reshape(-1, 1) * (self.kd + 1) + self.kd - in_stride
-        of = self.indptr[self.inner, None] + np.arange(dim + 1, dtype=itype)
-        self.band_at, self.band_of = at[keep], of[keep]
         shared, sizes = list(vars(self).values()), {}
         while shared:
             value = shared.pop()
@@ -340,26 +313,55 @@ class _Stencil:
                 sizes[id(value)] = value.nbytes
         self.nbytes = sum(sizes.values())
 
-    def operator(self, w: np.ndarray):
-        """L in CSR for face weights w.  ``bincount`` adds each diagonal's
-        faces to 0.0 one by one, axis by axis, low end first: the order of
-        COO's duplicate sum, so L is bitwise that sum."""
-        diag = np.bincount(self.ends, w[self.take], self.size)
-        data = np.concatenate((-w, diag))[self.src]
-        return sp.csr_matrix((data, self.indices, self.indptr),
-                             shape=(self.size, self.size))
+    def weights(self, vals: np.ndarray) -> tuple:
+        """Per-axis face weights from the field's samples at ``quarters``:
+        the harmonic mean of a face's two quarter points on its own axis,
+        over h^2 (exact for cell-constant fields)."""
+        half, W = len(vals) // 2, []
+        for ax, (start, stop, shape, h2) in enumerate(self.faces):
+            a1, a2 = vals[start:stop, ax], vals[half + start:half + stop, ax]
+            W.append((2.0 * a1 * a2 / (a1 + a2) / h2).reshape(shape))
+        return tuple(W)
 
-    def band(self, data: np.ndarray, c0: float) -> np.ndarray:
-        """The upper band of c0 I + L on the interior nodes from L's CSR
-        data: entry (i, j) at [kd + i - j, j] of a Fortran-ordered array."""
-        band = np.zeros((self.inner.size, self.kd + 1))
-        band.flat[self.band_at] = data[self.band_of]
-        band[:, self.kd] += c0
-        return band.T
+    @staticmethod
+    def apply(W: tuple, U: np.ndarray) -> np.ndarray:
+        """L U over the leading grid axes of U: each face's flux
+        w (u_hi - u_lo) leaves its low node and enters its high node."""
+        out, rest = np.zeros_like(U), (None,) * (U.ndim - len(W))
+        for ax, w in enumerate(W):
+            lo = (slice(None),) * ax + (slice(-1),)
+            hi = (slice(None),) * ax + (slice(1, None),)
+            flux = U[hi] - U[lo]
+            flux *= w[(...,) + rest]
+            out[lo] -= flux
+            out[hi] += flux
+        return out
+
+    def band(self, W: tuple, c0: float) -> np.ndarray:
+        """The upper band of c0 I + L on the interior nodes, entry (i, j) at
+        [kd + i - j, j] of a Fortran-ordered array.  The diagonal adds the
+        face weights to 0.0 axis by axis, low end first, then c0: bitwise
+        the sum of a COO assembly.  An interior stride k away, a face's -w
+        sits on band row kd - k, in the column of its high node."""
+        ab = np.zeros(self.ranked + (self.kd + 1,))
+        grid = ab.transpose(self.unrank)
+
+        def inside(ax, own):
+            return tuple(own if k == ax else slice(1, -1) for k in range(len(W)))
+
+        diag = grid[..., self.kd]
+        for ax, w in enumerate(W):
+            diag += w[inside(ax, slice(1, None))]
+            diag += w[inside(ax, slice(None, -1))]
+            above = (slice(None),) * ax + (slice(1, None),)
+            grid[above + (Ellipsis, self.kd - self.stride[ax])] = \
+                -w[inside(ax, slice(1, -1))]
+        diag += c0
+        return ab.reshape(-1, self.kd + 1).T
 
 
-#: bytes of stencil arrays that ``_grid_stencil`` keeps: some fifteen
-#: 256 x 256-cell grids (17 MB each), or thousands of small ones
+#: bytes of stencil arrays that ``_grid_stencil`` keeps: some forty
+#: 256 x 256-cell grids (5.8 MB each), or thousands of small ones
 _STENCIL_BUDGET = 256 * 2 ** 20
 
 _StencilCacheInfo = namedtuple("_StencilCacheInfo",
@@ -402,20 +404,16 @@ _grid_stencil = _StencilCache()
 
 
 def _level_operators(spec: ProblemSpec):
-    """Distinct full-node operators L (no c0 term) of levels 1..m, and the
-    index of the one in force at each level.  L sums, over every face, the
-    face coefficient over h^2 times the jump across it; a face coefficient is
-    the harmonic mean of the field at the face's two quarter points (exact
-    for cell-constant fields).  This is the only sampling of the field: the
-    quarter points of all faces are evaluated in one call, at level 1 for a
-    static field, else at every level.  Equal samples share one operator,
-    keyed by their bytes; new samples are checked against the field's
-    claims first.  The quarter points, the face widths and the sparse
-    pattern come from the grid's cached stencil, so per spec the walk only
-    evaluates the field, checks it and gathers each new state's data."""
+    """Distinct full-node operators L (no c0 term) of levels 1..m, each its
+    per-axis face weights, and the index of the one in force at each level.
+    L sums, over every face, the face weight times the jump across it.
+    This is the only sampling of the field: the quarter points of all faces,
+    from the grid's cached stencil, are evaluated in one call, at level 1
+    for a static field, else at every level.  Equal samples share one
+    operator, keyed by their bytes; new samples are checked against the
+    field's claims first."""
     m, fld = spec.time.m, spec.coefficients
     stencil = _grid_stencil(spec.space)
-    lo_q, hi_q = stencil.pick
     levels = range(1, m + 1) if fld.time_dependent else (1,)
     keys, ops, state = {}, [], []
     for n in levels:
@@ -423,9 +421,8 @@ def _level_operators(spec: ProblemSpec):
         key = vals.tobytes()
         if key not in keys:
             _check_samples(fld, vals, n)
-            a1, a2 = vals[lo_q], vals[hi_q]
             keys[key] = len(ops)
-            ops.append(stencil.operator(2.0 * a1 * a2 / (a1 + a2) / stencil.h2))
+            ops.append(stencil.weights(vals))
         state.append(keys[key])
     return ops, np.resize(state, m)
 
@@ -442,16 +439,16 @@ def solve_subdiffusion(spec: ProblemSpec) -> SolveResult:
     L^n is the five-point (three-point) operator with harmonic-mean faces.
     The matrix is strictly diagonally dominant with nonpositive off-diagonal
     entries, and the history weights are a convex combination, which gives
-    the discrete comparison principle.  L^n comes from the result's one
-    operator walk, which the weak form reuses.  The sparse pattern, the
-    quarter points and the node points come from the grid's stencil, built
-    once per grid per process.  The interior block c0 I + L is symmetric,
+    the discrete comparison principle.  L^n, its face weights, comes from
+    the result's one operator walk, which the weak form reuses; the node
+    points and the interior order come from the grid's stencil, built once
+    per grid per process.  The interior block c0 I + L is symmetric,
     strictly diagonally dominant with a positive diagonal, so positive
-    definite, and banded in C order.  Per state its upper band, one gather
-    from L's data, is factorized by ``dpbtrf`` when a level first needs it
-    and solved by ``dpbtrs`` at every level in that state.  The factor
-    fills the band, n_in * kd entries: past 64^2 cells it is slower than
-    a fill-reducing sparse LU.
+    definite, and banded with the longer axis outermost.  Per state its
+    upper band (``_Stencil.band``) is factorized by ``dpbtrf`` when a level
+    first needs it and solved by ``dpbtrs`` at every level in that state.
+    The factor fills the band, n_in * kd entries with kd = min(cells) - 1,
+    so it grows faster on large 2D grids than a fill-reducing sparse LU.
 
     Only the history and the banded solve depend on earlier levels.
     The history of level n, b_{n-1} u0 + sum_j (b_{j-1} - b_j) u_{n-j},
@@ -459,7 +456,9 @@ def solve_subdiffusion(spec: ProblemSpec) -> SolveResult:
     solves it.  The boundary and forcing values (a callable is called once
     per level, in level order; a constant is one broadcast), their
     finiteness check, the boundary flux and the residuals ||A u - b|| / ||b||
-    per level, kept in ``diagnostics``, are passes over ``_CHUNK`` levels.
+    per level, kept in ``diagnostics``, are passes over ``_CHUNK`` levels;
+    the flux and the residuals apply L to a full-node array that is 0.0
+    off the nodes they read.
     """
     space, time = spec.space, spec.time
     dt, m = time.dt, time.m
@@ -481,19 +480,19 @@ def solve_subdiffusion(spec: ProblemSpec) -> SolveResult:
 
     def factor(s, n):
         if factors[s] is None:
-            chol, info = dpbtrf(stencil.band(ops[s].data, c0), overwrite_ab=1)
+            chol, info = dpbtrf(stencil.band(ops[s], c0), overwrite_ab=1)
             if info > 0:
                 raise LinearSolveError(f"band Cholesky failed at level {n}: "
                                        f"minor {info} not positive definite")
             factors[s] = chol
         return factors[s]
 
-    def interior(L, vals, where):
-        """(L[inner][:, where] @ vals.T).T, bitwise: the other nodes' 0.0
-        values add only signed zeros to each sum."""
-        X = np.zeros((stencil.size, len(vals)))
-        X[where] = vals.T
-        return (L @ X)[inner].T
+    def interior(W, vals, where):
+        """Rows of (L X)[inner], where column i of X holds vals[i] on the
+        nodes ``where`` and 0.0 on the others."""
+        X = np.zeros(space.shape + (len(vals),))
+        X.reshape(-1, len(vals))[where] = vals.T
+        return stencil.apply(W, X).reshape(-1, len(vals))[inner].T
 
     def data(lo, hi):
         G = np.empty((hi - lo, outer.size))
@@ -530,8 +529,8 @@ def solve_subdiffusion(spec: ProblemSpec) -> SolveResult:
             # runs of consecutive levels in one state
             cuts = [c, *(c + 1 + np.flatnonzero(np.diff(state[c - 1:e - 1]))), e]
             for a, z in zip(cuts[:-1], cuts[1:]):
-                chol, L = factor(state[a - 1], a), ops[state[a - 1]]
-                BG = interior(L, G[a - c:z - c], outer)
+                chol, W = factor(state[a - 1], a), ops[state[a - 1]]
+                BG = interior(W, G[a - c:z - c], outer)
                 for n in range(a, z):
                     hist = rows[n]
                     if n > lo:
@@ -546,7 +545,7 @@ def solve_subdiffusion(spec: ProblemSpec) -> SolveResult:
                 rows[a:z, outer] = G[a - c:z - c]
                 rhs = F[a - c:z - c]
                 u = rows[a:z, inner]
-                res = interior(L, u, inner) + c0 * u - rhs
+                res = interior(W, u, inner) + c0 * u - rhs
                 result.diagnostics.extend(
                     (np.linalg.norm(res, axis=1)
                      / np.maximum(np.linalg.norm(rhs, axis=1), 1e-300)).tolist())
@@ -610,8 +609,8 @@ def supersolution_residual(result: SolveResult) -> float:
     rounding) exactly when the run is a supersolution.  Each tent is a
     product tau(t) sigma(x), so the form contracts space first: the memory
     derivative acts on the traces u . sigma, and L u, with each level's
-    operator L from the same walk the solve factorized, on the rows
-    sigma L.  Nothing of the size of u is allocated.
+    operator L from the same walk the solve factorized, on the fields
+    L sigma (L is symmetric).  Nothing of the size of u is allocated.
     """
     spec = result.spec
     m = spec.time.m
@@ -623,12 +622,13 @@ def supersolution_residual(result: SolveResult) -> float:
     F = _l1_scheme(spec.alpha, spec.time.dt, m,
                    np.diff(rows @ sigma.T, axis=0))[2]
     ops, state = result._operators
-    # sigma L, not L sigma: L need not be symmetric
-    paired = [sigma @ L for L in ops]
+    # the columns L sigma_b: L is symmetric, so these are the rows sigma_b L
+    columns = sigma.T.reshape(spec.space.shape + (3,))
+    paired = [_Stencil.apply(W, columns).reshape(-1, 3) for W in ops]
     # runs of consecutive levels in one state: slices, not gathered copies
     edges = [0, *(np.flatnonzero(np.diff(state)) + 1), m]
     for lo, hi in zip(edges[:-1], edges[1:]):
-        F[lo:hi] += rows[lo + 1:hi + 1] @ paired[state[lo]].T
+        F[lo:hi] += rows[lo + 1:hi + 1] @ paired[state[lo]]
     # the factors are nonnegative, so a tent's L1 norm is the product of
     # their sums; the cell measure dt * prod(h) scales form and norm alike
     form = (tau[:, 1:] @ F) / np.multiply.outer(tau.sum(axis=1),

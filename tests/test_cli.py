@@ -399,16 +399,45 @@ def test_unwritable_output_location_exits_2(tmp_path, capsys):
     assert blocker.read_text() == ""
 
 
-def run_fresh(args):
-    """``python -m subharnack.cli`` in a new interpreter that imports this
-    checkout's package."""
+def fresh_python(args):
+    """A new interpreter, given ``args``, that imports this checkout's
+    package."""
     src = str(Path(cli.__file__).resolve().parents[1])
     path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH"))
                            if p)
     env = dict(os.environ, PYTHONPATH=path)
-    return subprocess.run([sys.executable, "-m", "subharnack.cli", *args],
-                          capture_output=True, text=True, env=env,
-                          timeout=300)
+    return subprocess.run([sys.executable, *args], capture_output=True,
+                          text=True, env=env, timeout=300)
+
+
+def run_fresh(args):
+    """``python -m subharnack.cli`` in a new interpreter."""
+    return fresh_python(["-m", "subharnack.cli", *args])
+
+
+SOLVE_AND_RUN_HARNACK = """
+import sys
+import numpy as np
+import subharnack
+from subharnack import cli, solver
+from subharnack.fracops import TimeGrid
+g = solver.SpaceGrid.rectangle((0.0, 0.0), (1.0, 1.0), (8, 12))
+spec = solver.ProblemSpec(
+    alpha=0.5, space=g, time=TimeGrid.from_horizon(0.2, 12),
+    u0=np.ones(g.shape), boundary=0.0,
+    coefficients=solver.checkerboard_coefficients(g, 2, 0.5, 4.0, time_flip=3))
+solver.supersolution_residual(solver.solve_subdiffusion(spec))
+status = cli.main([sys.argv[1], "--out", sys.argv[2]])
+print(status, "scipy.sparse" in sys.modules)
+"""
+
+
+def test_solve_weak_form_and_harnack_run_never_import_scipy_sparse(tmp_path):
+    cfg = write_cfg(tmp_path, "experiment=harnack\n")
+    proc = fresh_python(["-c", SOLVE_AND_RUN_HARNACK, cfg,
+                         str(tmp_path / "out")])
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["0", "False"]
 
 
 @pytest.mark.parametrize("status,text,out", [

@@ -454,15 +454,27 @@ def test_level_operator_matches_node_loop(make, field):
     bmask = space.boundary_mask().ravel()
     inner, outer = np.flatnonzero(~bmask), np.flatnonzero(bmask)
     ops, state = S._level_operators(spec)
-    L = ops[state[1]][inner]
+    W, stencil = ops[state[1]], S._grid_stencil(space)
+    # L as a dense matrix: column j is L applied to the j-th unit vector
+    L = dense_operator(stencil, W, space)
     # the interior block the solve factorizes at level 2
-    A = L[:, inner] + 7.5 * sp.identity(inner.size)
+    A = L[np.ix_(inner, inner)] + 7.5 * np.eye(inner.size)
     A_ref, B_ref = loop_operator(space, loop_faces(spec, 2), 7.5)
     # off-diagonal entries are single terms; the diagonal sums 2N+1 of them
     # in another order, so it may differ by a few ulps
     tol = 8 * np.finfo(float).eps
-    np.testing.assert_allclose(A.toarray(), A_ref, rtol=tol, atol=0.0)
-    np.testing.assert_array_equal(L[:, outer].toarray(), B_ref)
+    np.testing.assert_allclose(A, A_ref, rtol=tol, atol=0.0)
+    np.testing.assert_array_equal(L[np.ix_(inner, outer)], B_ref)
+    # the band holds A, its rows and columns in the stencil's order
+    rank = np.searchsorted(inner, stencil.inner)
+    band_ref = upper_band(A[np.ix_(rank, rank)], stencil.kd)
+    np.testing.assert_array_equal(stencil.band(W, 7.5), band_ref)
+
+
+def dense_operator(stencil, W, space):
+    n = math.prod(space.shape)
+    units = np.eye(n).reshape(space.shape + (n,))
+    return stencil.apply(W, units).reshape(n, n)
 
 
 def coo_operator(spec, n):
@@ -509,19 +521,30 @@ def test_stencil_operators_bitwise_equal_coo_assembly(monkeypatch, cells,
     assert len(ops) == {"flip": 2, "anisotropic": 9}.get(kind, 1)
     assert len(factorized) == len(ops)
     c0 = spec.time.dt ** (-spec.alpha) / gamma(2.0 - spec.alpha)
-    inner = np.flatnonzero(~g.boundary_mask().ravel())
     stencil = S._grid_stencil(g)
-    for s, L in enumerate(ops):
+    # the interior nodes in the stencil's order, the longer axis outermost
+    inner = stencil.inner
+    X = np.random.default_rng(len(kind)).uniform(-1.0, 1.0,
+                                                 (3, math.prod(g.shape)))
+    eps = np.finfo(float).eps
+    for s, W in enumerate(ops):
         ref = coo_operator(spec, 1 + int(np.argmax(state == s)))
-        assert L.format == ref.format and L.shape == ref.shape
-        for part in ("data", "indices", "indptr"):
-            np.testing.assert_array_equal(getattr(L, part), getattr(ref, part))
         A_ref = (ref[inner][:, inner]
                  + c0 * sp.identity(inner.size, format="csr")).toarray()
         band_ref = upper_band(A_ref, stencil.kd)
-        for got in (factorized[s], stencil.band(L.data, c0)):
+        for got in (factorized[s], stencil.band(W, c0)):
             assert got.shape == band_ref.shape
             assert got.tobytes() == band_ref.tobytes()
+        # L itself bitwise; L X within a few ulps of each row's terms, and
+        # <L x, y> = <x, L y>
+        np.testing.assert_array_equal(dense_operator(stencil, W, g),
+                                      ref.toarray())
+        LX = stencil.apply(W, X.T.reshape(g.shape + (3,))).reshape(-1, 3).T
+        scale = (abs(ref) @ np.abs(X).T).T
+        assert np.all(np.abs(LX - (ref @ X.T).T) <= 4 * eps * scale)
+        pairs = LX @ X.T
+        assert np.all(np.abs(pairs - pairs.T)
+                      <= 8 * eps * (np.abs(X) @ scale.T))
 
 
 @pytest.mark.parametrize("make", [interval_spec, rect_spec])
@@ -571,9 +594,9 @@ def test_non_positive_definite_band_is_linear_solve_error(monkeypatch,
     band, made = S._Stencil.band, []
     states = 1 if time_flip is None else 2
 
-    def injected(self, data, c0):
+    def injected(self, W, c0):
         made.append(c0)
-        return (-1.0 if len(made) == states else 1.0) * band(self, data, c0)
+        return (-1.0 if len(made) == states else 1.0) * band(self, W, c0)
 
     monkeypatch.setattr(S._Stencil, "band", injected)
     with pytest.raises(LinearSolveError,
@@ -601,8 +624,9 @@ def test_equal_grids_share_one_read_only_stencil():
     stencil = S._grid_stencil(a.spec.space)
     assert S._grid_stencil(b.spec.space) is stencil
     assert S._grid_stencil.cache_info().misses == 1
+    # the quarter points, the interior and boundary nodes and their points
     arrays = stencil_arrays(stencil)
-    assert len(arrays) >= 15
+    assert len(arrays) >= 5
     assert not any(arr.flags.writeable for arr in arrays)
     # -0.0 and 0.0 bounds are one grid with one set of node points
     signed = S.SpaceGrid.interval(-0.0, 1.0, 8)
@@ -777,8 +801,9 @@ def test_comparison_principle_exact_on_flipping_checkerboard_2d():
 def direct_march(spec, dense=False):
     """Level-by-level reference march with the full direct history sum:
     (c0 I + L) u_n = c0 (b_{n-1} u_0 + sum_j (b_{j-1} - b_j) u_{n-j}) + f
-    on the interior, u_n = g on the boundary; each level is solved by
-    SuperLU, or by ``numpy.linalg.solve`` on the dense matrix."""
+    on the interior, u_n = g on the boundary; L is each level's COO
+    assembly, and each level is solved by SuperLU, or by
+    ``numpy.linalg.solve`` on the dense matrix."""
     space, time = spec.space, spec.time
     dt, m, alpha = time.dt, time.m, spec.alpha
     c0 = dt ** (-alpha) / math.gamma(2.0 - alpha)
@@ -786,7 +811,6 @@ def direct_march(spec, dense=False):
     bmask = space.boundary_mask().ravel()
     inner, outer = np.flatnonzero(~bmask), np.flatnonzero(bmask)
     pts = space.node_points().reshape(-1, space.dimension)
-    ops, state = S._level_operators(spec)
     U = np.zeros((m + 1, bmask.size))
     U[0] = spec.u0.ravel()
     for n in range(1, m + 1):
@@ -794,7 +818,7 @@ def direct_march(spec, dense=False):
         hist = b[n - 1] * U[0]
         for j in range(1, n):
             hist = hist + (b[j - 1] - b[j]) * U[n - j]
-        L = ops[state[n - 1]][inner]
+        L = coo_operator(spec, n)[inner]
         U[n, outer] = spec.boundary_values(t, pts[outer])
         rhs = (c0 * hist[inner] + spec.forcing_values(t, pts[inner])
                - L[:, outer] @ U[n, outer])
@@ -898,8 +922,8 @@ def test_band_cholesky_matches_direct_march_on_long_square_run():
 @pytest.mark.parametrize("cells", [(5, 12), (12, 5), (16,), (8, 8)])
 @pytest.mark.parametrize("time_flip", [None, 3])
 def test_band_width_follows_the_grid(cells, time_flip):
-    # kd is the interior length of the last axis in 2D (11 on (5, 12), 4 on
-    # (12, 5)) and 1 in 1D; every width solves as a dense solve does
+    # kd is the interior length of the shorter axis in 2D (4 on (5, 12) and
+    # on (12, 5)) and 1 in 1D; every width solves as a dense solve does
     dim = len(cells)
     g = S.SpaceGrid((0.0,) * dim, (1.0, 1.5)[:dim], cells)
     rng = np.random.default_rng(sum(cells))
@@ -911,7 +935,7 @@ def test_band_width_follows_the_grid(cells, time_flip):
         coefficients=S.checkerboard_coefficients(g, 2, 0.5, 4.0,
                                                  time_flip=time_flip))
     res = S.solve_subdiffusion(spec)
-    assert S._grid_stencil(g).kd == (cells[1] - 1 if dim == 2 else 1)
+    assert S._grid_stencil(g).kd == (min(cells) - 1 if dim == 2 else 1)
     assert len(res._operators[0]) == (1 if time_flip is None else 2)
     want = direct_march(spec, dense=True)
     assert np.abs(res.u - want).max() <= 1e-13 * np.abs(want).max()
