@@ -22,7 +22,6 @@ import numpy as np
 
 from . import fracops, fundsol, harnack, kernels, solver
 from .errors import ConfigError, SubharnackError
-from .kernels import _csv_text
 
 __all__ = ["ExperimentConfig", "parse_config", "run", "main"]
 
@@ -34,8 +33,6 @@ class ExperimentConfig:
     """Parsed and validated experiment description."""
 
     experiment: str
-    alpha: float
-    seed: int
     out_dir: Path
     params: dict = field(default_factory=dict)
 
@@ -68,63 +65,15 @@ def _entries(count, rule):
 
 _POSITIVE = (lambda v: v > 0.0), "positive"
 _UNIT = (lambda v: 0.0 < v < 1.0), "in (0, 1)"
+_ALPHA = (_to_float, 0.5, _UNIT)
+_ALPHA_CLASSICAL = (_to_float, 0.5, ((lambda a: 0.0 < a <= 1.0), "in (0, 1]"))
 
-# per-experiment schema: key -> (converter, default, (predicate, range text));
-# the range is checked at parse time so a run never starts on a config that
-# cannot produce evidence for its assertions
+# key schema: key -> (converter, default, (predicate, range text)); the range
+# is checked at parse time so a run never starts on a config that cannot
+# produce evidence for its assertions; the family schemas are in _FAMILIES
 _COMMON = {
     "experiment": (str, None, None),
-    "alpha": (_to_float, 0.5, ((lambda a: 0.0 < a <= 1.0), "in (0, 1]")),
-    "seed": (int, DEFAULT_SEED, _at_least(0)),
     "out": (str, ".", None),
-}
-_SCHEMAS = {
-    "identities": {
-        "alpha": (_to_float, 0.5, _UNIT),
-        "m": (int, 512, _at_least(2)),
-        "n_levels": (_to_int_list, [1, 4, 16, 64, 256], _entries(2, _at_least(1))),
-        "gnprop_n": (int, 4, _at_least(1)),
-        "gnprop_m": (int, 512, _at_least(2)),
-    },
-    "converge": {
-        "sigma": (_to_float, 1.0, _POSITIVE),
-        "m_list": (_to_int_list, [64, 128, 256], _entries(2, _at_least(2))),
-    },
-    "harnack": {
-        "alpha": (_to_float, 0.5, _UNIT),
-        "nx": (int, 160, _at_least(4)),
-        "m": (int, 64, _at_least(2)),
-        "period": (int, 8, _at_least(1)),
-        "low": (_to_float, 1.0, _POSITIVE),
-        "high": (_to_float, 5.0, _POSITIVE),
-        "x0": (_to_float, 0.5, None),
-        "r": (_to_float, 0.2, _POSITIVE),
-        "delta": (_to_float, 0.5, _UNIT),
-        "eta": (_to_float, 2.0, ((lambda e: e > 1.0), "greater than 1")),
-        "tau": (_to_float, 1.0, _POSITIVE),
-        "t0": (_to_float, 0.0, _at_least(0.0)),
-        "p_list": (_to_float_list, [0.5, 1.0, 1.5], _entries(1, _POSITIVE)),
-        "refine": (int, 1, ((lambda v: v in (0, 1)), "0 or 1")),
-    },
-    "optimality": {
-        "alpha": (_to_float, 0.5, _UNIT),
-        "N": (int, 1, ((lambda n: 1 <= n <= 3), "1, 2 or 3")),
-        "p": (_to_float, 5.0 / 3.0, _POSITIVE),
-        "eps_min": (_to_float, 1e-8, _UNIT),
-        "eps_max": (_to_float, 0.1, _UNIT),
-        "eps_count": (int, 15, _at_least(3)),
-    },
-    "continuity": {
-        "nx": (int, 160, _at_least(4)),
-        "m": (int, 1024, _at_least(2)),
-        "r0": (_to_float, 0.3, _POSITIVE),
-        "eta": (_to_float, 2.0, _POSITIVE),
-        "x0": (_to_float, 0.62, None),
-        "levels": (int, 4, _at_least(2)),
-    },
-    "maxprinciple": {
-        "runs": (int, 200, _at_least(1)),
-    },
 }
 
 
@@ -135,6 +84,16 @@ def _require_inside(what: str, x0: float, radius: float) -> None:
         raise ConfigError(
             f"the ball {what} = [{x0 - radius!r}, {x0 + radius!r}] is not "
             "contained in the domain [0, 1]")
+
+
+def _require_normal(values: dict, scale: str, radius: str) -> None:
+    """Raise ``ConfigError`` if the time scale ``scale * radius**(2/alpha)``
+    underflows below the smallest normal float."""
+    value = values[scale] * values[radius] ** (2.0 / values["alpha"])
+    if value < sys.float_info.min:
+        raise ConfigError(f"the time scale {scale}*{radius}**(2/alpha) = "
+                          f"{value!r} is below the smallest normal float "
+                          f"{sys.float_info.min!r}")
 
 
 def _fit_window(alpha: float, p: dict):
@@ -168,11 +127,11 @@ def parse_config(text: str) -> ExperimentConfig:
     if "experiment" not in raw:
         raise ConfigError("config is missing the 'experiment' key")
     exp = raw["experiment"]
-    if exp not in _SCHEMAS:
+    if exp not in _FAMILIES:
         raise ConfigError(
-            f"unknown experiment {exp!r}; choose one of {', '.join(_SCHEMAS)}"
+            f"unknown experiment {exp!r}; choose one of {', '.join(_FAMILIES)}"
         )
-    schema = {**_COMMON, **_SCHEMAS[exp]}
+    schema = {**_COMMON, **_FAMILIES[exp][0]}
     unknown = set(raw) - set(schema)
     if unknown:
         raise ConfigError(f"unknown keys for {exp}: {', '.join(sorted(unknown))}")
@@ -193,8 +152,10 @@ def parse_config(text: str) -> ExperimentConfig:
             raise ConfigError(f"low must be at most high, got "
                               f"low={values['low']!r} and high={values['high']!r}")
         _require_inside("x0 +- eta*r", values["x0"], values["eta"] * values["r"])
+        _require_normal(values, "tau", "r")
     if exp == "continuity":
         _require_inside("x0 +- r0", values["x0"], values["r0"])
+        _require_normal(values, "eta", "r0")
     if exp == "optimality":
         if values["eps_min"] >= values["eps_max"]:
             raise ConfigError(f"eps_min must be below eps_max, got "
@@ -212,8 +173,6 @@ def parse_config(text: str) -> ExperimentConfig:
                               f"fit window [{lo!r}, {top!r}], a decade or more")
     return ExperimentConfig(
         experiment=values.pop("experiment"),
-        alpha=values.pop("alpha"),
-        seed=values.pop("seed"),
         out_dir=Path(values.pop("out")),
         params=values,
     )
@@ -222,6 +181,15 @@ def parse_config(text: str) -> ExperimentConfig:
 # ---------------------------------------------------------------------------
 # output helpers
 # ---------------------------------------------------------------------------
+
+def _csv_text(header: str, rows) -> str:
+    """CSV text with LF line endings: numbers (bools excepted) as the
+    shortest round-trip float, every other value by ``str``."""
+    body = (",".join(repr(float(v)) if isinstance(v, (int, float))
+                     and not isinstance(v, bool) else str(v) for v in row)
+            for row in rows)
+    return "\n".join([header, *body]) + "\n"
+
 
 def _summary_text(summary: dict) -> str:
     return "".join(f"{k}={v}\n" for k, v in summary.items())
@@ -257,8 +225,7 @@ def _fmt(x) -> str:
 # ---------------------------------------------------------------------------
 
 def _run_identities(cfg: ExperimentConfig):
-    alpha = cfg.alpha
-    m = cfg.params["m"]
+    alpha, m = cfg.params["alpha"], cfg.params["m"]
     summary = {}
     files = {}
 
@@ -308,12 +275,7 @@ def _run_identities(cfg: ExperimentConfig):
     gate = order >= 0.8 if abs(alpha - 0.5) < 1e-9 else res[1] < res[0]
     summary["gnprop_pass"] = _flag(gate)
 
-    # Mittag-Leffler spot checks against classical limits
-    z = np.linspace(-20.0, 20.0, 100)
-    worst_exp = max(abs(kernels.mittag_leffler(1.0, 1.0, zz) - math.exp(zz))
-                    / math.exp(zz) for zz in z)
-    summary["ml_exp_residual"] = _fmt(worst_exp)
-    summary["ml_exp_check"] = _flag(worst_exp <= 1e-10)
+    # the Mittag-Leffler series against its closed form at alpha = 1/2
     from scipy.special import erfcx
     err = abs(kernels.mittag_leffler(0.5, 1.0, -1.0) - erfcx(1.0))
     summary["ml_halforder_residual"] = _fmt(err)
@@ -323,7 +285,7 @@ def _run_identities(cfg: ExperimentConfig):
 
 
 def _run_converge(cfg: ExperimentConfig):
-    alpha, sigma = cfg.alpha, cfg.params["sigma"]
+    alpha, sigma = cfg.params["alpha"], cfg.params["sigma"]
     ms = cfg.params["m_list"]
     exact = kernels.mittag_leffler(alpha, 1.0, -sigma)
     rows, errs = [], []
@@ -346,17 +308,16 @@ def _run_converge(cfg: ExperimentConfig):
     return files, summary
 
 
-def _harnack_bench(cfg: ExperimentConfig, nx: int, m: int, period: int):
-    alpha = cfg.alpha
+def _harnack_bench(cfg: ExperimentConfig, config: harnack.HarnackConfig,
+                   nx: int, m: int, period: int):
     p = cfg.params
     space = solver.SpaceGrid.interval(0.0, 1.0, nx)
-    horizon = p["t0"] + 2.0 * p["tau"] * p["r"] ** (2.0 / alpha)
-    time = fracops.TimeGrid.from_horizon(1.25 * horizon, m)
+    time = fracops.TimeGrid.from_horizon(1.25 * config.horizon, m)
     x = np.linspace(0.0, 1.0, nx + 1)
     u0 = np.maximum(0.0, 1.0 - ((x - p["x0"]) / (0.75 * p["eta"] * p["r"])) ** 2) ** 2
     coeff = solver.checkerboard_coefficients(space, period, p["low"], p["high"])
-    spec = solver.ProblemSpec(alpha=alpha, space=space, time=time, u0=u0,
-                              boundary=0.0, coefficients=coeff)
+    spec = solver.ProblemSpec(alpha=config.alpha, space=space, time=time,
+                              u0=u0, boundary=0.0, coefficients=coeff)
     return solver.solve_subdiffusion(spec)
 
 
@@ -364,11 +325,11 @@ def _run_harnack(cfg: ExperimentConfig):
     p = cfg.params
     config = harnack.HarnackConfig(delta=p["delta"], eta=p["eta"],
                                    tau=p["tau"], t0=p["t0"], x0=(p["x0"],),
-                                   r=p["r"], alpha=cfg.alpha)
+                                   r=p["r"], alpha=p["alpha"])
     grids = [(p["nx"], p["m"], p["period"])]
     if p["refine"]:
         grids.append((2 * p["nx"], 2 * p["m"], 2 * p["period"]))
-    results = [_harnack_bench(cfg, *g) for g in grids]
+    results = [_harnack_bench(cfg, config, *g) for g in grids]
     sweeps = [harnack.harnack_ratio_sweep(res, config, p["p_list"])
               for res in results]
     rows = [(r.p, r.lp_mean, r.essinf, r.ratio, r.grid)
@@ -393,7 +354,7 @@ def _run_harnack(cfg: ExperimentConfig):
 
 def _run_optimality(cfg: ExperimentConfig):
     p = cfg.params
-    alpha, N = cfg.alpha, p["N"]
+    alpha, N = p["alpha"], p["N"]
     e, crit, at_crit, sel, _ = _fit_window(alpha, p)
     pairs = fundsol.optimality_experiment(alpha, N, p["p"], list(e))
     files = {"optimality.csv": _csv_text("epsilon,integral", pairs)}
@@ -423,8 +384,7 @@ def _run_optimality(cfg: ExperimentConfig):
 
 def _run_continuity(cfg: ExperimentConfig):
     p = cfg.params
-    alpha = cfg.alpha
-    r0, eta = p["r0"], p["eta"]
+    alpha, r0, eta = p["alpha"], p["r0"], p["eta"]
     space = solver.SpaceGrid.interval(0.0, 1.0, p["nx"])
     horizon = eta * r0 ** (2.0 / alpha)
     time = fracops.TimeGrid.from_horizon(horizon, p["m"])
@@ -494,7 +454,7 @@ def _one_maxprinciple_run(seed: int):
 
 def _run_maxprinciple(cfg: ExperimentConfig):
     n_runs = cfg.params["runs"]
-    outcomes = [_one_maxprinciple_run(cfg.seed + 1000 * k)
+    outcomes = [_one_maxprinciple_run(cfg.params["seed"] + 1000 * k)
                 for k in range(n_runs)]
     rows = [(k, *o) for k, o in enumerate(outcomes)]
     files = {"maxprinciple_runs.csv": _csv_text(
@@ -508,32 +468,78 @@ def _run_maxprinciple(cfg: ExperimentConfig):
     return files, summary
 
 
-_RUNNERS = {
-    "identities": _run_identities,
-    "converge": _run_converge,
-    "harnack": _run_harnack,
-    "optimality": _run_optimality,
-    "continuity": _run_continuity,
-    "maxprinciple": _run_maxprinciple,
+# each family: its own key schema (on top of ``_COMMON``) and its runner
+_FAMILIES = {
+    "identities": ({
+        "alpha": _ALPHA,
+        "m": (int, 512, _at_least(2)),
+        "n_levels": (_to_int_list, [1, 4, 16, 64, 256], _entries(2, _at_least(1))),
+        "gnprop_n": (int, 4, _at_least(1)),
+        "gnprop_m": (int, 512, _at_least(2)),
+    }, _run_identities),
+    "converge": ({
+        "alpha": _ALPHA_CLASSICAL,
+        "sigma": (_to_float, 1.0, _POSITIVE),
+        "m_list": (_to_int_list, [64, 128, 256], _entries(2, _at_least(2))),
+    }, _run_converge),
+    "harnack": ({
+        "alpha": _ALPHA,
+        "nx": (int, 160, _at_least(4)),
+        "m": (int, 64, _at_least(2)),
+        "period": (int, 8, _at_least(1)),
+        "low": (_to_float, 1.0, _POSITIVE),
+        "high": (_to_float, 5.0, _POSITIVE),
+        "x0": (_to_float, 0.5, None),
+        "r": (_to_float, 0.2, _POSITIVE),
+        "delta": (_to_float, 0.5, _UNIT),
+        "eta": (_to_float, 2.0, ((lambda e: e > 1.0), "greater than 1")),
+        "tau": (_to_float, 1.0, _POSITIVE),
+        "t0": (_to_float, 0.0, _at_least(0.0)),
+        "p_list": (_to_float_list, [0.5, 1.0, 1.5], _entries(1, _POSITIVE)),
+        "refine": (int, 1, ((lambda v: v in (0, 1)), "0 or 1")),
+    }, _run_harnack),
+    "optimality": ({
+        "alpha": _ALPHA,
+        "N": (int, 1, ((lambda n: 1 <= n <= 3), "1, 2 or 3")),
+        "p": (_to_float, 5.0 / 3.0, _POSITIVE),
+        "eps_min": (_to_float, 1e-8, _UNIT),
+        "eps_max": (_to_float, 0.1, _UNIT),
+        "eps_count": (int, 15, _at_least(3)),
+    }, _run_optimality),
+    "continuity": ({
+        "alpha": _ALPHA_CLASSICAL,
+        "nx": (int, 160, _at_least(4)),
+        "m": (int, 1024, _at_least(2)),
+        "r0": (_to_float, 0.3, _POSITIVE),
+        "eta": (_to_float, 2.0, _POSITIVE),
+        "x0": (_to_float, 0.62, None),
+        "levels": (int, 4, _at_least(2)),
+    }, _run_continuity),
+    "maxprinciple": ({
+        "runs": (int, 200, _at_least(1)),
+        "seed": (int, DEFAULT_SEED, _at_least(0)),
+    }, _run_maxprinciple),
 }
 
 
 def run(cfg: ExperimentConfig, verbose: bool = False) -> int:
     """Execute one experiment; returns the process exit status."""
+    # the summary echoes the experiment and whichever of alpha and seed it read
+    echo = {k: str(cfg.params[k]) for k in ("alpha", "seed") if k in cfg.params}
     if verbose:
-        print(f"[subharnack] running {cfg.experiment} "
-              f"(alpha={cfg.alpha}, seed={cfg.seed})", file=sys.stderr)
+        print(f"[subharnack] running {cfg.experiment}",
+              *(f"{k}={v}" for k, v in echo.items()), file=sys.stderr)
     try:
-        files, summary = _RUNNERS[cfg.experiment](cfg)
-    except (SubharnackError, FloatingPointError, np.linalg.LinAlgError) as exc:
-        print(f"[subharnack] numerical failure: {exc}", file=sys.stderr)
+        files, summary = _FAMILIES[cfg.experiment][1](cfg)
+    except (SubharnackError, ValueError, MemoryError,
+            np.linalg.LinAlgError) as exc:
+        # exit 1 is kept for a failed gate: a run that raises is exit 3
+        print(f"[subharnack] numerical failure: {str(exc) or type(exc).__name__}",
+              file=sys.stderr)
         return 3
     # the run passes exactly when none of its gates reads fail
     passed = "fail" not in summary.values()
-    summary["experiment"] = cfg.experiment
-    summary["alpha"] = _fmt(cfg.alpha)
-    summary["seed"] = str(cfg.seed)
-    summary["status"] = _flag(passed)
+    summary.update(experiment=cfg.experiment, **echo, status=_flag(passed))
     files[f"{cfg.experiment}_summary.txt"] = _summary_text(summary)
     try:
         _atomic_write_all(cfg.out_dir, files)

@@ -67,15 +67,6 @@ def _as_alpha(alpha, *, classical_ok: bool = False) -> float:
     return a
 
 
-def _csv_text(header: str, rows) -> str:
-    """CSV text with LF line endings: numbers (bools excepted) as the
-    shortest round-trip float, every other value by ``str``."""
-    body = (",".join(repr(float(v)) if isinstance(v, (int, float))
-                     and not isinstance(v, bool) else str(v) for v in row)
-            for row in rows)
-    return "\n".join([header, *body]) + "\n"
-
-
 def _as_count(value, what: str, least: int = 0) -> int:
     """An integral count of at least ``least`` as int; 4.0 passes, while 2.5,
     NaN, strings and smaller counts raise ``DomainError`` naming ``what``."""
@@ -117,23 +108,23 @@ class KernelTable:
             raise DomainError(f"dt must be finite and positive, got {self.dt}")
         vals = np.asarray(self.values, dtype=float).copy()
         if vals.ndim != 1 or vals.size < 2:
-            raise ValueError("values must be a 1-d sequence of length >= 2")
+            raise DomainError("values must be a 1-d sequence of length >= 2")
         if self.kind not in KINDS:
-            raise ValueError(f"unknown kernel kind {self.kind!r}")
+            raise DomainError(f"unknown kernel kind {self.kind!r}")
         if self.sampling not in SAMPLINGS:
-            raise ValueError(f"unknown sampling {self.sampling!r}")
+            raise DomainError(f"unknown sampling {self.sampling!r}")
         if not np.all(np.isfinite(vals[1:])):
-            raise ValueError("values must be finite for j >= 1")
+            raise DomainError("values must be finite for j >= 1")
         if self.kind == "yosida_g":
             body = vals[1:] if not np.isfinite(vals[0]) else vals
             scale = max(abs(body[0]), 1.0)
             if np.any(body < -1e-14 * scale):
-                raise ValueError("yosida_g table must be nonnegative")
+                raise DomainError("yosida_g table must be nonnegative")
             if np.any(np.diff(body) > 1e-13 * scale):
-                raise ValueError("yosida_g table must be nonincreasing")
+                raise DomainError("yosida_g table must be nonincreasing")
         if self.kind == "yosida_h":
             if np.any(vals[1:] < -1e-13 * max(abs(vals[1]), 1.0)):
-                raise ValueError("yosida_h table must be nonnegative")
+                raise DomainError("yosida_h table must be nonnegative")
         vals.setflags(write=False)
         object.__setattr__(self, "values", vals)
 
@@ -146,7 +137,7 @@ class KernelTable:
         if self.sampling in ("grunwald", "cell_average"):
             return self.values[1:]
         if not np.isfinite(self.values[0]):
-            raise ValueError(
+            raise DomainError(
                 "node-sampled table is singular at t=0; no cell representation"
             )
         return 0.5 * (self.values[:-1] + self.values[1:])
@@ -185,7 +176,7 @@ def rl_kernel_table(
     if not (math.isfinite(dt) and dt > 0.0):
         raise DomainError(f"dt must be finite and positive, got {dt}")
     if m < 1:
-        raise ValueError("need at least one step")
+        raise DomainError("need at least one step")
     j = np.arange(0, m + 1, dtype=float)
     if sampling == "grunwald":
         body = dt ** (beta - 1.0) * _grunwald_coeffs(beta, m)
@@ -194,7 +185,7 @@ def rl_kernel_table(
     elif sampling == "node":
         body = (j[1:] * dt) ** (beta - 1.0) / gamma_fn(beta)
     else:
-        raise ValueError(f"unknown sampling {sampling!r}")
+        raise DomainError(f"unknown sampling {sampling!r}")
     if beta < 1.0:
         head = math.nan
     elif beta == 1.0:
@@ -626,7 +617,7 @@ def _pi_moments(kernel: KernelTable):
         return M0, M1
     if kernel.sampling in ("cell_average", "grunwald"):
         return dt * kernel.cell_values(), None
-    raise ValueError("kernel table does not support product-integration moments")
+    raise DomainError("kernel table does not support product-integration moments")
 
 
 def _solve_nodes(kernel: KernelTable, f: np.ndarray, rule: str) -> np.ndarray:
@@ -639,7 +630,7 @@ def _solve_nodes(kernel: KernelTable, f: np.ndarray, rule: str) -> np.ndarray:
     M0, M1 = _pi_moments(kernel)
     if rule == "trapezoid":
         if M1 is None:
-            raise ValueError("first moments unavailable for cell tables; "
+            raise DomainError("first moments unavailable for cell tables; "
                              "use rule='rectangle'")
         # tau-cell at lag l: x is linear between its endpoints; the node at the
         # smaller lag carries weight B = M0 - M1/dt, the other A = M1/dt, so
@@ -651,7 +642,7 @@ def _solve_nodes(kernel: KernelTable, f: np.ndarray, rule: str) -> np.ndarray:
     elif rule == "rectangle":
         w = M0
     else:
-        raise ValueError(f"unknown rule {rule!r}")
+        raise DomainError(f"unknown rule {rule!r}")
     diag = 1.0 + w[0]
     if abs(diag) < 1e-13 * max(1.0, abs(w[0])):
         raise SingularStepError("degenerate diagonal weight in implicit step")
@@ -685,11 +676,11 @@ def solve_volterra(kernel: KernelTable, f, rule: str = "trapezoid") -> KernelTab
     """
     f_arr = np.asarray(f, dtype=float)
     if f_arr.shape != (kernel.m + 1,):
-        raise ValueError(
+        raise DomainError(
             f"f must have length {kernel.m + 1}, got shape {f_arr.shape}"
         )
     if not np.all(np.isfinite(f_arr)):
-        raise ValueError("f must be finite")
+        raise DomainError("f must be finite")
     x = _solve_nodes(kernel, f_arr, rule)
     return KernelTable(dt=kernel.dt, values=x, kind="custom", sampling="node")
 

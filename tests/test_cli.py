@@ -38,8 +38,11 @@ def assert_verdict(out, experiment, status):
 def test_parse_minimal_config():
     cfg = cli.parse_config("experiment=identities\nalpha=0.5\n")
     assert cfg.experiment == "identities"
-    assert cfg.alpha == 0.5
-    assert cfg.seed == cli.DEFAULT_SEED
+    assert cfg.params["alpha"] == 0.5
+    assert "seed" not in cfg.params
+    seeded = cli.parse_config("experiment=maxprinciple\n")
+    assert seeded.params["seed"] == cli.DEFAULT_SEED
+    assert "alpha" not in seeded.params
 
 
 def test_parse_comments_and_blanks():
@@ -198,12 +201,18 @@ def test_every_family_reruns_byte_identical(tmp_path, experiment):
     for name in names:
         assert (out_a / name).read_bytes() == (out_b / name).read_bytes()
     assert_verdict(out_a, experiment, status)
+    # the summary ends with the experiment and the one of alpha and seed
+    # that the family reads
+    summary = read_summary(out_a, experiment)
+    read = "seed" if experiment == "maxprinciple" else "alpha"
+    assert list(summary)[-3:] == ["experiment", read, "status"]
+    assert {"alpha", "seed"} & set(summary) == {read}
 
 
 def test_failed_gate_sets_status_and_exit_1(tmp_path):
     text = "experiment=identities\nm=8\nn_levels=1,4\ngnprop_m=2\n"
     # a runner returns its files and summary, no verdict of its own
-    files, summary = cli._RUNNERS["identities"](cli.parse_config(text))
+    files, summary = cli._FAMILIES["identities"][1](cli.parse_config(text))
     assert "fail" in summary.values() and "status" not in summary
     out = tmp_path / "out"
     status = cli.main([write_cfg(tmp_path, text), "--out", str(out)])
@@ -302,6 +311,15 @@ def test_out_of_range_config_exits_2_without_files(tmp_path, capsys,
     ("identities", "alpha=1.0"),
     ("harnack", "alpha=1.0"),
     ("optimality", "alpha=1.0"),
+    # time scales that underflow below the smallest normal float
+    ("harnack", "alpha=1e-3"),
+    ("continuity", "alpha=1e-3"),
+    ("harnack", "tau=1e-300\nalpha=0.1"),
+    # a key the family does not read: only maxprinciple draws from a seed,
+    # and each of its runs draws its own alpha
+    *((family, "seed=1") for family in
+      ("identities", "converge", "harnack", "optimality", "continuity")),
+    ("maxprinciple", "alpha=0.5"),
     # geometry outside the unit interval, rejected before any solve
     ("harnack", "x0=0.1"),
     ("harnack", "r=5.0\nrefine=0"),
@@ -322,6 +340,25 @@ def test_out_of_domain_config_is_a_config_error(tmp_path, capsys, experiment,
     err = capsys.readouterr().err
     assert err.startswith("[subharnack] config error:")
     assert err.count("\n") == 1 and "Traceback" not in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("exc", [MemoryError(), MemoryError("no room"),
+                                 ValueError("size exceeded")])
+def test_an_exception_in_a_run_exits_3_without_files(tmp_path, capsys,
+                                                     monkeypatch, exc):
+    # exit 1 means a failed gate; a run that raises must not read as one
+    def raising(cfg):
+        raise exc
+
+    schema, _ = cli._FAMILIES["converge"]
+    monkeypatch.setitem(cli._FAMILIES, "converge", (schema, raising))
+    out = tmp_path / "out"
+    assert cli.main([write_cfg(tmp_path, "experiment=converge\n"),
+                     "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert err == ("[subharnack] numerical failure: "
+                   f"{str(exc) or type(exc).__name__}\n")
     assert not out.exists()
 
 
@@ -356,10 +393,10 @@ def test_family_keys_match_readme():
     families = re.split(r"\.\s", families, 1)[0]
     parts = re.split(r"`(\w+)`:", families)[1:]
     listed = dict(zip(parts[::2], parts[1::2]))
-    assert list(listed) == list(cli._SCHEMAS)
+    assert list(listed) == list(cli._FAMILIES)
     for family, text in listed.items():
         assert set(re.findall(r"`(\w+)`", text)) == \
-            set(cli._SCHEMAS[family]) - common_keys, family
+            set(cli._FAMILIES[family][0]), family
 
 
 def test_removed_threads_option_exits_2(tmp_path):
@@ -446,6 +483,8 @@ def test_solve_weak_form_and_harnack_run_never_import_scipy_sparse(tmp_path):
     (2, "experiment=converge\nm_list=64\n", "out"),
     (2, "experiment=converge\nm_list=16,32\n", "plain_file/sub"),
     (3, "experiment=harnack\nnx=4\nr=0.05\nrefine=0\n", "out"),
+    # numpy refuses an array this long before allocating any of it
+    (3, "experiment=identities\nm=100000000000000000000\n", "out"),
     # eps grids covering a tenth of the window's decade, below the critical
     # exponent, and a thousandth of a decade at it
     (2, "experiment=optimality\np=1.0\neps_min=1e-8\neps_max=1.1e-8\n",
@@ -461,10 +500,10 @@ def test_fresh_interpreter_exit_codes_without_traceback(tmp_path, status,
     assert "Traceback" not in proc.stderr
     if status >= 2:
         assert proc.stderr.count("[subharnack]") == 1
-    if status == 2 and "optimality" in text:
-        assert proc.stderr.startswith("[subharnack] config error: the eps grid")
         assert proc.stderr.count("\n") == 1
         assert not (tmp_path / out).exists()
+    if status == 2 and "optimality" in text:
+        assert proc.stderr.startswith("[subharnack] config error: the eps grid")
 
 
 def test_fresh_interpreter_rejects_low_above_high(tmp_path):

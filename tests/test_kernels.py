@@ -64,9 +64,9 @@ def test_semigroup_property_l1_refinement():
 def test_kernel_table_invariants():
     with pytest.raises(DomainError):
         K.KernelTable(dt=-0.1, values=np.ones(4))
-    with pytest.raises(ValueError):
+    with pytest.raises(DomainError):
         K.KernelTable(dt=0.1, values=np.ones(1))
-    with pytest.raises(ValueError):
+    with pytest.raises(DomainError):
         K.KernelTable(dt=0.1, values=np.array([1.0, 2.0, 1.0]), kind="yosida_g")
     tab = K.rl_kernel_table(0.5, 0.1, 8)
     assert tab.m == 8
@@ -576,9 +576,9 @@ def test_volterra_linearity():
 
 def test_volterra_input_validation():
     kern = K.rl_kernel_table(0.5, 0.1, 8)
-    with pytest.raises(ValueError):
+    with pytest.raises(DomainError):
         K.solve_volterra(kern, np.ones(5))
-    with pytest.raises(ValueError):
+    with pytest.raises(DomainError):
         K.solve_volterra(kern, np.concatenate([[np.inf], np.ones(8)]))
     degenerate = K.KernelTable(dt=0.1, values=-10.0 * np.ones(9),
                                kind="custom", sampling="node")
@@ -586,9 +586,9 @@ def test_volterra_input_validation():
         K.solve_volterra(degenerate, np.ones(9), rule="rectangle")
     cells = K.KernelTable(dt=0.1, values=np.linspace(2.0, 1.0, 9),
                           sampling="cell_average")
-    with pytest.raises(ValueError, match="first moments"):
+    with pytest.raises(DomainError, match="first moments"):
         K.solve_volterra(cells, np.ones(9), rule="trapezoid")
-    with pytest.raises(ValueError, match="unknown rule"):
+    with pytest.raises(DomainError, match="unknown rule"):
         K.solve_volterra(kern, np.ones(9), rule="midpoint")
 
 
