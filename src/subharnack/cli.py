@@ -304,6 +304,9 @@ def _run_converge(cfg: ExperimentConfig):
         "orders": ";".join(_fmt(o) for o in orders),
         "expected_order": _fmt(expected),
         "order_band": _flag(all(abs(o - expected) <= 0.3 for o in orders)),
+        # the orders alone pass on a wrong answer that shrinks at the rate
+        "final_error": _fmt(errs[-1]),
+        "error_small": _flag(errs[-1] < 0.1),
     }
     return files, summary
 

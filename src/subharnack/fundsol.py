@@ -10,7 +10,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import AccuracyError, DomainError
 from .kernels import (_as_alpha, _as_count, _exp_mixture, _gauss_panels,
                       m_wright_rule)
 
@@ -158,8 +158,14 @@ def optimality_experiment(alpha, N: int, p: float, epsilon_list,
         radius = tq ** (-a / 2.0)
         phi_cum = np.where(radius >= nodes[-1], cap,
                            np.interp(radius, nodes, cumulative))
-        vals = tq ** e_p * phi_cum
-        return area * float(np.dot(wq, vals))
+        # a large p overflows t^e_p near eps; a non-finite I(eps) is an error
+        with np.errstate(over="ignore", invalid="ignore"):
+            total = area * float(np.dot(wq, tq ** e_p * phi_cum))
+        if not math.isfinite(total):
+            raise AccuracyError(f"I(eps) is not finite at p={p!r}, "
+                                f"eps={eps!r}: t^{e_p!r} overflows double "
+                                f"precision")
+        return total
 
     return [(e, integral(e)) for e in eps_arr]
 

@@ -19,7 +19,7 @@ from .errors import (
 )
 from .fundsol import _SPHERE_AREA, critical_exponent
 from .kernels import _as_alpha
-from .solver import (SolveResult, SpaceGrid, _tensor_field,
+from .solver import (SolveResult, SpaceGrid, _source_values, _tensor_field,
                      supersolution_residual)
 
 __all__ = [
@@ -323,7 +323,8 @@ def max_principle_check(result: SolveResult) -> MaxPrincipleReport:
     spec = result.spec
     if spec.forcing is not None:
         pts = spec.space.node_points()
-        if any(np.any(spec.forcing_values(t, pts) != 0.0) for t in spec.time.nodes):
+        if any(np.any(_source_values(spec.forcing, t, pts) != 0.0)
+               for t in spec.time.nodes):
             raise DomainError("maximum principle check requires zero forcing")
     space = spec.space
     bmask = space.boundary_mask()
@@ -414,22 +415,6 @@ class PoincareCheck:
     ratio: float
 
 
-def _check_superlevel_convexity(phi: np.ndarray) -> None:
-    """Sampled surrogate for convex superlevel sets: along every grid line of
-    every axis the set {phi >= a} must be an interval, i.e. start at most
-    once."""
-    for level in np.linspace(0.15, 0.85, 5) * phi.max():
-        mask = phi >= level
-        for ax in range(mask.ndim):
-            lines = np.moveaxis(mask, ax, -1)
-            starts = lines[..., 0] + np.sum(lines[..., 1:] & ~lines[..., :-1],
-                                            axis=-1)
-            if np.any(starts > 1):
-                raise InvalidWeightError(
-                    "weight superlevel sets are not convex along grid lines"
-                )
-
-
 def _trapezoid_weights(space: SpaceGrid) -> np.ndarray:
     parts = []
     for n, h in zip(space.cells, space.h):
@@ -446,30 +431,21 @@ _POINCARE_SLACK = 0.02
 
 
 def weighted_poincare_check(space: SpaceGrid, u: np.ndarray,
-                            weight) -> PoincareCheck:
-    """Check the weighted mean-deviation bound: the phi-weighted variance of
-    u is controlled by 2 d^2 mu(supp phi)/|phi|_1 times the phi-weighted
-    gradient energy, up to the relative ``_POINCARE_SLACK``."""
+                            weight: ConeWeight) -> PoincareCheck:
+    """Check the weighted mean-deviation bound for a cone weight phi: the
+    phi-weighted variance of u is controlled by 2 d^2 mu(supp phi)/|phi|_1
+    times the phi-weighted gradient energy, up to the relative
+    ``_POINCARE_SLACK``.  Any other weight raises ``InvalidWeightError``."""
+    if not isinstance(weight, ConeWeight):
+        raise InvalidWeightError(
+            f"weight must be a ConeWeight, got {type(weight).__name__}")
     u = np.asarray(u, dtype=float)
     if u.shape != space.shape:
         raise DomainError(f"u has shape {u.shape}, grid nodes {space.shape}")
     qw = _trapezoid_weights(space)
-    if isinstance(weight, ConeWeight):
-        phi = weight.values(space)
-        diam = weight.diameter
-        supp = weight.support_measure(space.dimension)
-    else:
-        phi = np.asarray(weight, dtype=float)
-        if phi.shape != space.shape:
-            raise DomainError("weight array shape does not match the grid")
-        if phi.min() < 0.0 or phi.max() > 1.0 + 1e-12:
-            raise InvalidWeightError("weight must take values in [0, 1]")
-        _check_superlevel_convexity(phi)
-        pts = space.node_points()[phi > 0.0]
-        if pts.shape[0] < 2:
-            raise InvalidWeightError("weight support is (nearly) empty")
-        diam = math.sqrt(float(np.sum(np.ptp(pts, axis=0) ** 2)))
-        supp = float(np.sum(qw * (phi > 0.0)))
+    phi = weight.values(space)
+    diam = weight.diameter
+    supp = weight.support_measure(space.dimension)
     phi_l1 = float(np.sum(qw * phi))
     if phi_l1 <= 0.0:
         raise InvalidWeightError("weight has zero mass")

@@ -43,8 +43,6 @@ __all__ = [
 
 #: switch point between the power series and the integral representation
 Z_SWITCH = 5.0
-#: most steps E_{a,b}(z) = (E_{a,b-a}(z) - 1/Gamma(b-a)) / z one call takes
-_ML_MAX_STEPS = 10000
 #: from s = 1e6 on, six asymptotic terms give E_{alpha,beta}(-s) to rounding
 _S_ASYMPTOTIC = 1e6
 #: where the M-Wright ray E_alpha(-s) serves the scalar: its error, measured
@@ -338,74 +336,50 @@ def mittag_leffler(alpha: float, beta: float, z: float) -> float:
     wherever its rounding floor certifies ``_ML_RTOL``.  Where it does not,
     for 0 < alpha < 1, z <= -1e6 takes the asymptotic sum; E_alpha(-s) the
     M-Wright ray (building the rule if it is not cached) where alpha lies
-    in the range over which its error was measured; beta >=
-    1 + alpha, alpha <= 1, steps of E_{a,b}(z) = (E_{a,b-a}(z) -
-    1/Gamma(b-a)) / z back into this list, at most ``_ML_MAX_STEPS`` of
-    them; and the contour integral the rest.  Where the contour gives up
-    for z < -5 (alpha = 0.001, beta = 1 for 5 < -z < 1e6), the asymptotic
-    series serves if its envelope falls below 1e-17 of its sum (23 terms,
-    4.4e-16 from a 40-digit value, at -z = 6).  The classical
-    limits alpha = 1, beta = 1 (exponential) and alpha > 1 on the series'
-    safe range are supported as documented special cases.
+    in the range over which its error was measured; and the contour
+    integral the rest, for beta < 1 + alpha only.  Where the contour gives
+    up for z < -5 (alpha = 0.001, beta = 1 for 5 < -z < 1e6), the
+    asymptotic series serves if its envelope falls below 1e-17 of its sum
+    (23 terms, 4.4e-16 from a 40-digit value, at -z = 6).  So beta >=
+    1 + alpha is served by the series (|z| <= 5 where it certifies, and
+    z > 0) and the asymptotic sum (z <= -1e6) alone; between those the call
+    raises ``AccuracyError``.  The classical limits alpha = 1, beta = 1
+    (exponential) and alpha > 1 on the series' safe range are supported as
+    documented special cases.
     """
     if alpha <= 0.0 or beta <= 0.0:
         raise DomainError("Mittag-Leffler parameters must be strictly positive")
     if not math.isfinite(z):
         raise DomainError(f"z must be finite, got {z}")
-    lowered = []  # the betas stepped down from, in order
-    while True:
-        if alpha == 1.0 and beta == 1.0:
-            try:
-                val = math.exp(z)
-            except OverflowError:
-                raise AccuracyError(
-                    f"E_(1,1)({z}) overflows double precision") from None
-            break
-        if abs(z) <= Z_SWITCH or z > 0.0 or alpha >= 1.0:
-            val, ok = _ml_series(alpha, beta, z, _ML_RTOL)
-            if ok:
-                break
-        if alpha < 1.0 and z <= -_S_ASYMPTOTIC:
-            val = float(_ml_asymptotic(alpha, beta, -z))
-            break
-        if z < 0.0 and beta == 1.0 and _RULE_ALPHAS[0] <= alpha <= _RULE_ALPHAS[1]:
-            val = float(ml_on_negative_axis(alpha, 1.0)(-z))
-            break
-        if alpha <= 1.0 and beta >= 1.0 + alpha:
-            # lower beta into the contour's integrable range (or, at alpha
-            # = 1, towards the exponential)
-            if len(lowered) == _ML_MAX_STEPS:
-                raise AccuracyError(f"E_({alpha},{lowered[0]})({z}) needs more "
-                                    f"than {_ML_MAX_STEPS} beta-lowering steps")
-            lowered.append(beta)
-            # where beta - 1 is a whole number of alphas up to the rounding of
-            # beta, step from that count: the last step lands on beta = 1
-            # exactly and takes the ray, not the contour
-            b0 = lowered[0]
-            whole = round(min((b0 - 1.0) / alpha, _ML_MAX_STEPS))
-            if abs(b0 - 1.0 - alpha * whole) <= 4.0 * math.ulp(b0):
-                beta = 1.0 + alpha * (whole - len(lowered))
-            else:
-                beta = beta - alpha
-            continue
-        if alpha < 1.0:
-            try:
-                val = _ml_integral(alpha, beta, z, _ML_RTOL)
-            except AccuracyError:
-                # the contour's rule cannot follow u^(alpha - beta) for alpha
-                # near 0 (alpha = 0.001, beta = 1 from s = 6 on); there the
-                # asymptotic series converges to rounding before it diverges
-                val = None
-                if z < -Z_SWITCH:
-                    val = _ml_asymptotic_sum(alpha, beta, -z)
-                if val is None:
-                    raise
-            break
+    if alpha == 1.0 and beta == 1.0:
+        try:
+            return math.exp(z)
+        except OverflowError:
+            raise AccuracyError(
+                f"E_(1,1)({z}) overflows double precision") from None
+    if abs(z) <= Z_SWITCH or z > 0.0 or alpha >= 1.0:
+        val, ok = _ml_series(alpha, beta, z, _ML_RTOL)
+        if ok:
+            return val
+    if alpha < 1.0 and z <= -_S_ASYMPTOTIC:
+        return float(_ml_asymptotic(alpha, beta, -z))
+    if z < 0.0 and beta == 1.0 and _RULE_ALPHAS[0] <= alpha <= _RULE_ALPHAS[1]:
+        return float(ml_on_negative_axis(alpha, 1.0)(-z))
+    if alpha >= 1.0 or beta >= 1.0 + alpha:
         raise AccuracyError(
-            f"no convergent evaluation path for E_({alpha},{beta})({z})")
-    for b in reversed(lowered):
-        val = (val - rgamma(b - alpha)) / z
-    return val
+            f"no convergent evaluation path for E_({alpha},{beta})({z}): "
+            f"past the series the contour needs alpha < 1 and "
+            f"beta < 1 + alpha")
+    try:
+        return _ml_integral(alpha, beta, z, _ML_RTOL)
+    except AccuracyError:
+        # the contour's rule cannot follow u^(alpha - beta) for alpha near 0
+        # (alpha = 0.001, beta = 1 from s = 6 on); there the asymptotic
+        # series converges to rounding before it diverges
+        val = _ml_asymptotic_sum(alpha, beta, -z) if z < -Z_SWITCH else None
+        if val is None:
+            raise
+        return val
 
 
 # ---------------------------------------------------------------------------

@@ -214,19 +214,14 @@ class ProblemSpec:
         if self.coefficients is None:
             self.coefficients = constant_coefficients(1.0, self.space.dimension)
 
-    def boundary_values(self, t: float, points: np.ndarray) -> np.ndarray:
-        if self.boundary is None:
-            return np.zeros(points.shape[:-1])
-        if callable(self.boundary):
-            return np.asarray(self.boundary(t, points), dtype=float)
-        return np.full(points.shape[:-1], float(self.boundary))
 
-    def forcing_values(self, t: float, points: np.ndarray) -> np.ndarray:
-        if self.forcing is None:
-            return np.zeros(points.shape[:-1])
-        if callable(self.forcing):
-            return np.asarray(self.forcing(t, points), dtype=float)
-        return np.full(points.shape[:-1], float(self.forcing))
+def _source_values(src, t: float, points: np.ndarray):
+    """Boundary or forcing data ``src`` at time t on ``points``: a callable's
+    values as a float array, else the constant (0.0 for None), which
+    broadcasts over the points."""
+    if callable(src):
+        return np.asarray(src(t, points), dtype=float)
+    return 0.0 if src is None else float(src)
 
 
 @dataclass
@@ -498,16 +493,15 @@ def solve_subdiffusion(spec: ProblemSpec) -> SolveResult:
         G = np.empty((hi - lo, outer.size))
         F = np.empty((hi - lo, inner.size))
         per_level = []
-        for what, buf, src, values, p in (
-                ("boundary", G, spec.boundary, spec.boundary_values, pts_out),
-                ("forcing", F, spec.forcing, spec.forcing_values, pts_in)):
+        for what, buf, src, p in (("boundary", G, spec.boundary, pts_out),
+                                  ("forcing", F, spec.forcing, pts_in)):
             if callable(src):
-                per_level.append((what, buf, values, p))
-            else:
-                buf[...] = 0.0 if src is None else float(src)
+                per_level.append((what, buf, src, p))
+            else:  # the same at every level: one broadcast
+                buf[...] = _source_values(src, 0.0, p)
         for i, n in enumerate(range(lo, hi)):
-            for what, buf, values, p in per_level:
-                vals = values(n * dt, p)
+            for what, buf, src, p in per_level:
+                vals = _source_values(src, n * dt, p)
                 try:
                     buf[i] = vals
                 except ValueError:

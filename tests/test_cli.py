@@ -490,6 +490,10 @@ def test_solve_weak_form_and_harnack_run_never_import_scipy_sparse(tmp_path):
     (2, "experiment=optimality\np=1.0\neps_min=1e-8\neps_max=1.1e-8\n",
      "out"),
     (2, "experiment=optimality\neps_min=0.00999\neps_max=0.01\n", "out"),
+    # t^e_p overflows near eps_min: a numerical failure, not a failed gate
+    (3, "experiment=optimality\np=100\n", "out"),
+    # errors shrink at the expected order but are larger than the answer
+    (1, "experiment=converge\nsigma=1e6\n", "out"),
 ])
 def test_fresh_interpreter_exit_codes_without_traceback(tmp_path, status,
                                                         text, out):
@@ -504,6 +508,10 @@ def test_fresh_interpreter_exit_codes_without_traceback(tmp_path, status,
         assert not (tmp_path / out).exists()
     if status == 2 and "optimality" in text:
         assert proc.stderr.startswith("[subharnack] config error: the eps grid")
+    if status == 1 and "converge" in text:
+        summary = (tmp_path / out / "converge_summary.txt").read_text()
+        assert "order_band=pass\n" in summary
+        assert "error_small=fail\n" in summary
 
 
 def test_fresh_interpreter_rejects_low_above_high(tmp_path):

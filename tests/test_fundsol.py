@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -7,7 +8,7 @@ from scipy.special import gammaln
 
 from subharnack import fundsol as FS
 from subharnack import kernels
-from subharnack.errors import DomainError
+from subharnack.errors import AccuracyError, DomainError
 from subharnack.kernels import ml_on_negative_axis, rl_kernel
 
 RULE_ALPHAS = (0.1, 0.3, 0.5, 0.7, 0.9, 0.95, 0.99, 0.999)
@@ -228,3 +229,12 @@ def test_optimality_input_validation(ev_half):
         FS.optimality_experiment(0.5, 1, -1.0, [0.1], evaluator=ev_half)
     with pytest.raises(DomainError):
         FS.optimality_experiment(0.5, 1, 1.0, [1.5], evaluator=ev_half)
+
+
+def test_optimality_overflow_raises_without_warnings(ev_half):
+    # at p = 100 the time factor t^-74.75 overflows near eps = 1e-8: the
+    # integral is not finite, which is an error and not a number
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(AccuracyError, match=r"p=100\.0, eps=1e-08"):
+            FS.optimality_experiment(0.5, 1, 100.0, [1e-8], evaluator=ev_half)

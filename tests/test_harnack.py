@@ -629,40 +629,37 @@ def test_poincare_random_trig_fields(square_grid):
 
 
 def test_poincare_1d_array_weight():
+    # a cone of radius 0.4 at 0.5, against its closed form
     g = S.SpaceGrid.interval(0.0, 1.0, 64)
     x = np.linspace(0.0, 1.0, 65)
-    phi = np.clip(2.0 * (0.4 - np.abs(x - 0.5)) / 0.4, 0.0, 1.0)
-    u = np.sin(3.0 * x)
-    chk = H.weighted_poincare_check(g, u, phi)
-    assert chk.passed
-
-
-def test_poincare_rejects_nonconvex_weight():
-    g = S.SpaceGrid.interval(0.0, 1.0, 64)
-    x = np.linspace(0.0, 1.0, 65)
-    two_bumps = (np.clip(1.0 - np.abs(x - 0.3) / 0.1, 0.0, 1.0)
-                 + np.clip(1.0 - np.abs(x - 0.7) / 0.1, 0.0, 1.0))
-    with pytest.raises(InvalidWeightError):
-        H.weighted_poincare_check(g, np.sin(x), two_bumps)
-
-
-def test_poincare_2d_array_weight():
-    X = RECT.node_points()
-    dist = np.sqrt((X[..., 0] - 0.5) ** 2 + (X[..., 1] - 0.65) ** 2)
-    phi = np.clip(2.0 * (0.4 - dist) / 0.4, 0.0, 1.0)
-    u = np.sin(3.0 * X[..., 0]) * np.cos(2.0 * X[..., 1])
-    chk = H.weighted_poincare_check(RECT, u, phi)
+    w = H.cone_weight(g, center=0.5, radius=0.4)
+    np.testing.assert_allclose(
+        w.values(g), np.clip(2.0 * (0.4 - np.abs(x - 0.5)) / 0.4, 0.0, 1.0),
+        rtol=0.0, atol=1e-15)
+    chk = H.weighted_poincare_check(g, np.sin(3.0 * x), w)
     assert chk.passed and 0.0 < chk.ratio < 1.0
 
 
-def test_poincare_rejects_nonconvex_2d_weight():
+def test_poincare_2d_array_weight():
+    # an off-centre cone in a non-square box
     X = RECT.node_points()
-    two_bumps = sum(np.clip(1.0 - np.sqrt((X[..., 0] - cx) ** 2
-                                          + (X[..., 1] - 0.65) ** 2) / 0.15,
-                            0.0, 1.0)
-                    for cx in (0.3, 0.7))
-    with pytest.raises(InvalidWeightError):
-        H.weighted_poincare_check(RECT, np.sin(X[..., 0]), two_bumps)
+    w = H.cone_weight(RECT, center=(0.5, 0.65), radius=0.4)
+    dist = np.sqrt((X[..., 0] - 0.5) ** 2 + (X[..., 1] - 0.65) ** 2)
+    np.testing.assert_allclose(
+        w.values(RECT), np.clip(2.0 * (0.4 - dist) / 0.4, 0.0, 1.0),
+        rtol=0.0, atol=1e-15)
+    u = np.sin(3.0 * X[..., 0]) * np.cos(2.0 * X[..., 1])
+    chk = H.weighted_poincare_check(RECT, u, w)
+    assert chk.passed and 0.0 < chk.ratio < 1.0
+
+
+def test_poincare_takes_only_a_cone_weight():
+    # an array of node values is no weight, even one equal to a cone's
+    g = S.SpaceGrid.interval(0.0, 1.0, 64)
+    w = H.cone_weight(g, center=0.5, radius=0.4)
+    for weight in (w.values(g), None, 0.4):
+        with pytest.raises(InvalidWeightError, match="ConeWeight"):
+            H.weighted_poincare_check(g, np.zeros(g.shape), weight)
 
 
 def test_cone_weight_must_fit():

@@ -819,8 +819,8 @@ def direct_march(spec, dense=False):
         for j in range(1, n):
             hist = hist + (b[j - 1] - b[j]) * U[n - j]
         L = coo_operator(spec, n)[inner]
-        U[n, outer] = spec.boundary_values(t, pts[outer])
-        rhs = (c0 * hist[inner] + spec.forcing_values(t, pts[inner])
+        U[n, outer] = S._source_values(spec.boundary, t, pts[outer])
+        rhs = (c0 * hist[inner] + S._source_values(spec.forcing, t, pts[inner])
                - L[:, outer] @ U[n, outer])
         A = L[:, inner] + c0 * sp.identity(inner.size)
         U[n, inner] = (np.linalg.solve(A.toarray(), rhs) if dense
