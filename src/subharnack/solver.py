@@ -118,7 +118,8 @@ class CoefficientField:
     tensors.  ``nu`` and ``lambda_bound`` are the claimed ellipticity and
     magnitude bounds.  The solve samples the field at the quarter points of
     every face, at level 1 for a static field and at every level otherwise,
-    and checks both bounds on every sample before any level is solved.
+    and keys each level on the raw samples (their shape and bytes): a new
+    key is checked against both bounds before any level is solved.
     """
 
     evaluate: Callable[[int, np.ndarray], np.ndarray]
@@ -128,7 +129,12 @@ class CoefficientField:
     name: str = "custom"
 
     def diag_at(self, time_index: int, points: np.ndarray, dim: int) -> np.ndarray:
-        vals = np.asarray(self.evaluate(time_index, points), dtype=float)
+        return self._per_axis(self.evaluate(time_index, points), points, dim)
+
+    @staticmethod
+    def _per_axis(vals, points: np.ndarray, dim: int) -> np.ndarray:
+        """``evaluate``'s values on ``points`` as (..., dim) diagonals."""
+        vals = np.asarray(vals, dtype=float)
         if vals.shape == points.shape[:-1]:
             vals = np.repeat(vals[..., None], dim, axis=-1)
         if vals.shape != points.shape[:-1] + (dim,):
@@ -161,23 +167,31 @@ def checkerboard_coefficients(
 ) -> CoefficientField:
     """Piecewise-constant scalar field alternating low/high per block of
     ``period`` cells along each axis, optionally swapping the two values
-    every ``time_flip`` time steps (discontinuous in time)."""
+    every ``time_flip`` time steps (discontinuous in time).  ``period`` and
+    ``time_flip`` are integers of at least 1.  The block pattern is computed
+    once per point set: ``evaluate`` keeps the latest set's pattern under
+    its dtype, shape and bytes, so an array changed in place gets a new one,
+    and each call only picks low or high by the level's flip."""
     if not (0.0 < low <= high):
         raise DomainError("need 0 < low <= high")
-    if period < 1:
-        raise DomainError("period must be at least one cell")
+    period = _as_count(period, "period", 1)
+    if time_flip is not None:
+        time_flip = _as_count(time_flip, "time_flip", 1)
     lo = np.asarray(space.lower)
     h = np.asarray(space.h)
     ncells = np.asarray(space.cells)
+    latest = [(None, None)]  # (key, block parity) of the latest point set
 
     def evaluate(time_index, points):
-        block = np.floor((points - lo) / (period * h)).astype(int)
-        block = np.minimum(block, (ncells - 1) // period)
-        block = np.maximum(block, 0)
-        parity = np.sum(block, axis=-1) % 2
-        if time_flip is not None:
-            parity = (parity + (time_index // time_flip)) % 2
-        return np.where(parity == 0, low, high)
+        points = np.asarray(points)
+        key, kept = (points.dtype.str, points.shape, points.tobytes()), latest[0]
+        if kept[0] != key:
+            block = np.floor((points - lo) / (period * h)).astype(int)
+            block = np.minimum(block, (ncells - 1) // period)
+            block = np.maximum(block, 0)
+            kept = latest[0] = key, np.sum(block, axis=-1) % 2
+        flip = 0 if time_flip is None else time_index // time_flip % 2
+        return np.where(kept[1] == flip, low, high)
 
     # nu = low and lambda = high * sqrt(N) hold by construction; the solve
     # checks them on the samples it uses
@@ -404,17 +418,17 @@ def _level_operators(spec: ProblemSpec):
     L sums, over every face, the face weight times the jump across it.
     This is the only sampling of the field: the quarter points of all faces,
     from the grid's cached stencil, are evaluated in one call, at level 1
-    for a static field, else at every level.  Equal samples share one
-    operator, keyed by their bytes; new samples are checked against the
-    field's claims first."""
-    m, fld = spec.time.m, spec.coefficients
-    stencil = _grid_stencil(spec.space)
+    for a static field, else at every level.  Equal raw samples share one
+    operator, keyed by their shape and bytes; only a new key is broadcast
+    to per-axis values and checked against the field's claims."""
+    m, fld, stencil = spec.time.m, spec.coefficients, _grid_stencil(spec.space)
     levels = range(1, m + 1) if fld.time_dependent else (1,)
     keys, ops, state = {}, [], []
     for n in levels:
-        vals = fld.diag_at(n, stencil.quarters, spec.space.dimension)
-        key = vals.tobytes()
+        raw = np.asarray(fld.evaluate(n, stencil.quarters), dtype=float)
+        key = (raw.shape, raw.tobytes())
         if key not in keys:
+            vals = fld._per_axis(raw, stencil.quarters, spec.space.dimension)
             _check_samples(fld, vals, n)
             keys[key] = len(ops)
             ops.append(stencil.weights(vals))

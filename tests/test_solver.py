@@ -84,6 +84,75 @@ def test_checkerboard_time_flip():
     assert fld.time_dependent
 
 
+@pytest.mark.parametrize("which", ["period", "time_flip"])
+@pytest.mark.parametrize("value, ok", [
+    (0, False), (-1, False), (2.5, False), (np.nan, False), ("2", False),
+    (3, True), (3.0, True), (np.int64(3), True)])
+def test_checkerboard_counts_must_be_integers_of_at_least_one(which, value,
+                                                             ok):
+    g = S.SpaceGrid.interval(0.0, 1.0, 16)
+    counts = {"period": 2, "time_flip": None}
+    counts[which] = value
+    if not ok:
+        with pytest.raises(DomainError, match=f"{which} must be an integer"):
+            S.checkerboard_coefficients(g, counts["period"], 1.0, 5.0,
+                                        time_flip=counts["time_flip"])
+        return
+    fld = S.checkerboard_coefficients(g, counts["period"], 1.0, 5.0,
+                                      time_flip=counts["time_flip"])
+    counts[which] = 3
+    ref = uncached_checkerboard(g, counts["period"], 1.0, 5.0,
+                                counts["time_flip"])
+    pts = g.node_points()
+    for n in range(8):
+        assert same_bits(fld.evaluate(n, pts), ref(n, pts))
+
+
+def uncached_checkerboard(space, period, low, high, time_flip):
+    """The checkerboard's evaluate by its formula, the block pattern
+    derived afresh on every call."""
+    lo, h = np.asarray(space.lower), np.asarray(space.h)
+    ncells = np.asarray(space.cells)
+
+    def evaluate(time_index, points):
+        block = np.floor((points - lo) / (period * h)).astype(int)
+        block = np.minimum(block, (ncells - 1) // period)
+        block = np.maximum(block, 0)
+        parity = np.sum(block, axis=-1) % 2
+        if time_flip is not None:
+            parity = (parity + (time_index // time_flip)) % 2
+        return np.where(parity == 0, low, high)
+
+    return evaluate
+
+
+def same_bits(a, b):
+    return (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes())
+
+
+@pytest.mark.parametrize("time_flip", [None, 1, 3])
+@pytest.mark.parametrize("dim", [1, 2])
+def test_checkerboard_pattern_cache_bitwise_equal_uncached(time_flip, dim):
+    g = S.SpaceGrid((0.0,) * dim, (1.0, 1.5)[:dim], (12, 10)[:dim])
+    fld = S.checkerboard_coefficients(g, 2, 0.5, 4.0, time_flip=time_flip)
+    ref = uncached_checkerboard(g, 2, 0.5, 4.0, time_flip)
+    quarters = S._grid_stencil(g).quarters
+    nodes = g.node_points()                     # (a, N) or (a, b, N)
+    flat = nodes.reshape(-1, dim)               # (k, N)
+    levels = range(2 * (time_flip or 1) + 2)
+    # the stencil's quarter points alone, then three point sets in turn
+    for sets in ([quarters], [quarters, nodes, flat]):
+        for n in levels:
+            for pts in sets:
+                assert same_bits(fld.evaluate(n, pts), ref(n, pts))
+    # one writable array changed in place between calls
+    rng = np.random.default_rng(dim)
+    pts = flat.copy()
+    for n in levels:
+        pts[...] = rng.uniform(-0.1, 1.6, pts.shape)
+        assert same_bits(fld.evaluate(n, pts), ref(n, pts))
+
+
 def test_coefficient_field_bound_violation_detected():
     bad = S.CoefficientField(evaluate=lambda ti, pts: np.full(pts.shape[:-1], 0.1),
                              nu=1.0, lambda_bound=5.0)
@@ -737,6 +806,39 @@ def test_faces_evaluated_once_per_state_walk(time_flip):
     # one call for all quarter points, at level 1 or at every level; none
     # when the spec is built
     assert calls == (list(range(1, 13)) if time_flip else [1])
+
+
+@pytest.mark.parametrize("make", [interval_spec, rect_spec])
+def test_flip_solve_bitwise_equal_without_the_pattern_cache(make):
+    rng = np.random.default_rng(37)
+    args = (make().space, 2, 0.5, 4.0)
+    cached = S.checkerboard_coefficients(*args, time_flip=3)
+    # a fresh checkerboard per call: no block pattern is ever reused
+    fresh = S.CoefficientField(
+        evaluate=lambda ti, pts: S.checkerboard_coefficients(
+            *args, time_flip=3).evaluate(ti, pts),
+        nu=cached.nu, lambda_bound=cached.lambda_bound)
+    u0 = rng.uniform(-1.0, 2.0, size=make().space.shape)
+    a, b = (S.solve_subdiffusion(make(
+        m=14, u0=u0, coefficients=field,
+        boundary=lambda t, pts: np.cos(3.0 * t + pts[..., 0])))
+        for field in (cached, fresh))
+    assert a.u.tobytes() == b.u.tobytes()
+    assert a.diagnostics == b.diagnostics
+    assert struct.pack("<d", S.supersolution_residual(a)) == struct.pack(
+        "<d", S.supersolution_residual(b))
+
+
+def test_equal_bytes_in_a_new_shape_are_checked():
+    # level 2 returns level 1's bytes in a wrong shape: the level's key
+    # holds the shape, so its samples are checked, not shared
+    def evaluate(ti, pts):
+        vals = np.ones(pts.shape[:-1])
+        return vals if ti == 1 else vals.reshape(-1, 2)
+
+    field = S.CoefficientField(evaluate=evaluate, nu=1.0, lambda_bound=2.0)
+    with pytest.raises(DomainError, match=r"returned shape \(262, 2\)"):
+        S.solve_subdiffusion(rect_spec(coefficients=field))
 
 
 @pytest.mark.parametrize("bound,level,bad", [
