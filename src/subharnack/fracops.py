@@ -140,9 +140,13 @@ def _causal_march(lo, hi, leaf, rows, w, spectra=None):
 
 
 def l1_weights(alpha: float, m: int) -> np.ndarray:
-    """Weights b_j = (j+1)^(1-alpha) - j^(1-alpha); b_0 = 1, strictly decreasing."""
+    """Weights b_j = (j+1)^(1-alpha) - j^(1-alpha), strictly decreasing for
+    alpha < 1; b_0 = 1 for every alpha in (0, 1], set outright since
+    0.0 ** 0.0 == 1 would zero it at alpha = 1 (backward Euler: [1, 0, ...])."""
     j = np.arange(0, m, dtype=float)
-    return (j + 1.0) ** (1.0 - alpha) - j ** (1.0 - alpha)
+    b = (j + 1.0) ** (1.0 - alpha) - j ** (1.0 - alpha)
+    b[:1] = 1.0
+    return b
 
 
 def _l1_scheme(alpha: float, dt: float, m: int, dx=None):

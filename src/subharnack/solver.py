@@ -135,8 +135,8 @@ class CoefficientField:
     def _per_axis(vals, points: np.ndarray, dim: int) -> np.ndarray:
         """``evaluate``'s values on ``points`` as (..., dim) diagonals."""
         vals = np.asarray(vals, dtype=float)
-        if vals.shape == points.shape[:-1]:
-            vals = np.repeat(vals[..., None], dim, axis=-1)
+        if vals.shape == points.shape[:-1]:  # isotropic: a read-only view
+            vals = np.broadcast_to(vals[..., None], vals.shape + (dim,))
         if vals.shape != points.shape[:-1] + (dim,):
             raise DomainError(
                 f"coefficient evaluator returned shape {vals.shape}; expected "
@@ -259,15 +259,19 @@ class SolveResult:
 # ---------------------------------------------------------------------------
 
 def _check_samples(fld: CoefficientField, vals: np.ndarray, n: int) -> None:
-    """The field's claims on its samples at level n: a diagonal tensor's
-    ellipticity is its smallest entry, its magnitude the Frobenius norm."""
-    low = vals.min(axis=-1)
+    """The field's claims on its samples (P, N) at level n: a diagonal
+    tensor's ellipticity is its smallest entry, its magnitude the Frobenius
+    norm.  Both run column by column, since a reduction over the short last
+    axis costs more than N elementwise passes."""
+    low, square = vals[:, 0], vals[:, 0] * vals[:, 0]
+    for col in vals.T[1:]:
+        low = np.minimum(low, col)
+        square += col * col
     if not np.isfinite(vals).all():
         what = "is not finite"
     elif not np.all((low > 0.0) & (low >= fld.nu - 1e-12)):
         what = f"breaks its ellipticity bound nu={fld.nu!r}"
-    elif not np.all(np.sqrt(np.sum(vals * vals, axis=-1))
-                    <= fld.lambda_bound + 1e-12):
+    elif not np.all(np.sqrt(square) <= fld.lambda_bound + 1e-12):
         what = f"breaks its magnitude bound lambda_bound={fld.lambda_bound!r}"
     else:
         return
@@ -335,13 +339,15 @@ class _Stencil:
     @staticmethod
     def apply(W: tuple, U: np.ndarray) -> np.ndarray:
         """L U over the leading grid axes of U: each face's flux
-        w (u_hi - u_lo) leaves its low node and enters its high node."""
-        out, rest = np.zeros_like(U), (None,) * (U.ndim - len(W))
+        w (u_hi - u_lo) leaves its low node and enters its high node.  W
+        broadcasts over U's trailing axes: with a trailing level axis, each
+        level's weights apply to that level's column of U."""
+        out = np.zeros_like(U)
         for ax, w in enumerate(W):
             lo = (slice(None),) * ax + (slice(-1),)
             hi = (slice(None),) * ax + (slice(1, None),)
             flux = U[hi] - U[lo]
-            flux *= w[(...,) + rest]
+            flux *= w[(...,) + (None,) * (U.ndim - w.ndim)]
             out[lo] -= flux
             out[hi] += flux
         return out
@@ -444,30 +450,27 @@ _CHUNK = 16
 def solve_subdiffusion(spec: ProblemSpec) -> SolveResult:
     """March the implicit scheme through all time levels.
 
-    Each level solves (c0 I + L^n) u = c0 * history + f + boundary flux where
-    L^n is the five-point (three-point) operator with harmonic-mean faces.
-    The matrix is strictly diagonally dominant with nonpositive off-diagonal
-    entries, and the history weights are a convex combination, which gives
-    the discrete comparison principle.  L^n, its face weights, comes from
-    the result's one operator walk, which the weak form reuses; the node
-    points and the interior order come from the grid's stencil, built once
-    per grid per process.  The interior block c0 I + L is symmetric,
-    strictly diagonally dominant with a positive diagonal, so positive
-    definite, and banded with the longer axis outermost.  Per state its
-    upper band (``_Stencil.band``) is factorized by ``dpbtrf`` when a level
-    first needs it and solved by ``dpbtrs`` at every level in that state.
-    The factor fills the band, n_in * kd entries with kd = min(cells) - 1,
-    so it grows faster on large 2D grids than a fill-reducing sparse LU.
+    Each level solves (c0 I + L^n) u = c0 * history + f + boundary flux,
+    L^n the five-point (three-point) operator with harmonic-mean faces: its
+    face weights, from the result's one operator walk, which the weak form
+    reuses.  The history weights are a convex combination, and the interior
+    block c0 I + L is symmetric with a positive diagonal, nonpositive
+    off-diagonal entries and strict diagonal dominance, which gives the
+    discrete comparison principle; it is positive definite and banded with
+    the longer axis outermost.  Per state, ``dpbtrf`` factorizes its upper
+    band (``_Stencil.band``: n_in * kd entries with kd = min(cells) - 1, so
+    it grows faster on large 2D grids than a fill-reducing sparse LU) when
+    a level first needs it, and ``dpbtrs`` solves each level in that state.
 
-    Only the history and the banded solve depend on earlier levels.
-    The history of level n, b_{n-1} u0 + sum_j (b_{j-1} - b_j) u_{n-j},
-    accumulates in row n of the result until ``fracops._causal_march``
-    solves it.  The boundary and forcing values (a callable is called once
-    per level, in level order; a constant is one broadcast), their
-    finiteness check, the boundary flux and the residuals ||A u - b|| / ||b||
-    per level, kept in ``diagnostics``, are passes over ``_CHUNK`` levels;
-    the flux and the residuals apply L to a full-node array that is 0.0
-    off the nodes they read.
+    Only the history b_{n-1} u0 + sum_j (b_{j-1} - b_j) u_{n-j}, which
+    accumulates in row n until ``fracops._causal_march`` solves it, and the
+    banded solve run level by level.  The rest is one pass per block of
+    ``_CHUNK`` levels: the boundary and forcing values (a callable is called
+    once per level, in level order; a constant is one broadcast) and their
+    finiteness check, then one boundary coupling and one residual pass
+    (||A u - b|| / ||b|| per level, kept in ``diagnostics``).  Each is one
+    ``_Stencil.apply`` with every level's own face weights on a trailing
+    level axis, on a full-node array that is 0.0 off the nodes it reads.
     """
     space, time = spec.space, spec.time
     dt, m = time.dt, time.m
@@ -484,7 +487,7 @@ def solve_subdiffusion(spec: ProblemSpec) -> SolveResult:
     ops, state = result._operators
     stencil = _grid_stencil(space)
     inner, outer = stencil.inner, stencil.outer
-    pts_in, pts_out = stencil.pts_in, stencil.pts_out
+    take = slice(1, -1) if space.dimension == 1 else inner  # a slice in 1D
     factors = [None] * len(ops)
 
     def factor(s, n):
@@ -497,18 +500,19 @@ def solve_subdiffusion(spec: ProblemSpec) -> SolveResult:
         return factors[s]
 
     def interior(W, vals, where):
-        """Rows of (L X)[inner], where column i of X holds vals[i] on the
-        nodes ``where`` and 0.0 on the others."""
+        """Rows of (L X) on the interior, where column i of X holds vals[i]
+        on the nodes ``where`` and 0.0 on the others."""
         X = np.zeros(space.shape + (len(vals),))
         X.reshape(-1, len(vals))[where] = vals.T
-        return stencil.apply(W, X).reshape(-1, len(vals))[inner].T
+        return stencil.apply(W, X).reshape(-1, len(vals))[take].T
 
     def data(lo, hi):
         G = np.empty((hi - lo, outer.size))
         F = np.empty((hi - lo, inner.size))
         per_level = []
-        for what, buf, src, p in (("boundary", G, spec.boundary, pts_out),
-                                  ("forcing", F, spec.forcing, pts_in)):
+        for what, buf, src, p in (
+                ("boundary", G, spec.boundary, stencil.pts_out),
+                ("forcing", F, spec.forcing, stencil.pts_in)):
             if callable(src):
                 per_level.append((what, buf, src, p))
             else:  # the same at every level: one broadcast
@@ -534,29 +538,31 @@ def solve_subdiffusion(spec: ProblemSpec) -> SolveResult:
         for c in range(lo, hi, _CHUNK):
             e = min(c + _CHUNK, hi)
             G, F = data(c, e)
-            # runs of consecutive levels in one state
-            cuts = [c, *(c + 1 + np.flatnonzero(np.diff(state[c - 1:e - 1]))), e]
-            for a, z in zip(cuts[:-1], cuts[1:]):
-                chol, W = factor(state[a - 1], a), ops[state[a - 1]]
-                BG = interior(W, G[a - c:z - c], outer)
-                for n in range(a, z):
-                    hist = rows[n]
-                    if n > lo:
-                        hist = hist + d_rev[m - 1 - (n - lo):] @ rows[lo:n]
-                    # the forcing row becomes the right-hand side, kept
-                    # for the residual
-                    rhs = F[n - c]
-                    np.add(c0 * hist[inner], rhs, out=rhs)
-                    rhs -= BG[n - a]
-                    rows[n, inner] = dpbtrs(chol, rhs)[0]
-                # set after the run: a history's boundary columns are unused
-                rows[a:z, outer] = G[a - c:z - c]
-                rhs = F[a - c:z - c]
-                u = rows[a:z, inner]
-                res = interior(W, u, inner) + c0 * u - rhs
-                result.diagnostics.extend(
-                    (np.linalg.norm(res, axis=1)
-                     / np.maximum(np.linalg.norm(rhs, axis=1), 1e-300)).tolist())
+            run = state[c - 1:e - 1]
+            # each level's face weights on a trailing level axis; a block in
+            # one state broadcasts its own
+            W = ops[run[0]] if (run == run[0]).all() else tuple(
+                np.stack(ws, axis=-1) for ws in zip(*(ops[s] for s in run)))
+            BG = interior(W, G, outer)
+            for i, n in enumerate(range(c, e)):
+                # row n is free until its level is solved
+                hist = rows[n]
+                if n > lo:
+                    hist += d_rev[m - 1 - (n - lo):] @ rows[lo:n]
+                hist *= c0
+                # the forcing row becomes the right-hand side, kept for the
+                # residual
+                rhs = F[i]
+                np.add(hist[take], rhs, out=rhs)
+                rhs -= BG[i]
+                rows[n, take] = dpbtrs(factor(run[i], n), rhs)[0]
+            # set after the block: a history's boundary columns are unused
+            rows[c:e, outer] = G
+            u = rows[c:e, take]
+            res = interior(W, u, take) + c0 * u - F
+            result.diagnostics.extend(
+                (np.linalg.norm(res, axis=1)
+                 / np.maximum(np.linalg.norm(F, axis=1), 1e-300)).tolist())
 
     _causal_march(1, m + 1, leaf, rows, d)
     return result

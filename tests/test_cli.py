@@ -231,6 +231,16 @@ def test_continuity_run(tmp_path):
     assert len(body) == 5
 
 
+def test_continuity_run_at_alpha_one(tmp_path):
+    # alpha = 1 is in continuity's range (0, 1]: the classical heat equation
+    # keeps u0 and its history, so the oscillation does not vanish
+    cfg = write_cfg(tmp_path, "experiment=continuity\nalpha=1.0\n")
+    out = tmp_path / "out"
+    assert cli.main([cfg, "--out", str(out)]) == 0
+    body = (out / "oscillation.csv").read_text().splitlines()
+    assert float(body[1].split(",")[1]) > 0.5
+
+
 def test_harnack_run_without_refinement(tmp_path):
     cfg = write_cfg(tmp_path,
                     "experiment=harnack\nnx=80\nm=32\nperiod=4\nrefine=0\n"

@@ -178,6 +178,12 @@ def test_l1_weights_monotone():
     assert np.all(np.diff(b) < 0.0)
 
 
+def test_l1_weights_at_alpha_one_keep_the_first_weight():
+    # 0.0 ** 0.0 == 1 must not zero b_0: alpha = 1 is backward Euler
+    assert F.l1_weights(1.0, 6).tolist() == [1.0, 0.0, 0.0, 0.0, 0.0, 0.0]
+    assert F.l1_weights(1.0, 1).tolist() == [1.0]
+
+
 def l1_derivative(grid, values, v0, alpha):
     """The solver's L1 memory derivative of (v - v0) at nodes 1..m."""
     dx = np.diff(np.concatenate([[v0], values[1:]]))

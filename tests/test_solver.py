@@ -860,6 +860,33 @@ def test_field_claims_checked_at_every_solved_level(monkeypatch, bound, level,
         S.supersolution_residual(hand_made)
 
 
+@pytest.mark.parametrize("bound, axis_values", [
+    # one axis below nu = 1; every entry within lambda_bound = 2, their
+    # Frobenius norm sqrt(8) not; a NaN on the second axis only
+    ("ellipticity", (1.5, 0.5)), ("magnitude", (2.0, 2.0)),
+    ("not finite", (1.0, np.nan))])
+def test_diagonal_field_claims_checked_per_axis(monkeypatch, bound,
+                                                axis_values):
+    # a 2D diagonal field, (..., 2) per point, that breaks its claim at
+    # level 4 alone
+    def evaluate(ti, pts):
+        vals = np.full(pts.shape[:-1] + (2,), 1.25)
+        vals[..., 0] += np.sin(pts[..., 1]) / 8.0
+        if ti == 4:
+            vals[3] = axis_values
+        return vals
+
+    field = S.CoefficientField(evaluate=evaluate, nu=1.0, lambda_bound=2.0)
+    spec = rect_spec(m=6, coefficients=field)
+    calls = record_factors(monkeypatch)
+    with pytest.raises(DomainError, match=f"{bound}.* at level 4"):
+        S.solve_subdiffusion(spec)
+    assert calls == []  # raised before any level is solved
+    # the same field without the break passes the check
+    field.evaluate = lambda ti, pts: evaluate(1, pts)
+    assert len(S.solve_subdiffusion(spec).diagnostics) == 6
+
+
 @pytest.mark.parametrize("make", [interval_spec, rect_spec])
 def test_level_residuals_are_true_residuals(make):
     rng = np.random.default_rng(11)
@@ -1094,6 +1121,84 @@ def test_constant_level_data_matches_callable_data(dim, boundary, forcing):
         forcing=full_rows(forcing or 0.0)))
     assert np.array_equal(const.u, called.u)
     assert const.diagnostics == called.diagnostics
+
+
+def data_spec(dim, m, time_flip=None, alpha=0.4):
+    """An interval or rectangle run over m levels with a flipping
+    checkerboard and callable boundary and forcing data."""
+    rng = np.random.default_rng(60 + dim)
+    g = (interval_spec() if dim == 1 else rect_spec()).space
+    return S.ProblemSpec(
+        alpha=alpha, space=g, time=TimeGrid.from_horizon(0.5, m),
+        u0=rng.uniform(-1.0, 2.0, size=g.shape),
+        boundary=lambda t, p: np.cos(3.0 * t + p[..., 0] - p[..., -1]),
+        forcing=lambda t, p: np.sin(2.0 * p[..., 0] - t),
+        coefficients=S.checkerboard_coefficients(g, 2, 0.5, 4.0,
+                                                 time_flip=time_flip))
+
+
+def block_size_cases():
+    rng = np.random.default_rng(60)
+    thin = S.SpaceGrid.rectangle((0.0, 0.0), (1.0, 2.0), (16, 64))
+    thin_spec = S.ProblemSpec(
+        alpha=0.7, space=thin, time=TimeGrid.from_horizon(0.2, 37),
+        u0=rng.uniform(-1.0, 2.0, size=thin.shape),
+        boundary=lambda t, p: np.cos(2.0 * t - p[..., 1]),
+        forcing=lambda t, p: np.sin(p[..., 0] + t),
+        coefficients=S.checkerboard_coefficients(thin, 4, 0.5, 4.0,
+                                                 time_flip=3))
+    cases = [pytest.param(thin_spec, id="thin-flip3")]
+    for flip in (3, 7):
+        for dim in (1, 2):
+            cases.append(pytest.param(data_spec(dim, 70, time_flip=flip),
+                                      id=f"{dim}d-flip{flip}"))
+    return cases
+
+
+@pytest.mark.parametrize("spec", block_size_cases())
+def test_solve_bitwise_equal_for_every_block_size(monkeypatch, spec):
+    # the coupling and residual passes apply each level's own weights,
+    # gathered per block: any block size gives the same bits
+    runs = []
+    for chunk in (1, 5, 16):
+        monkeypatch.setattr(S, "_CHUNK", chunk)
+        runs.append(S.solve_subdiffusion(spec))
+    assert len(runs[0]._operators[0]) == 2
+    for res in runs[1:]:
+        assert res.u.tobytes() == runs[0].u.tobytes()
+        assert struct.pack(f"<{spec.time.m}d", *res.diagnostics) == \
+            struct.pack(f"<{spec.time.m}d", *runs[0].diagnostics)
+
+
+def backward_euler_march(spec):
+    """(I / dt + L^n) u_n = u_{n-1} / dt + f_n on the interior and u_n = g_n
+    on the boundary, dense, with L^n each level's COO assembly."""
+    space, dt = spec.space, spec.time.dt
+    bmask = space.boundary_mask().ravel()
+    inner, outer = np.flatnonzero(~bmask), np.flatnonzero(bmask)
+    pts = space.node_points().reshape(-1, space.dimension)
+    U = np.zeros((spec.time.m + 1, bmask.size))
+    U[0] = spec.u0.ravel()
+    for n in range(1, spec.time.m + 1):
+        L = coo_operator(spec, n).toarray()[inner]
+        U[n, outer] = S._source_values(spec.boundary, n * dt, pts[outer])
+        rhs = (U[n - 1, inner] / dt
+               + S._source_values(spec.forcing, n * dt, pts[inner])
+               - L[:, outer] @ U[n, outer])
+        U[n, inner] = np.linalg.solve(L[:, inner] + np.eye(inner.size) / dt,
+                                      rhs)
+    return U.reshape(U.shape[:1] + space.shape)
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_alpha_one_is_backward_euler(dim):
+    # at alpha = 1 the L1 weights are [1, 0, ...]: u0 and the history
+    # enter through b_0 alone
+    spec = data_spec(dim, 30, time_flip=3, alpha=1.0)
+    res = S.solve_subdiffusion(spec)
+    want = backward_euler_march(spec)
+    assert np.abs(res.u - want).max() <= 1e-12 * np.abs(want).max()
+    assert all(0.0 <= r <= 1e-12 for r in res.diagnostics)
 
 
 @pytest.mark.parametrize("which", ["boundary", "forcing"])
