@@ -487,7 +487,7 @@ def solve_subdiffusion(spec: ProblemSpec) -> SolveResult:
     ops, state = result._operators
     stencil = _grid_stencil(space)
     inner, outer = stencil.inner, stencil.outer
-    take = slice(1, -1) if space.dimension == 1 else inner  # a slice in 1D
+    take = slice(1, -1) if space.dimension == 1 else inner  # a view in 1D
     factors = [None] * len(ops)
 
     def factor(s, n):
