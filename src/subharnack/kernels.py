@@ -21,7 +21,7 @@ from functools import lru_cache
 
 import numpy as np
 from scipy.special import gamma as gamma_fn
-from scipy.special import gammaln, rgamma
+from scipy.special import gammaln, rgamma, sindg
 
 from .errors import (
     AccuracyError,
@@ -47,7 +47,7 @@ Z_SWITCH = 5.0
 _S_ASYMPTOTIC = 1e6
 #: where the M-Wright ray E_alpha(-s) serves the scalar: its error, measured
 #: against 50-digit values (not checked at run time), stays under 8e-13 there
-_RULE_ALPHAS = (0.1, 0.999)
+_RULE_ALPHAS = (0.01, 0.999)
 #: relative accuracy the series guard and the contour integral certify
 _ML_RTOL = 1e-11
 
@@ -335,12 +335,12 @@ def mittag_leffler(alpha: float, beta: float, z: float) -> float:
     The arguments alone fix the path.  The power series serves |z| <= 5
     wherever its rounding floor certifies ``_ML_RTOL``.  Where it does not,
     for 0 < alpha < 1, z <= -1e6 takes the asymptotic sum; E_alpha(-s) the
-    M-Wright ray (building the rule if it is not cached) where alpha lies
-    in the range over which its error was measured; and the contour
-    integral the rest, for beta < 1 + alpha only.  Where the contour gives
-    up for z < -5 (alpha = 0.001, beta = 1 for 5 < -z < 1e6), the
-    asymptotic series serves if its envelope falls below 1e-17 of its sum
-    (23 terms, 4.4e-16 from a 40-digit value, at -z = 6).  So beta >=
+    M-Wright ray (building the rule if it is not cached) for alpha in
+    [0.01, 0.999]; and the contour integral the rest, for beta < 1 + alpha
+    only.  Where the contour gives up for z < -5 (alpha = 0.001, beta = 1
+    for 5 < -z < 1e6), the asymptotic series serves if its envelope falls
+    below 1e-17 of its sum (23 terms, 4.4e-16 from a 40-digit value, at
+    -z = 6).  So beta >=
     1 + alpha is served by the series (|z| <= 5 where it certifies, and
     z > 0) and the asymptotic sum (z <= -1e6) alone; between those the call
     raises ``AccuracyError``.  The classical limits alpha = 1, beta = 1
@@ -395,6 +395,10 @@ _GUMBEL_LEVELS = np.array([4.0, 2.9, 2.1, 1.4, 0.7, 0.0, -0.8, -1.6, -2.5,
 #: the rule starts at r = e^-60, below which M_alpha holds under 1e-12 of
 #: every certified moment
 _LOG_R_MIN = -60.0
+#: below u = log r = -1 the density is M_alpha's series in r, its k-th term
+#: under r^k Gamma(a(k+1)) / (pi k!): 48 terms reach rounding for every a
+_SERIES_U = -1.0
+_SERIES_TERMS = 48
 _MOMENT_DELTAS = np.array([-0.5, 0.0, 0.5, 1.0, 2.0])
 _MOMENT_RTOL = 1e-10
 #: rows of s (or radii) per block, so a block's matrix stays near 1 MB
@@ -403,12 +407,17 @@ _BLOCK = 256
 
 def _exp_mixture(x: np.ndarray, rates: np.ndarray,
                  weights: np.ndarray) -> np.ndarray:
-    """sum_k weights_k exp(-x rates_k) for each x, in blocks of x."""
+    """sum_k weights_k exp(-x rates_k) for each x, in blocks of x that reuse
+    one buffer: a fresh ~1 MB block may be mmapped and faulted in anew."""
     flat = x.ravel()
     out = np.empty(flat.shape)
+    buf = np.empty((min(_BLOCK, flat.size), rates.size))
     for lo in range(0, flat.size, _BLOCK):
-        out[lo:lo + _BLOCK] = np.exp(
-            -np.outer(flat[lo:lo + _BLOCK], rates)) @ weights
+        blk = slice(lo, lo + _BLOCK)
+        part = buf[:flat[blk].size]
+        np.multiply.outer(flat[blk], -rates, out=part)
+        np.exp(part, out=part)
+        np.matmul(part, weights, out=out[blk])
     return out.reshape(x.shape)
 
 
@@ -457,6 +466,20 @@ def _kanter_log_b(zeta, a: float, slope: bool = False):
     return log_b, eta, -eta * d_phi
 
 
+def _m_wright_series(a: float, u: np.ndarray) -> np.ndarray:
+    """Density r M_a(r) of log R at u = log r < -1: Horner in r over the
+    first ``_SERIES_TERMS`` terms of sum_k (-r)^k / (k! Gamma(1 - a(k+1))),
+    where (-1)^k / Gamma(1 - a(k+1)) = Gamma(a(k+1)) sin(pi (1-a)(k+1)) / pi
+    with the sine taken at 180 min(a, 1-a) (k+1) degrees, so no term loses
+    digits and a = 1/2 keeps its odd terms exactly 0."""
+    k1 = np.arange(1.0, _SERIES_TERMS + 1.0)
+    sign = -1.0 if a < 0.5 else 1.0     # (-1)^k sin(pi a(k+1)) for a < 1/2
+    sine = sign ** (k1 - 1.0) * sindg(180.0 * min(a, 1.0 - a) * k1)
+    coef = gamma_fn(a * k1) * rgamma(k1) * sine / math.pi
+    r = np.exp(u)
+    return r * np.polyval(coef[::-1], r)
+
+
 def _kanter_density(a: float, edge: float, u: np.ndarray) -> np.ndarray:
     """Density of log R at u, for R = B(phi) W^(1-a) with phi uniform on
     (0, pi) and W standard exponential (Kanter 1975), so R ~ M_a(r) dr;
@@ -497,10 +520,11 @@ def m_wright_rule(alpha):
     """Positive quadrature (nodes r_k > 0, weights W_k > 0) for the M-Wright
     measure M_alpha(r) dr on r > 0, memoized on alpha (the 64 most recent).
 
-    sum_k W_k f(r_k) approximates int f(r) M_alpha(r) dr.  The build checks
-    the moments sum_k W_k r_k^d = Gamma(1+d)/Gamma(1+alpha d) for
-    d in {-1/2, 0, 1/2, 1, 2} to 1e-10 relative and raises ``AccuracyError``
-    on a miss.  At alpha = 1 the measure is the unit mass at r = 1.
+    sum_k W_k f(r_k) approximates int f(r) M_alpha(r) dr; the density comes
+    from M_alpha's series below r = 1/e, from Kanter's integral above.  The
+    build checks the moments sum_k W_k r_k^d = Gamma(1+d)/Gamma(1+alpha d)
+    for d in {-1/2, 0, 1/2, 1, 2} to 1e-10 relative, raising
+    ``AccuracyError`` on a miss.  At alpha = 1 it is the unit mass at r = 1.
     """
     a = _as_alpha(alpha, classical_ok=True)
     if a == 1.0:
@@ -517,7 +541,9 @@ def m_wright_rule(alpha):
             width = min(2.0 * width, 2.0)
         right = edge + e * np.array([0.5, 1.0, 1.5, 2.0, 3.0, 4.5])
         u, wu = _gauss_panels(np.concatenate([left[::-1], right]), 12)
-        weights = wu * _kanter_density(a, edge, u)
+        cut = np.searchsorted(u, _SERIES_U)
+        weights = wu * np.concatenate([_m_wright_series(a, u[:cut]),
+                                       _kanter_density(a, edge, u[cut:])])
         keep = weights > 0.0
         nodes, weights = np.exp(u[keep]), weights[keep]
     got = (nodes[None, :] ** _MOMENT_DELTAS[:, None]) @ weights
@@ -542,9 +568,8 @@ def ml_on_negative_axis(alpha: float, beta: float):
     other beta raises ``DomainError``, as does a negative or NaN s.
 
     Its error, measured against 50-digit values and not checked at run time,
-    is under 8e-13 (beta = 1) and 1e-11 (beta = alpha) for alpha in
-    [0.1, 0.999]; up to 8.3e-11 and 1.5e-10 at alpha = 0.999999 and 3.7e-11
-    at alpha = 0.001.
+    is under 8e-13 (beta = 1) and 1e-11 (beta = alpha) for alpha from 0.001
+    to 0.999999.
     """
     a = _as_alpha(alpha, classical_ok=True)
     if beta not in (1.0, a):

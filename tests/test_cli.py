@@ -137,6 +137,16 @@ def test_converge_order_is_per_doubling_of_m(tmp_path):
     assert abs(float(summary["orders"]) - 1.5) <= 0.3
 
 
+def test_converge_reference_at_small_alpha_and_large_sigma(tmp_path):
+    # E_0.02(-1000) from the M-Wright ray; mpmath gives
+    # 9.8721879525619314001e-4, and the contour wrote 9.87218810725965e-4
+    cfg = write_cfg(tmp_path, "experiment=converge\nalpha=0.02\nsigma=1000\n")
+    out = tmp_path / "out"
+    assert cli.main([cfg, "--out", str(out)]) == 0
+    reference = float(read_summary(out, "converge")["reference"])
+    assert abs(reference / 9.8721879525619314001e-4 - 1.0) <= 1e-10
+
+
 def test_threads_env_is_not_read(tmp_path, monkeypatch):
     cfg = write_cfg(tmp_path, "experiment=maxprinciple\nruns=2\n")
     monkeypatch.setenv("SUBHARNACK_THREADS", "abc")
