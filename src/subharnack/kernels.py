@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import math
 import numbers
-import warnings
 from dataclasses import dataclass, field
 from functools import lru_cache
 
@@ -41,14 +40,15 @@ __all__ = [
     "yosida_l1_distance",
 ]
 
-#: switch point between the power series and the integral representation
+#: switch point between the power series and the M-Wright ray
 Z_SWITCH = 5.0
 #: from s = 1e6 on, six asymptotic terms give E_{alpha,beta}(-s) to rounding
 _S_ASYMPTOTIC = 1e6
-#: where the M-Wright ray E_alpha(-s) serves the scalar: its error, measured
-#: against 50-digit values (not checked at run time), stays under 8e-13 there
-_RULE_ALPHAS = (0.01, 0.999)
-#: relative accuracy the series guard and the contour integral certify
+#: the largest alpha whose M-Wright ray serves the scalar: measured against
+#: 60-digit values (not checked at run time) it is 1.3e-11 off at 1 - 1e-7
+_RAY_ALPHA_MAX = 0.999999
+#: relative error the scalar aims for: the series guard checks it, the ray's
+#: error is measured, not checked at run time
 _ML_RTOL = 1e-11
 
 KINDS = ("riemann_liouville", "yosida_g", "yosida_h", "custom")
@@ -233,78 +233,6 @@ def _ml_series(alpha: float, beta: float, z: float, rtol: float):
     return total, True
 
 
-def _ml_integral(alpha: float, beta: float, z: float, rtol: float) -> float:
-    """Contour-collapse integral for 0 < alpha < 1, beta < 1 + alpha, z != 0.
-
-    For z > 0 the exponentially growing part enters separately.  The
-    integrand has an integrable endpoint singularity u**(alpha-beta) (handed
-    to an algebraic-weight rule when strong) and a Lorentzian peak that
-    sharpens as alpha approaches 1 (integrated in the offset from it, with
-    breakpoints on it and on its flanks).
-    """
-    spb = math.sin(math.pi * (1.0 - beta))
-    # sin(pi (1 - beta + alpha)), written to be exactly 0 at beta = alpha
-    spba = math.sin(math.pi * (beta - alpha))
-    cpa = math.cos(math.pi * alpha)
-    # sin(pi alpha) with an exact argument: at the peak the denominator is
-    # (z sin(pi alpha))^2 alone, so near alpha = 1 this sine sets its width
-    spa = math.sin(math.pi * min(alpha, 1.0 - alpha))
-    zspa2 = (z * spa) ** 2
-    # for z < 0 the peak sits at u_pk = |z|^(1/alpha) (placed in logs: it may
-    # overflow) with half-width w u_pk, w = 3e-6 at alpha = 0.999999
-    log_peak, w = math.log(abs(z)) / alpha, spa / alpha
-    u_pk = math.exp(log_peak) if z < 0.0 and -18.0 < log_peak < 6.6 else 0.0
-    pk_a = u_pk ** alpha
-    # the only user of scipy.integrate: importing it here keeps it out of
-    # ``import subharnack``
-    from scipy.integrate import IntegrationWarning, quad
-
-    def regular_part(u, v=None):
-        ua = u ** alpha
-        # u ** alpha - z cos(pi alpha) cancels at the peak; from the offset
-        # v = u - u_pk, exact there, it keeps its digits
-        gap = ua - z * cpa if v is None else (
-            pk_a * math.expm1(alpha * math.log1p(v / u_pk)) + (pk_a - z * cpa))
-        return (math.exp(-u) * (ua * spb - z * spba)
-                / ((gap * gap + zspa2) * math.pi))
-
-    # 1e-12 would leave E_{alpha,alpha} 2.8e-13 off at alpha = 0.999999, s = 30
-    kw = dict(limit=400, epsabs=1e-300, epsrel=min(rtol, 1e-13))
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", IntegrationWarning)
-        if alpha <= 0.5 and alpha - beta <= -0.25:
-            # peak is broad here; let the weight carry the singular factor
-            val, est = quad(regular_part, 0.0, 750.0, weight="alg",
-                            wvar=(alpha - beta, 0.0), **kw)
-        else:
-            val, est = quad(lambda u: regular_part(u) * u ** (alpha - beta),
-                            0.0, 0.5 * u_pk or 750.0, **kw)
-            if u_pk:
-                # past u_pk / 2 the variable is v: rounding u itself would move
-                # each node by up to 3e-11 of the peak's width (1e-11 off at
-                # alpha = 0.999999, |z| = 6); breakpoints at v = 0 and
-                # +-w u_pk, +-10 w u_pk, ... up to u_pk / 2
-                points = [0.0] + [x * w * u_pk * 10.0 ** k for x in (-1.0, 1.0)
-                                  for k in range(math.ceil(math.log10(0.5 / w)))
-                                  if x * w * 10.0 ** k < 750.0 / u_pk - 1.0]
-                peak, e_peak = quad(
-                    lambda v: regular_part(u_pk + v, v) * (u_pk + v) ** (alpha - beta),
-                    -0.5 * u_pk, 750.0 - u_pk, points=points, **kw)
-                val, est = val + peak, est + e_peak
-    if est > 100.0 * rtol * max(abs(val), 1e-280):
-        raise AccuracyError(
-            f"integral representation of E_({alpha},{beta})({z}) reports "
-            f"error estimate {est:.1e}"
-        )
-    if z > 0.0:
-        if math.log(z) / alpha > math.log(700.0):
-            raise AccuracyError(
-                f"E_({alpha},{beta})({z}) overflows double precision"
-            )
-        val += (1.0 / alpha) * z ** ((1.0 - beta) / alpha) * math.exp(z ** (1.0 / alpha))
-    return val
-
-
 def _ml_asymptotic(alpha: float, beta: float, s):
     """E_{alpha,beta}(-s) for s >= 1e6, scalar or array:
     -sum_{k=1..6} (-s)^-k / Gamma(beta - alpha k), by Horner in -1/s."""
@@ -312,40 +240,19 @@ def _ml_asymptotic(alpha: float, beta: float, s):
     return -np.polyval(np.append(coeffs, 0.0), -1.0 / s)
 
 
-def _ml_asymptotic_sum(alpha: float, beta: float, s: float):
-    """E_{alpha,beta}(-s) as -sum_k (-s)^-k / Gamma(beta - alpha k), summed
-    while the envelope s^-k Gamma(1 + alpha k - beta) of its terms falls;
-    the sum once the envelope is below 1e-17 of it, else None.  Needs
-    beta < 1 + alpha, so the envelope is finite from k = 1."""
-    total, prev = 0.0, math.inf
-    for k in range(1, _SERIES_NMAX):
-        total -= (-s) ** -k * rgamma(beta - alpha * k)
-        env = math.exp(gammaln(1.0 + alpha * k - beta) - k * math.log(s))
-        if k > 2 and total != 0.0 and env < 1e-17 * abs(total):
-            return total
-        if k > 2 and env > prev:
-            return None
-        prev = env
-    return None
-
-
 def mittag_leffler(alpha: float, beta: float, z: float) -> float:
     """Generalized Mittag-Leffler function E_{alpha,beta}(z) for real z.
 
-    The arguments alone fix the path.  The power series serves |z| <= 5
-    wherever its rounding floor certifies ``_ML_RTOL``.  Where it does not,
-    for 0 < alpha < 1, z <= -1e6 takes the asymptotic sum; E_alpha(-s) the
-    M-Wright ray (building the rule if it is not cached) for alpha in
-    [0.01, 0.999]; and the contour integral the rest, for beta < 1 + alpha
-    only.  Where the contour gives up for z < -5 (alpha = 0.001, beta = 1
-    for 5 < -z < 1e6), the asymptotic series serves if its envelope falls
-    below 1e-17 of its sum (23 terms, 4.4e-16 from a 40-digit value, at
-    -z = 6).  So beta >=
-    1 + alpha is served by the series (|z| <= 5 where it certifies, and
-    z > 0) and the asymptotic sum (z <= -1e6) alone; between those the call
-    raises ``AccuracyError``.  The classical limits alpha = 1, beta = 1
-    (exponential) and alpha > 1 on the series' safe range are supported as
-    documented special cases.
+    The arguments alone fix the path.  The power series serves |z| <= 5, and
+    every z > 0, wherever its rounding floor meets ``_ML_RTOL``.  Past it,
+    for 0 < alpha < 1, z <= -1e6 takes the asymptotic sum (any beta), and
+    beta in {1, alpha} the M-Wright ray ``ml_on_negative_axis(alpha,
+    beta)(-z)`` for alpha <= 0.999999, building the rule if it is not
+    cached.  Every other call past the series raises ``AccuracyError``:
+    another beta on 5 < -z < 1e6, alpha in (0.999999, 1), and z > 0 (where
+    the series gives up on overflow, or on needing more than 20000 terms).
+    alpha = 1, beta = 1 is the exponential, and alpha >= 1 is served on the
+    series' range.
     """
     if alpha <= 0.0 or beta <= 0.0:
         raise DomainError("Mittag-Leffler parameters must be strictly positive")
@@ -361,25 +268,17 @@ def mittag_leffler(alpha: float, beta: float, z: float) -> float:
         val, ok = _ml_series(alpha, beta, z, _ML_RTOL)
         if ok:
             return val
+    if z > 0.0:
+        raise AccuracyError(
+            f"E_({alpha},{beta})({z}) overflows double precision or needs "
+            f"more than {_SERIES_NMAX} series terms")
     if alpha < 1.0 and z <= -_S_ASYMPTOTIC:
         return float(_ml_asymptotic(alpha, beta, -z))
-    if z < 0.0 and beta == 1.0 and _RULE_ALPHAS[0] <= alpha <= _RULE_ALPHAS[1]:
-        return float(ml_on_negative_axis(alpha, 1.0)(-z))
-    if alpha >= 1.0 or beta >= 1.0 + alpha:
-        raise AccuracyError(
-            f"no convergent evaluation path for E_({alpha},{beta})({z}): "
-            f"past the series the contour needs alpha < 1 and "
-            f"beta < 1 + alpha")
-    try:
-        return _ml_integral(alpha, beta, z, _ML_RTOL)
-    except AccuracyError:
-        # the contour's rule cannot follow u^(alpha - beta) for alpha near 0
-        # (alpha = 0.001, beta = 1 from s = 6 on); there the asymptotic
-        # series converges to rounding before it diverges
-        val = _ml_asymptotic_sum(alpha, beta, -z) if z < -Z_SWITCH else None
-        if val is None:
-            raise
-        return val
+    if beta in (1.0, alpha) and alpha <= _RAY_ALPHA_MAX:
+        return float(ml_on_negative_axis(alpha, beta)(-z))
+    raise AccuracyError(
+        f"no evaluation path for E_({alpha},{beta})({z}): past the series "
+        f"the ray needs beta in {{1, alpha}} and alpha <= {_RAY_ALPHA_MAX}")
 
 
 # ---------------------------------------------------------------------------
@@ -494,7 +393,7 @@ def _kanter_density(a: float, edge: float, u: np.ndarray) -> np.ndarray:
     log_pi = math.log(math.pi)
     # below y = -42 the integrand in zeta decays only like e^(a y); doubling
     # levels carry that tail down to a y < -84
-    deep = -42.0 * 2.0 ** np.arange(1, math.ceil(math.log2(1.0 / a)) + 2)
+    deep = -42.0 * 2.0 ** np.arange(1, math.ceil(-math.log2(a)) + 2)
     target = u[:, None] - e * np.concatenate([_GUMBEL_LEVELS, deep])
     z_tab = np.linspace(_LOG_R_MIN - 30.0, log_pi, 2000)[:-1]
     b_tab = np.maximum.accumulate(_kanter_log_b(z_tab, a)[0])
@@ -542,8 +441,10 @@ def m_wright_rule(alpha):
         right = edge + e * np.array([0.5, 1.0, 1.5, 2.0, 3.0, 4.5])
         u, wu = _gauss_panels(np.concatenate([left[::-1], right]), 12)
         cut = np.searchsorted(u, _SERIES_U)
-        weights = wu * np.concatenate([_m_wright_series(a, u[:cut]),
-                                       _kanter_density(a, edge, u[cut:])])
+        # an overflow or NaN (a subnormal alpha) fails the moment check below
+        with np.errstate(all="ignore"):
+            weights = wu * np.concatenate([_m_wright_series(a, u[:cut]),
+                                           _kanter_density(a, edge, u[cut:])])
         keep = weights > 0.0
         nodes, weights = np.exp(u[keep]), weights[keep]
     got = (nodes[None, :] ** _MOMENT_DELTAS[:, None]) @ weights
@@ -567,8 +468,8 @@ def ml_on_negative_axis(alpha: float, beta: float):
     s = 1e6 on, past the rule's smallest node, it is the asymptotic sum.  Any
     other beta raises ``DomainError``, as does a negative or NaN s.
 
-    Its error, measured against 50-digit values and not checked at run time,
-    is under 8e-13 (beta = 1) and 1e-11 (beta = alpha) for alpha from 0.001
+    Its error, measured against 60-digit values and not checked at run time,
+    is under 8e-13 (beta = 1) and 1e-11 (beta = alpha) for alpha from 1e-8
     to 0.999999.
     """
     a = _as_alpha(alpha, classical_ok=True)

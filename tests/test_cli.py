@@ -138,13 +138,18 @@ def test_converge_order_is_per_doubling_of_m(tmp_path):
 
 
 def test_converge_reference_at_small_alpha_and_large_sigma(tmp_path):
-    # E_0.02(-1000) from the M-Wright ray; mpmath gives
-    # 9.8721879525619314001e-4, and the contour wrote 9.87218810725965e-4
-    cfg = write_cfg(tmp_path, "experiment=converge\nalpha=0.02\nsigma=1000\n")
-    out = tmp_path / "out"
-    assert cli.main([cfg, "--out", str(out)]) == 0
-    reference = float(read_summary(out, "converge")["reference"])
-    assert abs(reference / 9.8721879525619314001e-4 - 1.0) <= 1e-10
+    # E_alpha(-sigma) from the M-Wright ray against mpmath at 60 digits; a
+    # contour integral once wrote 9.87218810725965e-4, 0.019999997852106297
+    # and 1.6666655512496972e-4 here, and the last two runs exited 1
+    for alpha, sigma, exact in (("0.02", "1000", 9.8721879525619314001e-4),
+                                ("1e-8", "50", 0.01960784302629456532),
+                                ("1e-6", "6000", 1.6663879734708650692e-4)):
+        cfg = write_cfg(tmp_path, f"experiment=converge\nalpha={alpha}\n"
+                                  f"sigma={sigma}\n")
+        out = tmp_path / f"out_{alpha}"
+        assert cli.main([cfg, "--out", str(out)]) == 0
+        reference = float(read_summary(out, "converge")["reference"])
+        assert abs(reference / exact - 1.0) <= 1e-10
 
 
 def test_threads_env_is_not_read(tmp_path, monkeypatch):
@@ -514,6 +519,10 @@ def test_solve_weak_form_and_harnack_run_never_import_scipy_sparse(tmp_path):
     (3, "experiment=optimality\np=100\n", "out"),
     # errors shrink at the expected order but are larger than the answer
     (1, "experiment=converge\nsigma=1e6\n", "out"),
+    # a subnormal alpha: the M-Wright rule misses its moments
+    (3, "experiment=identities\nalpha=5e-324\n", "out"),
+    (3, "experiment=optimality\nalpha=5e-324\n", "out"),
+    (3, "experiment=converge\nalpha=5e-324\n", "out"),
 ])
 def test_fresh_interpreter_exit_codes_without_traceback(tmp_path, status,
                                                         text, out):
@@ -528,6 +537,8 @@ def test_fresh_interpreter_exit_codes_without_traceback(tmp_path, status,
         assert not (tmp_path / out).exists()
     if status == 2 and "optimality" in text:
         assert proc.stderr.startswith("[subharnack] config error: the eps grid")
+    if "5e-324" in text:
+        assert "M-Wright rule at alpha=5e-324 misses a moment" in proc.stderr
     if status == 1 and "converge" in text:
         summary = (tmp_path / out / "converge_summary.txt").read_text()
         assert "order_band=pass\n" in summary

@@ -4,10 +4,9 @@ import warnings
 import numpy as np
 import pytest
 from scipy.integrate import quad
-from scipy.special import gammaln
+from scipy.special import gammaln, rgamma
 
 from subharnack import fundsol as FS
-from subharnack import kernels
 from subharnack.errors import AccuracyError, DomainError
 from subharnack.kernels import ml_on_negative_axis, rl_kernel
 
@@ -110,25 +109,21 @@ def test_origin_value_closed_form(alpha, dim):
         assert ev.evaluate(t, 0.0) == pytest.approx(exact, rel=1e-9)
 
 
-def _cosine_oracle(alpha, rho):
-    """Y(1, rho) for N = 1 as (1/pi) int cos(xi rho) E_{a,a}(-xi^2) dxi,
-    from the power series where it is certified and the contour integral
-    elsewhere; neither uses the M-Wright rule."""
-    def symbol(xi):
-        val, ok = kernels._ml_series(alpha, alpha, -xi * xi, 1e-12)
-        return val if ok else kernels._ml_integral(alpha, alpha, -xi * xi, 1e-12)
-    head = quad(symbol, 0.0, 8.0, weight="cos", wvar=rho, epsabs=1e-13,
-                limit=200)[0]
-    tail = quad(symbol, 8.0, np.inf, weight="cos", wvar=rho, epsabs=1e-13,
-                limlst=200)[0]
-    return (head + tail) / math.pi
+def _wright_oracle(alpha, rho):
+    """Y(1, rho) for N = 1, the cosine transform (1/pi) int cos(xi rho)
+    E_{a,a}(-xi^2) dxi in closed form: 0.5 W_{-alpha/2, alpha/2}(-|rho|),
+    with the Wright series W_{l,m}(z) = sum_k z^k / (k! Gamma(l k + m))
+    summed over 80 terms.  It uses no M-Wright rule and no quadrature."""
+    z = -abs(rho)
+    return 0.5 * math.fsum(z ** k * float(rgamma(0.5 * alpha * (1 - k)))
+                           / math.factorial(k) for k in range(80))
 
 
 @pytest.mark.parametrize("alpha", RULE_ALPHAS)
 def test_profile_matches_cosine_transform_oracle(alpha):
     ev = FS.FundamentalSolutionEvaluator(alpha=alpha, dimension=1)
     rho = np.array([0.3, 1.0, 2.5])
-    want = np.array([_cosine_oracle(alpha, r) for r in rho])
+    want = np.array([_wright_oracle(alpha, r) for r in rho])
     scale = ev.evaluate(1.0, 0.0)
     assert np.abs(ev.profile(1.0, rho) - want).max() <= 1e-12 * scale
 

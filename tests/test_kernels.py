@@ -132,28 +132,40 @@ def test_ml_other_closed_forms():
 
 
 def test_ml_continuity_across_switch():
-    # series on one side of |z| = 5, integral representation on the other
-    for alpha, beta in ((0.4, 1.0), (0.75, 1.3), (0.6, 0.6)):
+    # the ray past |z| = 5; before it the series where its guard passes
+    # (alpha = 0.75 and 0.9 here), else the ray again
+    for alpha, beta in ((0.4, 1.0), (0.6, 0.6), (0.75, 1.0), (0.9, 0.9)):
         lo = K.mittag_leffler(alpha, beta, -4.999)
         hi = K.mittag_leffler(alpha, beta, -5.001)
         assert abs(lo - hi) < 5e-3 * abs(lo)
-        direct = K._ml_integral(alpha, beta, -4.999, 1e-12)
-        assert lo == pytest.approx(direct, rel=1e-9)
+        ray = K.ml_on_negative_axis(alpha, beta)
+        assert hi == float(ray(5.001))
+        assert lo == pytest.approx(float(ray(4.999)), rel=1e-9)
+        series, ok = K._ml_series(alpha, beta, -4.999, K._ML_RTOL)
+        assert ok == (alpha >= 0.75) and (lo == series or not ok)
+    # any other beta has no path past the series
+    assert K.mittag_leffler(0.75, 1.3, -4.999) == pytest.approx(
+        compensated_series(0.75, 1.3, -4.999), rel=1e-12)
+    with pytest.raises(AccuracyError, match="no evaluation path"):
+        K.mittag_leffler(0.75, 1.3, -5.001)
 
 
 def test_ml_beta_reduction_branch():
     # the dispatcher satisfies the shift identity E_{a,b}(z) =
-    # z E_{a,a+b}(z) + 1/Gamma(b) across its paths: the contour at
-    # (0.3, 0.7), the ray at (0.3, 1.0); beta = 1 + alpha would raise
-    lhs = K.mittag_leffler(0.3, 0.7, -6.0)
-    rhs = -6.0 * K.mittag_leffler(0.3, 1.0, -6.0) + 1.0 / gamma(0.7)
-    assert lhs == pytest.approx(rhs, rel=1e-9)
+    # z E_{a,a+b}(z) + 1/Gamma(b) across its two rays, beta = alpha = 1/2
+    # and beta = 2 alpha = 1; (0.3, 0.7) is off the ray and raises
+    for s in (6.0, 30.0):
+        lhs = K.mittag_leffler(0.5, 0.5, -s)
+        rhs = -s * K.mittag_leffler(0.5, 1.0, -s) + 1.0 / gamma(0.5)
+        assert lhs == pytest.approx(rhs, rel=1e-9)
+    with pytest.raises(AccuracyError, match="no evaluation path"):
+        K.mittag_leffler(0.3, 0.7, -6.0)
 
 
-def test_ml_beta_past_the_contour_raises():
+def test_ml_beta_past_the_ray_raises():
     # beta >= 1 + alpha past the series and short of the asymptotic sum
-    # has no path: the contour integral needs beta < 1 + alpha
-    with pytest.raises(AccuracyError, match=r"beta < 1 \+ alpha"):
+    # has no path: the ray takes beta in {1, alpha} only
+    with pytest.raises(AccuracyError, match=r"beta in \{1, alpha\}"):
         K.mittag_leffler(0.3, 2.0, -6.0)
     # the series and the asymptotic sum still serve it
     assert K.mittag_leffler(0.3, 2.0, -1.0) == pytest.approx(
@@ -167,15 +179,24 @@ def test_ml_accuracy_error_path():
         K.mittag_leffler(1.0, 1.5, -80.0)
     with pytest.raises(AccuracyError, match="overflows"):
         K.mittag_leffler(1.0, 1.0, 800.0)
+    # E_{1/2}(27) = e^729 erfc(-27) overflows; past the series z > 0 raises
+    with pytest.raises(AccuracyError, match="overflows"):
+        K.mittag_leffler(0.5, 1.0, 27.0)
+    # the ray serves alpha <= 0.999999 only: at 1 - 1e-7 it is 1.3e-11 off
+    with pytest.raises(AccuracyError, match="alpha <= 0.999999"):
+        K.mittag_leffler(0.9999999, 1.0, -10.0)
+    assert K.mittag_leffler(0.9999999, 1.0, -1e7) == pytest.approx(
+        1e-7 / gamma(1.0 - 0.9999999), rel=1e-6)
     with pytest.raises(DomainError):
         K.mittag_leffler(-0.5, 1.0, 1.0)
 
 
-def test_ml_contour_does_not_overflow_past_the_peak():
-    # the contour's peak u = |z|^(1/alpha) = 30^1000 overflows a float: it is
-    # placed in logs, so the call returns (mpmath value) or raises AccuracyError
-    assert K.mittag_leffler(0.001, 0.01, -30.0) == pytest.approx(
-        2.9286604013308491153e-4, rel=1e-11)
+def test_ml_far_peak_raises_past_the_series():
+    # at alpha = 0.001 the series' peak term (-z)^n / Gamma(alpha n + beta)
+    # lies near n = 30^1000; past the series beta = 0.01 has no path, on
+    # either side of the origin
+    with pytest.raises(AccuracyError, match="no evaluation path"):
+        K.mittag_leffler(0.001, 0.01, -30.0)
     with pytest.raises(AccuracyError, match="overflows"):
         K.mittag_leffler(0.001, 0.01, 30.0)
 
@@ -203,14 +224,18 @@ def test_m_wright_rule_classical_limit_is_unit_mass():
 
 @pytest.mark.parametrize("alpha", RULE_ALPHAS)
 def test_ml_rays_match_scalar_evaluator(alpha):
-    # the contour integral is the independent check: at these points the
-    # scalar evaluator sums over the same rule as the ray
-    s = np.array([0.0, 0.1, 0.5, 3.0, 30.0, 300.0, 1e4])
-    for beta in (1.0, alpha):
+    # the independent checks: the series where its guard passes, and the
+    # 60-digit table (for s >= 6 and the alphas that it holds)
+    s = np.array([0.0, 0.1, 0.5, 3.0, 6.0, 30.0, 1e3, 1e5])
+    for row, beta in enumerate((1.0, alpha)):
         got = K.ml_on_negative_axis(alpha, beta)(s)
-        want = np.array([K._ml_integral(alpha, beta, -x, 1e-12) if x > 0.0
-                         else 1.0 / gamma(beta) for x in s])
-        assert np.abs(got / want - 1.0).max() <= 1e-11
+        for x, val in zip(s, got):
+            series, ok = K._ml_series(alpha, beta, -x, 1e-12)
+            if ok:
+                assert abs(val / series - 1.0) <= 1e-11
+            elif alpha in ML_REF and x >= 6.0:
+                ref = ML_REF[alpha][row][ML_REF_S.index(x)]
+                assert abs(val / ref - 1.0) <= (1e-11 if row else 2e-12)
         assert np.all(np.diff(got) < 0.0)
 
 
@@ -248,10 +273,12 @@ def test_scalar_ml_on_a_memoized_rule_skips_scipy_integrate():
 
 
 def test_scalar_ml_at_a_fresh_alpha_skips_scipy_integrate():
-    # the first call at an alpha builds its rule rather than take the contour
+    # the first call at an alpha builds its rule; beta = alpha and alpha
+    # below 0.01 take the ray too
     assert _scipy_integrate_and_interpolate_after(
-        "import sys, subharnack; subharnack.mittag_leffler(0.3, 1.0, -30.0)"
-    ) == "[]"
+        "import sys, subharnack; subharnack.mittag_leffler(0.3, 1.0, -30.0); "
+        "subharnack.mittag_leffler(0.3, 0.3, -30.0); "
+        "subharnack.mittag_leffler(0.005, 1.0, -30.0)") == "[]"
 
 
 def test_yosida_l1_distance_split_skips_scipy_integrate_and_optimize():
@@ -277,11 +304,13 @@ def test_m_wright_rule_memo_keeps_the_64_most_recent():
 
 
 def test_ml_negative_ray_matches_direct():
+    # the series at s <= 0.3, the 60-digit table from s = 6 on
     ray = K.ml_on_negative_axis(0.5, 0.5)
-    for s in (0.0, 0.3, 7.7, 63.5, 64.5, 150.0, 1e4):
-        direct = (K._ml_integral(0.5, 0.5, -s, 1e-12) if s > 0
-                  else 1.0 / gamma(0.5))
-        assert float(ray(s)) == pytest.approx(direct, rel=1e-11)
+    assert float(ray(0.0)) == pytest.approx(1.0 / gamma(0.5), rel=1e-11)
+    assert float(ray(0.3)) == pytest.approx(
+        compensated_series(0.5, 0.5, -0.3), rel=1e-11)
+    for s, ref in zip(ML_REF_S[:6], ML_REF[0.5][1]):
+        assert float(ray(s)) == pytest.approx(ref, rel=1e-11)
 
 
 # E_{alpha,beta}(-s) at the float values of alpha, beta and s, computed once
@@ -403,38 +432,26 @@ ML_REF_CASES = [(a, b, s, ref) for a, rows in ML_REF.items()
 
 @pytest.mark.parametrize("alpha, beta, s, ref", ML_REF_CASES)
 def test_scalar_ml_matches_reference(alpha, beta, s, ref):
-    """Every path that may serve E_{alpha,beta}(-s) against the reference,
-    and the scalar against the path that it takes."""
+    """The scalar against the reference, and against the path that it
+    takes: the asymptotic sum from s = 1e6 on, the ray below."""
     if s >= K._S_ASYMPTOTIC:
         assert abs(K.mittag_leffler(alpha, beta, -s) / ref - 1.0) <= 1e-15
         return
-    try:
-        contour = K._ml_integral(alpha, beta, -s, 1e-11)
-    except AccuracyError:
-        # only the contour's algebraic-weight rule at alpha = 0.001, beta = 1
-        # gives up; the scalar then sums the asymptotic series
-        assert alpha == 0.001 and beta == 1.0
-        assert abs(K.mittag_leffler(alpha, beta, -s) / ref - 1.0) <= 1e-13
-        return
-    assert abs(contour / ref - 1.0) <= 1e-13
-    lo, hi = K._RULE_ALPHAS
-    if beta == 1.0 and lo <= alpha <= hi:
-        # the ray (measured under 8e-13 here), whether or not the rule for
-        # alpha is cached
-        K.m_wright_rule.cache_clear()
-        cold = K.mittag_leffler(alpha, beta, -s)
-        ray = float(K.ml_on_negative_axis(alpha, 1.0)(s))
-        assert abs(ray / ref - 1.0) <= 1e-12
-        assert cold == ray == K.mittag_leffler(alpha, beta, -s)
-    else:
-        assert K.mittag_leffler(alpha, beta, -s) == contour
+    # the ray (measured within 7.7e-13 for beta = 1 and 8.8e-12 for
+    # beta = alpha here), whether or not the rule for alpha is cached
+    K.m_wright_rule.cache_clear()
+    cold = K.mittag_leffler(alpha, beta, -s)
+    ray = float(K.ml_on_negative_axis(alpha, beta)(s))
+    assert abs(ray / ref - 1.0) <= (2e-12 if beta == 1.0 else 1e-11)
+    assert cold == ray == K.mittag_leffler(alpha, beta, -s)
 
 
 @pytest.mark.parametrize("alpha", (0.001, 0.999999))
 def test_ml_ray_outside_its_measured_range(alpha):
-    # the scalar does not take the ray here, yosida_l1_distance (beta = 1)
-    # does: measured 5.1e-13 (beta = 1) and 5.0e-12 (beta = alpha) at
-    # alpha = 0.001, 7.7e-13 and 4.6e-12 at alpha = 0.999999
+    # the ends of the range the ray once served the scalar on, [0.01,
+    # 0.999], in one vector call over the table: measured 5.1e-13
+    # (beta = 1) and 5.0e-12 (beta = alpha) at alpha = 0.001, 7.7e-13 and
+    # 4.6e-12 at alpha = 0.999999
     s = np.array(ML_REF_S)
     for beta, row, bound in zip((1.0, alpha), ML_REF[alpha], (2e-12, 1e-11)):
         got = K.ml_on_negative_axis(alpha, beta)(s)
@@ -506,16 +523,27 @@ def test_exp_mixture_buffer_is_bitwise_unbuffered(size):
                           _unbuffered_exp_mixture(x, nodes, weights))
 
 
-# mpmath at 60 digits: the contour was 1.6e-8, 5.2e-10 and 6.2e-11 off here,
-# past the 1e-11 it is meant to certify, and its error estimate passed; the
-# ray is 6.4e-13, 4.9e-14 and 5.9e-13 off
-@pytest.mark.parametrize("alpha, s, ref", [
-    (0.02, 1e3, 9.8721879525619314001e-4),
-    (0.02, 3e4, 3.2938705683625610868e-5),
-    (0.03, 1e3, 9.8113243447120559576e-4),
+# E_{alpha,beta}(-s) from mpmath at 60 digits (the ML_REF recipe).  A
+# contour integral that once served these points was off by 1.6e-8, 5.2e-10
+# and 6.2e-11 on the first three, and by 2.0e-2, 1.1e-8, 1.7e-4, 3.5e-11,
+# 3.2e-6, 7.0e-8, 1.3e-8 and 4.0e-8 on the rest, with no error raised; the
+# ray is within 6.4e-13 on all of them
+@pytest.mark.parametrize("alpha, beta, s, ref", [
+    (0.02, 1.0, 1e3, 9.8721879525619314001e-4),
+    (0.02, 1.0, 3e4, 3.2938705683625610868e-5),
+    (0.03, 1.0, 1e3, 9.8113243447120559576e-4),
+    (1e-8, 1.0, 50.0, 0.01960784302629456532),
+    (1e-8, 1e-8, 50.0, 3.8446751036301514731e-12),
+    (1e-6, 1.0, 6000.0, 1.6663879734708650692e-4),
+    (1e-6, 1e-6, 20.0, 2.2675725119201317737e-9),
+    (1e-4, 1.0, 3e5, 3.3331297964581495313e-6),
+    (0.005, 1.0, 9e5, 1.107884917171887607e-6),
+    (0.008, 1.0, 9e5, 1.1059324666790635278e-6),
+    (0.008, 1.0, 3e5, 3.3177900623153654455e-6),
 ])
-def test_scalar_ml_takes_the_ray_from_alpha_001(alpha, s, ref):
-    assert abs(K.mittag_leffler(alpha, 1.0, -s) / ref - 1.0) <= 1e-11
+def test_scalar_ml_takes_the_ray_past_the_series(alpha, beta, s, ref):
+    bound = 2e-12 if beta == 1.0 else 1e-11
+    assert abs(K.mittag_leffler(alpha, beta, -s) / ref - 1.0) <= bound
 
 
 # ---------------------------------------------------------------------------
