@@ -21,7 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from . import fracops, fundsol, harnack, kernels, solver
-from .errors import ConfigError, SubharnackError
+from .errors import AccuracyError, ConfigError, SubharnackError
 
 __all__ = ["ExperimentConfig", "parse_config", "run", "main"]
 
@@ -288,6 +288,9 @@ def _run_converge(cfg: ExperimentConfig):
     alpha, sigma = cfg.params["alpha"], cfg.params["sigma"]
     ms = cfg.params["m_list"]
     exact = kernels.mittag_leffler(alpha, 1.0, -sigma)
+    if exact == 0.0:
+        raise AccuracyError(f"the reference E_alpha(-sigma) underflows to 0.0 "
+                            f"at sigma={sigma!r}: no relative error")
     rows, errs = [], []
     for m in ms:
         grid = fracops.TimeGrid.from_horizon(1.0, m)
@@ -295,6 +298,11 @@ def _run_converge(cfg: ExperimentConfig):
         err = abs(path.values[-1] - exact) / abs(exact)
         rows.append((grid.dt, err))
         errs.append(err)
+    if not all(0.0 < e < math.inf for e in errs):
+        # an exact or non-finite error has no order to measure
+        raise AccuracyError(f"relative errors {[float(e) for e in errs]} at "
+                            f"sigma={sigma!r}: each must be positive and "
+                            f"finite to give an order")
     orders = [math.log2(errs[i] / errs[i + 1]) / math.log2(ms[i + 1] / ms[i])
               for i in range(len(errs) - 1)]
     expected = 1.0 + alpha  # rate of the integrated-form product integration

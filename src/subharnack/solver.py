@@ -10,7 +10,7 @@ holds exactly.
 
 from __future__ import annotations
 
-from collections import namedtuple
+import weakref
 from dataclasses import dataclass, field
 from functools import cached_property, reduce
 from typing import Callable, Optional, Union
@@ -54,7 +54,7 @@ class SpaceGrid:
     cells: tuple
 
     def __post_init__(self):
-        # + 0.0 turns -0.0 into 0.0: equal grids share one cached stencil,
+        # + 0.0 turns -0.0 into 0.0: equal grids share one stencil,
         # so they must have the same node points to the bit
         lo = tuple(float(x) + 0.0 for x in np.atleast_1d(self.lower))
         hi = tuple(float(x) + 0.0 for x in np.atleast_1d(self.upper))
@@ -107,6 +107,16 @@ class SpaceGrid:
         """Nodes off the interior box of every axis (node indices 1..n-1)."""
         return ~_tensor_field(np.logical_and,
                               [np.arange(n + 1) % n > 0 for n in self.cells])
+
+    @cached_property
+    def _stencil(self) -> "_Stencil":
+        """The grid's stencil, built on first use and shared with every
+        equal grid alive; it is freed with the last grid that holds it."""
+        key = (self.lower, self.upper, self.cells)
+        stencil = _stencils.get(key)
+        if stencil is None:
+            stencil = _stencils[key] = _Stencil(self)
+        return stencil
 
 
 @dataclass
@@ -281,8 +291,8 @@ def _check_samples(fld: CoefficientField, vals: np.ndarray, n: int) -> None:
 class _Stencil:
     """What the 3-/5-point operator L needs of the grid: the quarter points
     and widths of its faces, the interior and boundary nodes and their
-    points.  Built once per grid per process (``_grid_stencil``) and shared,
-    so every array is read-only.
+    points.  Built once per grid (``SpaceGrid._stencil``) and shared by the
+    equal grids alive with it, so every array is read-only.
 
     A coefficient state's L is its face weights ``W``, one array per axis
     shaped as that axis's faces (face i joins nodes i and i + 1).  Faces run
@@ -316,15 +326,13 @@ class _Stencil:
         self.outer = np.flatnonzero(space.boundary_mask())
         points = points.reshape(-1, dim)
         self.pts_in, self.pts_out = points[self.inner], points[self.outer]
-        shared, sizes = list(vars(self).values()), {}
+        shared = list(vars(self).values())
         while shared:
             value = shared.pop()
             if isinstance(value, (tuple, list)):
                 shared.extend(value)
             elif isinstance(value, np.ndarray):
                 value.flags.writeable = False
-                sizes[id(value)] = value.nbytes
-        self.nbytes = sum(sizes.values())
 
     def weights(self, vals: np.ndarray) -> tuple:
         """Per-axis face weights from the field's samples at ``quarters``:
@@ -375,47 +383,9 @@ class _Stencil:
         return ab.reshape(-1, self.kd + 1).T
 
 
-#: bytes of stencil arrays that ``_grid_stencil`` keeps: some forty
-#: 256 x 256-cell grids (5.8 MB each), or thousands of small ones
-_STENCIL_BUDGET = 256 * 2 ** 20
-
-_StencilCacheInfo = namedtuple("_StencilCacheInfo",
-                               "hits misses nbytes currsize")
-
-
-class _StencilCache:
-    """Memo from grid to stencil, least recently used first out, bounded by
-    the stencils' bytes (``_STENCIL_BUDGET``) rather than their count: equal
-    grids share one read-only stencil.  The newest stencil stays even when
-    it alone exceeds the budget."""
-
-    def __init__(self):
-        self.cache_clear()
-
-    def __call__(self, space: SpaceGrid) -> _Stencil:
-        # a plain dict keeps insertion order: re-inserting a hit makes it
-        # the most recently used
-        stencil = self._kept.pop(space, None)
-        if stencil is None:
-            self.misses += 1
-            stencil = _Stencil(space)
-            self.nbytes += stencil.nbytes
-            while self._kept and self.nbytes > _STENCIL_BUDGET:
-                self.nbytes -= self._kept.pop(next(iter(self._kept))).nbytes
-        else:
-            self.hits += 1
-        self._kept[space] = stencil
-        return stencil
-
-    def cache_info(self) -> _StencilCacheInfo:
-        return _StencilCacheInfo(self.hits, self.misses, self.nbytes,
-                                 len(self._kept))
-
-    def cache_clear(self) -> None:
-        self._kept, self.hits, self.misses, self.nbytes = {}, 0, 0, 0
-
-
-_grid_stencil = _StencilCache()
+#: the stencil of every live grid under the grid's fields: a grid key would
+#: be held strongly, and keep its own stencil alive for ever
+_stencils = weakref.WeakValueDictionary()
 
 
 def _level_operators(spec: ProblemSpec):
@@ -423,11 +393,11 @@ def _level_operators(spec: ProblemSpec):
     per-axis face weights, and the index of the one in force at each level.
     L sums, over every face, the face weight times the jump across it.
     This is the only sampling of the field: the quarter points of all faces,
-    from the grid's cached stencil, are evaluated in one call, at level 1
+    from the grid's stencil, are evaluated in one call, at level 1
     for a static field, else at every level.  Equal raw samples share one
     operator, keyed by their shape and bytes; only a new key is broadcast
     to per-axis values and checked against the field's claims."""
-    m, fld, stencil = spec.time.m, spec.coefficients, _grid_stencil(spec.space)
+    m, fld, stencil = spec.time.m, spec.coefficients, spec.space._stencil
     levels = range(1, m + 1) if fld.time_dependent else (1,)
     keys, ops, state = {}, [], []
     for n in levels:
@@ -485,7 +455,7 @@ def solve_subdiffusion(spec: ProblemSpec) -> SolveResult:
     rows = U.reshape(m + 1, -1)
     result = SolveResult(spec=spec, u=U)
     ops, state = result._operators
-    stencil = _grid_stencil(space)
+    stencil = space._stencil
     inner, outer = stencil.inner, stencil.outer
     take = slice(1, -1) if space.dimension == 1 else inner  # a view in 1D
     factors = [None] * len(ops)

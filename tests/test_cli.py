@@ -3,6 +3,7 @@ import os
 import re
 import subprocess
 import sys
+import weakref
 from pathlib import Path
 
 import pytest
@@ -177,14 +178,24 @@ def test_deterministic_output(tmp_path):
 
 
 @pytest.mark.parametrize("experiment", ["maxprinciple", "harnack"])
-def test_default_run_does_not_depend_on_stencil_cache(tmp_path, experiment):
-    # the second run builds every grid's stencil afresh; the first reuses
-    # whatever earlier problems on equal grids left in the cache
+def test_default_run_does_not_depend_on_stencil_cache(tmp_path, monkeypatch,
+                                                     experiment):
+    # the first run keeps every stencil it builds alive, so a grid equal to
+    # any earlier one shares its stencil; the second forgets them all, and
+    # a stencil lives only as long as the run's own grids
     cfg = write_cfg(tmp_path, f"experiment={experiment}\n")
     out_a, out_b = tmp_path / "a", tmp_path / "b"
-    assert cli.main([cfg, "--out", str(out_a)]) == 0
-    assert solver._grid_stencil.cache_info().currsize > 0
-    solver._grid_stencil.cache_clear()
+    kept, init = [], solver._Stencil.__init__
+
+    def keep(self, space):
+        init(self, space)
+        kept.append(self)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(solver._Stencil, "__init__", keep)
+        assert cli.main([cfg, "--out", str(out_a)]) == 0
+    assert kept
+    monkeypatch.setattr(solver, "_stencils", weakref.WeakValueDictionary())
     assert cli.main([cfg, "--out", str(out_b)]) == 0
     names = sorted(p.name for p in out_a.iterdir())
     assert names == sorted(p.name for p in out_b.iterdir())
@@ -523,6 +534,10 @@ def test_solve_weak_form_and_harnack_run_never_import_scipy_sparse(tmp_path):
     (3, "experiment=identities\nalpha=5e-324\n", "out"),
     (3, "experiment=optimality\nalpha=5e-324\n", "out"),
     (3, "experiment=converge\nalpha=5e-324\n", "out"),
+    # every relative error is exactly 0.0: no order can be measured
+    (3, "experiment=converge\nsigma=1e-20\n", "out"),
+    # at alpha = 1 the reference exp(-1000) underflows to 0.0
+    (3, "experiment=converge\nalpha=1\nsigma=1000\n", "out"),
 ])
 def test_fresh_interpreter_exit_codes_without_traceback(tmp_path, status,
                                                         text, out):

@@ -262,29 +262,31 @@ def _scipy_integrate_and_interpolate_after(code):
 
 def test_import_skips_scipy_integrate_and_interpolate():
     assert _scipy_integrate_and_interpolate_after(
-        "import sys, subharnack") == "[]"
+        "import sys, subharnack.cli") == "[]"
 
 
 def test_scalar_ml_on_a_memoized_rule_skips_scipy_integrate():
     # the ray memoizes the rule for alpha = 0.3, and the scalar sums over it
     assert _scipy_integrate_and_interpolate_after(
-        "import sys, subharnack; subharnack.ml_on_negative_axis(0.3, 1.0); "
-        "subharnack.mittag_leffler(0.3, 1.0, -30.0)") == "[]"
+        "import sys, subharnack.kernels as K; "
+        "K.ml_on_negative_axis(0.3, 1.0); "
+        "K.mittag_leffler(0.3, 1.0, -30.0)") == "[]"
 
 
 def test_scalar_ml_at_a_fresh_alpha_skips_scipy_integrate():
     # the first call at an alpha builds its rule; beta = alpha and alpha
     # below 0.01 take the ray too
     assert _scipy_integrate_and_interpolate_after(
-        "import sys, subharnack; subharnack.mittag_leffler(0.3, 1.0, -30.0); "
-        "subharnack.mittag_leffler(0.3, 0.3, -30.0); "
-        "subharnack.mittag_leffler(0.005, 1.0, -30.0)") == "[]"
+        "import sys, subharnack.kernels as K; "
+        "K.mittag_leffler(0.3, 1.0, -30.0); "
+        "K.mittag_leffler(0.3, 0.3, -30.0); "
+        "K.mittag_leffler(0.005, 1.0, -30.0)") == "[]"
 
 
 def test_yosida_l1_distance_split_skips_scipy_integrate_and_optimize():
     # alpha = 0.7 has a sign change to bisect; the ray's rule is built cold
     assert _scipy_integrate_and_interpolate_after(
-        "import sys, subharnack; subharnack.yosida_l1_distance(0.7, 16)"
+        "import sys, subharnack.kernels as K; K.yosida_l1_distance(0.7, 16)"
     ) == "[]"
 
 

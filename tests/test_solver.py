@@ -136,7 +136,7 @@ def test_checkerboard_pattern_cache_bitwise_equal_uncached(time_flip, dim):
     g = S.SpaceGrid((0.0,) * dim, (1.0, 1.5)[:dim], (12, 10)[:dim])
     fld = S.checkerboard_coefficients(g, 2, 0.5, 4.0, time_flip=time_flip)
     ref = uncached_checkerboard(g, 2, 0.5, 4.0, time_flip)
-    quarters = S._grid_stencil(g).quarters
+    quarters = g._stencil.quarters
     nodes = g.node_points()                     # (a, N) or (a, b, N)
     flat = nodes.reshape(-1, dim)               # (k, N)
     levels = range(2 * (time_flip or 1) + 2)
@@ -523,7 +523,7 @@ def test_level_operator_matches_node_loop(make, field):
     bmask = space.boundary_mask().ravel()
     inner, outer = np.flatnonzero(~bmask), np.flatnonzero(bmask)
     ops, state = S._level_operators(spec)
-    W, stencil = ops[state[1]], S._grid_stencil(space)
+    W, stencil = ops[state[1]], space._stencil
     # L as a dense matrix: column j is L applied to the j-th unit vector
     L = dense_operator(stencil, W, space)
     # the interior block the solve factorizes at level 2
@@ -590,7 +590,7 @@ def test_stencil_operators_bitwise_equal_coo_assembly(monkeypatch, cells,
     assert len(ops) == {"flip": 2, "anisotropic": 9}.get(kind, 1)
     assert len(factorized) == len(ops)
     c0 = spec.time.dt ** (-spec.alpha) / gamma(2.0 - spec.alpha)
-    stencil = S._grid_stencil(g)
+    stencil = g._stencil
     # the interior nodes in the stencil's order, the longer axis outermost
     inner = stencil.inner
     X = np.random.default_rng(len(kind)).uniform(-1.0, 1.0,
@@ -686,13 +686,11 @@ def stencil_arrays(stencil):
 
 
 def test_equal_grids_share_one_read_only_stencil():
-    S._grid_stencil.cache_clear()
     a = S.solve_subdiffusion(rect_spec())
     b = S.solve_subdiffusion(rect_spec(time_flip=2))
     assert a.spec.space is not b.spec.space and a.spec.space == b.spec.space
-    stencil = S._grid_stencil(a.spec.space)
-    assert S._grid_stencil(b.spec.space) is stencil
-    assert S._grid_stencil.cache_info().misses == 1
+    stencil = a.spec.space._stencil
+    assert b.spec.space._stencil is stencil
     # the quarter points, the interior and boundary nodes and their points
     arrays = stencil_arrays(stencil)
     assert len(arrays) >= 5
@@ -702,34 +700,48 @@ def test_equal_grids_share_one_read_only_stencil():
     assert math.copysign(1.0, signed.lower[0]) == 1.0
 
 
-def test_stencil_cache_evicts_least_recently_used_past_its_byte_budget(
+def count_stencil_builds(monkeypatch):
+    """The grids whose stencils are built from now on, none shared with a
+    grid made earlier."""
+    monkeypatch.setattr(S, "_stencils", weakref.WeakValueDictionary())
+    built, init = [], S._Stencil.__init__
+
+    def counted(self, space):
+        built.append(space.cells)
+        init(self, space)
+
+    monkeypatch.setattr(S._Stencil, "__init__", counted)
+    return built
+
+
+def test_solves_over_live_grids_build_one_stencil_per_distinct_grid(
         monkeypatch):
-    S._grid_stencil.cache_clear()
-    a, b, c = (S.SpaceGrid.interval(0.0, 1.0, n) for n in (8, 16, 32))
-    sizes = [S._Stencil(g).nbytes for g in (a, b, c)]
-    for g, size in zip((a, b, c), sizes):
-        # every distinct array once: the face axes sit in two attributes
-        arrays = {id(x): x.nbytes for x in stencil_arrays(S._Stencil(g))}
-        assert size == sum(arrays.values())
-    monkeypatch.setattr(S, "_STENCIL_BUDGET", sum(sizes) - 1)
-    first_a, first_b = S._grid_stencil(a), S._grid_stencil(b)
-    assert S._grid_stencil(a) is first_a        # a hit: a is now the newest
-    S._grid_stencil(c)                          # one byte over: b goes
-    info = S._grid_stencil.cache_info()
-    assert (info.hits, info.misses, info.currsize) == (1, 3, 2)
-    assert info.nbytes == sizes[0] + sizes[2]
-    assert S._grid_stencil(a) is first_a
-    rebuilt = S._grid_stencil(b)                # a miss, and c goes
-    assert rebuilt is not first_b
-    assert S._grid_stencil.cache_info()[1:] == (4, sizes[0] + sizes[1], 2)
-    old, new = stencil_arrays(first_b), stencil_arrays(rebuilt)
-    assert [(x.dtype, x.shape, x.tobytes()) for x in old] == [
-        (x.dtype, x.shape, x.tobytes()) for x in new]
-    # a stencil over the budget on its own is still kept, alone
-    monkeypatch.setattr(S, "_STENCIL_BUDGET", 1)
-    assert S._grid_stencil(c) is S._grid_stencil(c)
-    assert S._grid_stencil.cache_info().currsize == 1
-    S._grid_stencil.cache_clear()
+    # the ensemble's traffic: many problems on a few grids, all alive
+    built = count_stencil_builds(monkeypatch)
+    specs = [interval_spec(nx=8), rect_spec(), interval_spec(nx=12),
+             rect_spec(time_flip=2), interval_spec(nx=8), interval_spec(nx=12)]
+    results = [S.solve_subdiffusion(spec) for spec in specs]
+    for res in results:
+        S.supersolution_residual(res)
+    assert sorted(built) == [(8,), (12,), (12, 10)]
+    assert results[0].spec.space._stencil is results[4].spec.space._stencil
+
+
+def test_stencil_freed_with_the_last_grid_that_holds_it(monkeypatch):
+    built = count_stencil_builds(monkeypatch)
+    a = S.solve_subdiffusion(rect_spec())
+    S.supersolution_residual(a)
+    b = rect_spec(time_flip=2)                  # an equal grid, alive
+    stencil = weakref.ref(b.space._stencil)
+    assert stencil() is a.spec.space._stencil
+    del a
+    gc.collect()
+    assert stencil() is b.space._stencil
+    del b
+    gc.collect()
+    assert stencil() is None
+    rect_spec().space._stencil                  # the next equal grid builds
+    assert built == [(12, 10), (12, 10)]
 
 
 def test_evaluator_cannot_write_shared_quarter_points():
@@ -743,24 +755,27 @@ def test_evaluator_cannot_write_shared_quarter_points():
 
 
 @pytest.mark.parametrize("make", [interval_spec, rect_spec])
-def test_cached_stencil_run_bitwise_equal_after_cache_clear(make):
+def test_cached_stencil_run_bitwise_equal_after_cache_clear(monkeypatch,
+                                                             make):
     rng = np.random.default_rng(31)
     shape = make().space.shape
     flipping = S.checkerboard_coefficients(make().space, 2, 0.5, 4.0,
                                            time_flip=3)
-    spec = make(u0=rng.uniform(-1.0, 2.0, size=shape),
+    data = dict(u0=rng.uniform(-1.0, 2.0, size=shape),
                 boundary=lambda t, pts: np.cos(3.0 * t + pts[..., 0]),
                 forcing=lambda t, pts: np.sin(pts[..., 0] - t),
                 coefficients=flipping)
-    # another problem on an equal grid warms the cache
-    S.solve_subdiffusion(make())
+    # another problem on an equal grid, alive, lends the run its stencil
+    other = S.solve_subdiffusion(make())
+    spec = make(**data)
     warm = S.solve_subdiffusion(spec)
     warm_form = S.supersolution_residual(warm)
-    warm_stencil = S._grid_stencil(spec.space)
-    S._grid_stencil.cache_clear()
-    cold = S.solve_subdiffusion(spec)
+    assert spec.space._stencil is other.spec.space._stencil
+    # with the live stencils forgotten, an equal grid builds its own
+    monkeypatch.setattr(S, "_stencils", weakref.WeakValueDictionary())
+    cold = S.solve_subdiffusion(make(**data))
     cold_form = S.supersolution_residual(cold)
-    assert S._grid_stencil(spec.space) is not warm_stencil
+    assert cold.spec.space._stencil is not spec.space._stencil
     assert warm.u.tobytes() == cold.u.tobytes()
     assert warm.diagnostics == cold.diagnostics
     assert struct.pack("<d", warm_form) == struct.pack("<d", cold_form)
@@ -1045,7 +1060,7 @@ def test_band_cholesky_matches_direct_march_on_long_square_run():
         coefficients=S.checkerboard_coefficients(g, 3, 0.5, 4.0, time_flip=7))
     res = assert_matches_direct_march(spec)
     assert len(res._operators[0]) == 2
-    assert S._grid_stencil(g).kd == 23
+    assert g._stencil.kd == 23
 
 
 @pytest.mark.parametrize("cells", [(5, 12), (12, 5), (16,), (8, 8)])
@@ -1064,7 +1079,7 @@ def test_band_width_follows_the_grid(cells, time_flip):
         coefficients=S.checkerboard_coefficients(g, 2, 0.5, 4.0,
                                                  time_flip=time_flip))
     res = S.solve_subdiffusion(spec)
-    assert S._grid_stencil(g).kd == (min(cells) - 1 if dim == 2 else 1)
+    assert g._stencil.kd == (min(cells) - 1 if dim == 2 else 1)
     assert len(res._operators[0]) == (1 if time_flip is None else 2)
     want = direct_march(spec, dense=True)
     assert np.abs(res.u - want).max() <= 1e-13 * np.abs(want).max()
