@@ -21,7 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from . import fracops, fundsol, harnack, kernels, solver
-from .errors import AccuracyError, ConfigError, SubharnackError
+from .errors import AccuracyError, ConfigError, SubharnackError, _as_real
 
 __all__ = ["ExperimentConfig", "parse_config", "run", "main"]
 
@@ -38,10 +38,7 @@ class ExperimentConfig:
 
 
 def _to_float(text: str) -> float:
-    value = float(text)
-    if not math.isfinite(value):
-        raise ValueError(f"{text!r} is not finite")
-    return value
+    return _as_real(text, "a config number")
 
 
 def _to_float_list(text: str) -> list:

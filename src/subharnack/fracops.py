@@ -10,8 +10,9 @@ import numpy as np
 from scipy.fft import irfft, next_fast_len, rfft
 from scipy.special import gamma as gamma_fn
 
-from .errors import DomainError, GridMismatchError, SingularKernelError
-from .kernels import KernelTable, _as_alpha, _as_count, rl_kernel_table
+from .errors import (DomainError, GridMismatchError, SingularKernelError,
+                     _as_alpha, _as_count, _as_real)
+from .kernels import KernelTable, rl_kernel_table
 
 __all__ = [
     "TimeGrid",
@@ -33,8 +34,7 @@ class TimeGrid:
     m: int
 
     def __post_init__(self):
-        if not (np.isfinite(self.dt) and self.dt > 0.0):
-            raise DomainError(f"dt must be finite and positive, got {self.dt}")
+        object.__setattr__(self, "dt", _as_real(self.dt, "dt", 0.0))
         object.__setattr__(self, "m", _as_count(self.m, "the step count", 2))
 
     @property
@@ -143,6 +143,7 @@ def l1_weights(alpha: float, m: int) -> np.ndarray:
     """Weights b_j = (j+1)^(1-alpha) - j^(1-alpha), strictly decreasing for
     alpha < 1; b_0 = 1 for every alpha in (0, 1], set outright since
     0.0 ** 0.0 == 1 would zero it at alpha = 1 (backward Euler: [1, 0, ...])."""
+    alpha, m = _as_alpha(alpha, classical_ok=True), _as_count(m, "m")
     j = np.arange(0, m, dtype=float)
     b = (j + 1.0) ** (1.0 - alpha) - j ** (1.0 - alpha)
     b[:1] = 1.0
@@ -187,7 +188,7 @@ def _trapezoid_convolve(k: np.ndarray, v: np.ndarray, dt: float) -> np.ndarray:
 
 def _interior_max(lhs, rhs, grid: TimeGrid, t_min: float = 0.0) -> float:
     """Max |lhs - rhs| over the interior nodes with t >= t_min."""
-    keep = grid.nodes[1:-1] >= t_min
+    keep = grid.nodes[1:-1] >= _as_real(t_min, "t_min")
     return float(np.abs(lhs - rhs)[1:-1][keep].max())
 
 

@@ -10,9 +10,9 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import AccuracyError, DomainError
-from .kernels import (_as_alpha, _as_count, _exp_mixture, _gauss_panels,
-                      m_wright_rule)
+from .errors import (AccuracyError, DomainError, _as_alpha, _as_count,
+                     _as_real)
+from .kernels import _exp_mixture, _gauss_panels, m_wright_rule
 
 __all__ = [
     "critical_exponent",
@@ -37,8 +37,7 @@ def divergence_exponent(alpha, N: int, p: float) -> float:
     """Exponent of t in the small-time integral of the p-th power of the
     fundamental solution over a fixed ball: alpha*(N-N*p)/2 + (alpha-1)*p."""
     a, N = _as_alpha(alpha), _as_count(N, "N", 1)
-    if p <= 0.0:
-        raise DomainError(f"p must be positive, got {p}")
+    p = _as_real(p, "p", 0.0)
     return a * (N - N * p) / 2.0 + (a - 1.0) * p
 
 
@@ -69,9 +68,7 @@ class FundamentalSolutionEvaluator:
 
     def profile(self, t: float, rho) -> np.ndarray:
         """Y(t, |x| = rho) for an array of radii, one rule sum per radius."""
-        t = float(t)
-        if not 0.0 < t < math.inf:
-            raise DomainError(f"t must be positive and finite, got {t}")
+        t = _as_real(t, "t", 0.0)
         rho = np.atleast_1d(np.asarray(rho, dtype=float))
         if not np.all((rho >= 0.0) & (rho < math.inf)):
             raise DomainError("radii must be finite and nonnegative")
@@ -135,12 +132,8 @@ def optimality_experiment(alpha, N: int, p: float, epsilon_list,
     algebraic exponent from ``divergence_exponent``.  Returns a list of
     (eps, I(eps)) pairs, eps in the given order.
     """
-    a = _as_alpha(alpha)
-    if p <= 0.0:
-        raise DomainError(f"p must be positive, got {p}")
-    eps_arr = [float(e) for e in epsilon_list]
-    if any(not (0.0 < e < 1.0) for e in eps_arr):
-        raise DomainError("epsilons must lie in (0, 1)")
+    a, p = _as_alpha(alpha), _as_real(p, "p", 0.0)
+    eps_arr = [_as_real(e, "epsilon", 0.0, 1.0) for e in epsilon_list]
     if evaluator is None:
         evaluator = FundamentalSolutionEvaluator(alpha=a, dimension=N)
     eps_min = min(eps_arr)

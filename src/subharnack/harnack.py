@@ -11,14 +11,9 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .errors import (
-    DegenerateDataError,
-    DomainError,
-    EmptyRegionError,
-    InvalidWeightError,
-)
+from .errors import (DegenerateDataError, DomainError, EmptyRegionError,
+                     InvalidWeightError, _as_alpha, _as_point, _as_real)
 from .fundsol import _SPHERE_AREA, critical_exponent
-from .kernels import _as_alpha
 from .solver import (SolveResult, SpaceGrid, _source_values, _tensor_field,
                      supersolution_residual)
 
@@ -51,12 +46,11 @@ class BoxRegion:
     radius: float
 
     def __post_init__(self):
-        if not self.t_lo < self.t_hi:
-            raise DomainError("need t_lo < t_hi")
-        if self.radius <= 0.0:
-            raise DomainError("radius must be positive")
-        object.__setattr__(self, "center",
-                           tuple(float(c) for c in np.atleast_1d(self.center)))
+        t_lo = _as_real(self.t_lo, "t_lo")
+        object.__setattr__(self, "t_lo", t_lo)
+        object.__setattr__(self, "t_hi", _as_real(self.t_hi, "t_hi", t_lo))
+        object.__setattr__(self, "center", _as_point(self.center, "center"))
+        object.__setattr__(self, "radius", _as_real(self.radius, "radius", 0.0))
 
     def masks(self, times, coords, closed: bool = True):
         """Time mask over the values ``times`` and space mask over the tensor
@@ -89,17 +83,14 @@ class HarnackConfig:
     alpha: float
 
     def __post_init__(self):
-        if not (0.0 < self.delta < 1.0):
-            raise DomainError("delta must lie in (0, 1)")
-        if self.eta <= 1.0:
-            raise DomainError("eta must exceed 1")
-        if self.tau <= 0.0 or self.r <= 0.0:
-            raise DomainError("tau and r must be positive")
-        if self.t0 < 0.0:
-            raise DomainError("t0 must be nonnegative")
+        for name, low, high, closed in (
+                ("delta", 0.0, 1.0, ""), ("eta", 1.0, math.inf, ""),
+                ("tau", 0.0, math.inf, ""), ("t0", 0.0, math.inf, "low"),
+                ("r", 0.0, math.inf, "")):
+            object.__setattr__(self, name, _as_real(
+                getattr(self, name), name, low, high, closed))
         object.__setattr__(self, "alpha", _as_alpha(self.alpha))
-        object.__setattr__(self, "x0",
-                           tuple(float(c) for c in np.atleast_1d(self.x0)))
+        object.__setattr__(self, "x0", _as_point(self.x0, "x0"))
 
     @property
     def time_scale(self) -> float:
@@ -175,8 +166,7 @@ def _region_cell_values(result: SolveResult, region: BoxRegion,
 
 
 def _power_mean(vals: np.ndarray, p: float) -> float:
-    if p <= 0.0:
-        raise DomainError(f"p must be positive, got {p}")
+    p = _as_real(p, "p", 0.0)
     return float(np.mean(vals ** p) ** (1.0 / p))
 
 
@@ -280,6 +270,7 @@ def oscillation_decay(result: SolveResult, x0, r_list,
     spec = result.spec
     if np.abs(spec.u0).max() > 1e-12 * max(1.0, np.abs(result.u).max()):
         raise DomainError("oscillation decay requires vanishing initial data")
+    x0, eta = _as_point(x0, "x0"), _as_real(eta, "eta", 0.0)
     radii = [float(r) for r in r_list]
     if any(r2 >= r1 for r1, r2 in zip(radii, radii[1:])):
         raise DomainError("radii must be strictly decreasing")
@@ -364,10 +355,10 @@ class ConeWeight:
     radius: float
 
     def __post_init__(self):
-        if self.radius <= 0.0:
-            raise InvalidWeightError("support radius must be positive")
-        object.__setattr__(self, "center",
-                           tuple(float(c) for c in np.atleast_1d(self.center)))
+        if not 0.0 < self.radius < math.inf:
+            raise InvalidWeightError("support radius must be finite and "
+                                     f"positive, got {self.radius!r}")
+        object.__setattr__(self, "center", _as_point(self.center, "center"))
 
     def values(self, space: SpaceGrid) -> np.ndarray:
         _check_center(self.center, space)
@@ -395,13 +386,12 @@ def cone_weight(space: SpaceGrid, center=None,
     """Cone weight centered in the box, supported strictly inside it."""
     lo = np.asarray(space.lower)
     hi = np.asarray(space.upper)
-    if center is None:
-        center = 0.5 * (lo + hi)
-    center = np.atleast_1d(np.asarray(center, dtype=float))
+    center = np.array(_as_point(0.5 * (lo + hi) if center is None else center,
+                                "center"))
     _check_center(center, space)
     if radius is None:
         radius = 0.45 * float((hi - lo).min())
-    w = ConeWeight(center=tuple(center), radius=float(radius))
+    w = ConeWeight(center=center, radius=float(radius))
     if np.any(center - radius < lo) or np.any(center + radius > hi):
         raise InvalidWeightError("cone support must fit inside the box")
     return w

@@ -14,7 +14,6 @@ measure behind all three, certified at build time by its exact moments.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass, field
 from functools import lru_cache
 
@@ -22,11 +21,8 @@ import numpy as np
 from scipy.special import gamma as gamma_fn
 from scipy.special import gammaln, rgamma, sindg
 
-from .errors import (
-    AccuracyError,
-    DomainError,
-    SingularStepError,
-)
+from .errors import (AccuracyError, DomainError, SingularStepError,
+                     _as_alpha, _as_count, _as_real)
 
 __all__ = [
     "KernelTable",
@@ -55,27 +51,6 @@ KINDS = ("riemann_liouville", "yosida_g", "yosida_h", "custom")
 SAMPLINGS = ("grunwald", "cell_average", "node")
 
 
-def _as_alpha(alpha, *, classical_ok: bool = False) -> float:
-    """Normalize alpha to float; alpha = 1 passes only where a classical limit is documented."""
-    a = float(alpha)
-    hi_ok = (a == 1.0 and classical_ok) or a < 1.0
-    if not (0.0 < a and hi_ok):
-        rng = "(0, 1]" if classical_ok else "(0, 1)"
-        raise DomainError(f"alpha must lie in {rng}, got {a}")
-    return a
-
-
-def _as_count(value, what: str, least: int = 0) -> int:
-    """An integral count of at least ``least`` as int; 4.0 passes, while 2.5,
-    NaN, strings and smaller counts raise ``DomainError`` naming ``what``."""
-    integral = isinstance(value, numbers.Integral) or (
-        isinstance(value, numbers.Real) and float(value).is_integer())
-    if not (integral and value >= least):
-        raise DomainError(
-            f"{what} must be an integer of at least {least}, got {value!r}")
-    return int(value)
-
-
 @dataclass(frozen=True)
 class KernelTable:
     """A causal kernel sampled on a uniform time grid.
@@ -102,8 +77,7 @@ class KernelTable:
     params: tuple = field(default=())
 
     def __post_init__(self):
-        if not (math.isfinite(self.dt) and self.dt > 0.0):
-            raise DomainError(f"dt must be finite and positive, got {self.dt}")
+        object.__setattr__(self, "dt", _as_real(self.dt, "dt", 0.0))
         vals = np.asarray(self.values, dtype=float).copy()
         if vals.ndim != 1 or vals.size < 2:
             raise DomainError("values must be a 1-d sequence of length >= 2")
@@ -144,10 +118,7 @@ class KernelTable:
 
 def rl_kernel(beta: float, t: float) -> float:
     """Power kernel t**(beta-1)/Gamma(beta); strictly positive for t > 0."""
-    if beta <= 0.0:
-        raise DomainError(f"beta must be positive, got {beta}")
-    if t <= 0.0:
-        raise DomainError(f"t must be positive, got {t}")
+    beta, t = _as_real(beta, "beta", 0.0), _as_real(t, "t", 0.0)
     return t ** (beta - 1.0) / gamma_fn(beta)
 
 
@@ -169,12 +140,8 @@ def rl_kernel_table(
     scale: float = 1.0,
 ) -> KernelTable:
     """Tabulate scale * g_beta on m steps of width dt under the given sampling."""
-    if beta <= 0.0:
-        raise DomainError(f"beta must be positive, got {beta}")
-    if not (math.isfinite(dt) and dt > 0.0):
-        raise DomainError(f"dt must be finite and positive, got {dt}")
-    if m < 1:
-        raise DomainError("need at least one step")
+    beta, dt = _as_real(beta, "beta", 0.0), _as_real(dt, "dt", 0.0)
+    m = _as_count(m, "m", 1)
     j = np.arange(0, m + 1, dtype=float)
     if sampling == "grunwald":
         body = dt ** (beta - 1.0) * _grunwald_coeffs(beta, m)
@@ -199,26 +166,32 @@ def rl_kernel_table(
 # Mittag-Leffler function
 # ---------------------------------------------------------------------------
 
-_SERIES_NMAX = 20000
+#: terms of the series' first pass, and of each retry where a pass finds no
+#: tail cut
+_SERIES_TERMS_TRIED = (20000, 80000, 320000)
 
 
 def _ml_series(alpha: float, beta: float, z: float, rtol: float):
     """Sum the defining power series; returns (value, ok).
 
     ok is False when the alternating-term cancellation makes the float error
-    floor exceed rtol, or when terms would overflow.
+    floor exceed rtol, or when terms would overflow, or when they are not
+    negligible within the last of ``_SERIES_TERMS_TRIED``.
     """
     if z == 0.0:
         return 1.0 / gamma_fn(beta), True
     logz = math.log(abs(z))
-    n = np.arange(0, _SERIES_NMAX, dtype=float)
-    logs = n * logz - gammaln(alpha * n + beta)
-    peak = int(np.argmax(logs))
-    if logs[peak] > 690.0:
-        return math.nan, False
-    # truncate once terms are negligible in absolute terms past the peak
-    tail = np.nonzero(logs[peak:] < -45.0)[0]
-    if tail.size == 0:
+    for size in _SERIES_TERMS_TRIED:
+        n = np.arange(0, size, dtype=float)
+        logs = n * logz - gammaln(alpha * n + beta)
+        peak = int(np.argmax(logs))
+        if logs[peak] > 690.0:
+            return math.nan, False
+        # truncate once terms are negligible in absolute terms past the peak
+        tail = np.nonzero(logs[peak:] < -45.0)[0]
+        if tail.size:
+            break
+    else:
         return math.nan, False
     stop = peak + int(tail[0]) + 1
     terms = np.exp(logs[:stop])
@@ -250,14 +223,12 @@ def mittag_leffler(alpha: float, beta: float, z: float) -> float:
     beta)(-z)`` for alpha <= 0.999999, building the rule if it is not
     cached.  Every other call past the series raises ``AccuracyError``:
     another beta on 5 < -z < 1e6, alpha in (0.999999, 1), and z > 0 (where
-    the series gives up on overflow, or on needing more than 20000 terms).
+    the series gives up on overflow, or on needing more than 320000 terms).
     alpha = 1, beta = 1 is the exponential, and alpha >= 1 is served on the
     series' range.
     """
-    if alpha <= 0.0 or beta <= 0.0:
-        raise DomainError("Mittag-Leffler parameters must be strictly positive")
-    if not math.isfinite(z):
-        raise DomainError(f"z must be finite, got {z}")
+    alpha, beta = _as_real(alpha, "alpha", 0.0), _as_real(beta, "beta", 0.0)
+    z = _as_real(z, "z")
     if alpha == 1.0 and beta == 1.0:
         try:
             return math.exp(z)
@@ -271,7 +242,7 @@ def mittag_leffler(alpha: float, beta: float, z: float) -> float:
     if z > 0.0:
         raise AccuracyError(
             f"E_({alpha},{beta})({z}) overflows double precision or needs "
-            f"more than {_SERIES_NMAX} series terms")
+            f"more than {_SERIES_TERMS_TRIED[-1]} series terms")
     if alpha < 1.0 and z <= -_S_ASYMPTOTIC:
         return float(_ml_asymptotic(alpha, beta, -z))
     if beta in (1.0, alpha) and alpha <= _RAY_ALPHA_MAX:

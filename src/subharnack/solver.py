@@ -18,9 +18,10 @@ from typing import Callable, Optional, Union
 import numpy as np
 from scipy.linalg.lapack import dpbtrf, dpbtrs
 
-from .errors import DomainError, GridMismatchError, LinearSolveError
+from .errors import (DomainError, GridMismatchError, LinearSolveError,
+                     _as_alpha, _as_count, _as_point, _as_real)
 from .fracops import SampledPath, TimeGrid, _causal_march, _l1_scheme
-from .kernels import _as_alpha, _as_count, rl_kernel_table, solve_volterra
+from .kernels import rl_kernel_table, solve_volterra
 
 __all__ = [
     "SpaceGrid",
@@ -54,21 +55,17 @@ class SpaceGrid:
     cells: tuple
 
     def __post_init__(self):
-        # + 0.0 turns -0.0 into 0.0: equal grids share one stencil,
-        # so they must have the same node points to the bit
-        lo = tuple(float(x) + 0.0 for x in np.atleast_1d(self.lower))
-        hi = tuple(float(x) + 0.0 for x in np.atleast_1d(self.upper))
+        # equal grids share one stencil, so _as_point reads -0.0 as 0.0:
+        # they must have the same node points to the bit
+        lo, hi = _as_point(self.lower, "lower"), _as_point(self.upper, "upper")
         nc = tuple(_as_count(n, "a cell count", 4)
                    for n in np.atleast_1d(self.cells))
         if not (len(lo) == len(hi) == len(nc)):
             raise DomainError("lower/upper/cells must have matching lengths")
         if len(lo) not in (1, 2):
             raise DomainError(f"dimension must be 1 or 2, got {len(lo)}")
-        for a, b in zip(lo, hi):
-            if not (np.isfinite(a) and np.isfinite(b)):
-                raise DomainError(f"bounds must be finite, got {a!r}, {b!r}")
-            if b <= a:
-                raise DomainError("upper bound must exceed lower bound")
+        if not all(a < b for a, b in zip(lo, hi)):
+            raise DomainError("upper bound must exceed lower bound")
         object.__setattr__(self, "lower", lo)
         object.__setattr__(self, "upper", hi)
         object.__setattr__(self, "cells", nc)
@@ -118,6 +115,10 @@ class SpaceGrid:
             stencil = _stencils[key] = _Stencil(self)
         return stencil
 
+    def __getstate__(self):
+        """Pickles and copies leave the stencil behind, to share the live one."""
+        return {k: v for k, v in vars(self).items() if k != "_stencil"}
+
 
 @dataclass
 class CoefficientField:
@@ -157,8 +158,7 @@ class CoefficientField:
 
 def constant_coefficients(value: float = 1.0, dim: int = 1) -> CoefficientField:
     """Spatially and temporally constant isotropic coefficient."""
-    if value <= 0.0:
-        raise DomainError("coefficient must be positive")
+    value = _as_real(value, "value", 0.0)
 
     def evaluate(_ti, points):
         return np.full(points.shape[:-1], value)
@@ -182,8 +182,8 @@ def checkerboard_coefficients(
     once per point set: ``evaluate`` keeps the latest set's pattern under
     its dtype, shape and bytes, so an array changed in place gets a new one,
     and each call only picks low or high by the level's flip."""
-    if not (0.0 < low <= high):
-        raise DomainError("need 0 < low <= high")
+    low = _as_real(low, "low", 0.0)
+    high = _as_real(high, "high", low, closed="low")
     period = _as_count(period, "period", 1)
     if time_flip is not None:
         time_flip = _as_count(time_flip, "time_flip", 1)
@@ -549,8 +549,7 @@ def solve_scalar_relaxation(alpha, sigma: float, u0: float,
     for the classical exponential decay.
     """
     a = _as_alpha(alpha, classical_ok=True)
-    if sigma < 0.0:
-        raise DomainError(f"sigma must be nonnegative, got {sigma}")
+    sigma = _as_real(sigma, "sigma", 0.0, closed="low")
     kern = rl_kernel_table(a, time.dt, time.m, sampling="cell_average",
                            scale=sigma)
     table = solve_volterra(kern, np.full(time.m + 1, float(u0)))

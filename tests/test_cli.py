@@ -289,6 +289,24 @@ def test_optimality_run_at_critical_exponent(tmp_path):
     assert "log_fit=pass" in (out / "optimality_summary.txt").read_text()
 
 
+@pytest.mark.parametrize("p, gate, measure, value", [
+    # below the critical exponent 5/3 the integrals level off
+    (1.0, "stabilizes", "last_decade_change", 3.4e-4),
+    # above it they grow like eps^-(1 + e_p), slope 0.625 at p = 2.5
+    (2.5, "growth_rate", "growth_slope", 0.62507),
+])
+def test_optimality_run_off_the_critical_exponent(tmp_path, p, gate, measure,
+                                                  value):
+    cfg = write_cfg(tmp_path, f"experiment=optimality\np={p}\n")
+    out = tmp_path / "out"
+    assert cli.main([cfg, "--out", str(out)]) == 0
+    summary = read_summary(out, "optimality")
+    assert summary[gate] == "pass" and summary["status"] == "pass"
+    assert float(summary[measure]) == pytest.approx(value, rel=1e-3)
+    if p > 5.0 / 3.0:
+        assert float(summary["expected_slope"]) == 0.625
+
+
 def test_numerical_failure_exits_3(tmp_path):
     # the two boxes hold no cell midpoint of the 4-cell grid: empty region -> 3
     cfg = write_cfg(tmp_path, "experiment=harnack\nnx=4\nr=0.05\nrefine=0\n")

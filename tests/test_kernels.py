@@ -201,6 +201,17 @@ def test_ml_far_peak_raises_past_the_series():
         K.mittag_leffler(0.001, 0.01, 30.0)
 
 
+def test_ml_series_retries_with_more_terms():
+    # z^n / Gamma(0.001 n + 0.5) at z = 0.9999 is still near e^-42 at
+    # n = 20000, short of the e^-45 cut; a 30-digit direct sum gives
+    # 2304.5374540005163708
+    value = K.mittag_leffler(0.001, 0.5, 0.9999)
+    assert value == pytest.approx(2304.5374540005163708, rel=1e-13, abs=0.0)
+    # past the last pass of 320000 terms the series still gives up
+    with pytest.raises(AccuracyError, match="320000 series terms"):
+        K.mittag_leffler(1e-5, 0.5, 0.99999)
+
+
 RULE_ALPHAS = (0.1, 0.3, 0.5, 0.7, 0.9, 0.95, 0.99, 0.999)
 
 

@@ -1,5 +1,7 @@
+import copy
 import gc
 import math
+import pickle
 import struct
 import tracemalloc
 import weakref
@@ -742,6 +744,17 @@ def test_stencil_freed_with_the_last_grid_that_holds_it(monkeypatch):
     assert stencil() is None
     rect_spec().space._stencil                  # the next equal grid builds
     assert built == [(12, 10), (12, 10)]
+
+
+def test_pickled_or_copied_grid_shares_the_live_stencil():
+    grid = S.SpaceGrid.interval(0.0, 1.0, 8)
+    fresh = pickle.dumps(grid)
+    stencil = grid._stencil
+    # a used grid pickles as a fresh one: the stencil is left behind
+    assert pickle.dumps(grid) == fresh
+    for twin in (pickle.loads(fresh), copy.deepcopy(grid), copy.copy(grid)):
+        assert twin == grid and "_stencil" not in vars(twin)
+        assert twin._stencil is stencil
 
 
 def test_evaluator_cannot_write_shared_quarter_points():
