@@ -118,25 +118,45 @@ def _fft_window(w, x, lo, hi, spectra):
 
 
 _BLOCK = 64
+# the widest span whose window is one product with its Toeplitz block; a
+# wider one goes through _fft_window
+_TOEPLITZ_SPAN = 512
 
 
-def _causal_march(lo, hi, leaf, rows, w, spectra=None):
+def _march_window(w, x, k, span, cache):
+    """The share of the first ``k`` levels of a span, the rows ``x``, in
+    the history of its last ``span - k`` levels: out[i] = sum_j
+    w[k + i - j] x[j].  A span of at most ``_TOEPLITZ_SPAN`` levels is one
+    product with the Toeplitz block T[i, j] = w[k + i - j], a wider one is
+    ``_fft_window``'s sum of outputs k..span-1.  ``cache`` keeps each
+    shape's block and each window's transform, for reuse."""
+    if span > _TOEPLITZ_SPAN:
+        return _fft_window(w, x, k, span, cache)
+    T = cache.get(("toeplitz", k, span))
+    if T is None:
+        lags = k + np.subtract.outer(np.arange(span - k), np.arange(k))
+        T = cache["toeplitz", k, span] = w[lags]
+    return T @ x
+
+
+def _causal_march(lo, hi, leaf, rows, w, cache=None):
     """Solve levels lo..hi-1 of a causal system whose level n has the
     history sum_{j>=1} w[j] rows[n-j], kept in its unsolved row n.
     ``leaf(a, z)`` solves up to ``_BLOCK`` levels, summing the history from
     within them directly; a longer span is marched in halves, the first
-    adding its share to the second by one windowed FFT sum (Hairer, Lubich
-    & Schlichte 1985), O(m log^2 m) per column.  Its weight window depends
-    only on the span's length, so ``spectra`` carries each length's
-    transform down the recursion.  Module-level: no closure refers to
-    itself, so a solve's buffers are freed with its result at once."""
+    adding its share to the second by one ``_march_window`` sum (Hairer,
+    Lubich & Schlichte 1985), O(m log^2 m) per column.  That sum depends
+    only on the span's length and split, so ``cache`` carries each
+    length's Toeplitz block or transform down the recursion.
+    Module-level: no closure refers to itself, so a solve's buffers are
+    freed with its result at once."""
     if hi - lo <= _BLOCK:
         return leaf(lo, hi)
-    spectra = {} if spectra is None else spectra
+    cache = {} if cache is None else cache
     mid = (lo + hi) // 2
-    _causal_march(lo, mid, leaf, rows, w, spectra)
-    rows[mid:hi] += _fft_window(w, rows[lo:mid], mid - lo, hi - lo, spectra)
-    _causal_march(mid, hi, leaf, rows, w, spectra)
+    _causal_march(lo, mid, leaf, rows, w, cache)
+    rows[mid:hi] += _march_window(w, rows[lo:mid], mid - lo, hi - lo, cache)
+    _causal_march(mid, hi, leaf, rows, w, cache)
 
 
 def l1_weights(alpha: float, m: int) -> np.ndarray:

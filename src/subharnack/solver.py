@@ -412,9 +412,11 @@ def _level_operators(spec: ProblemSpec):
     return ops, np.resize(state, m)
 
 
-# levels per pass over the boundary and forcing data and the residuals: the
-# passes' buffers stay a few levels deep whatever m is
-_CHUNK = 16
+# values per pass over the boundary and forcing data and the residuals: a
+# pass covers as many levels of the grid's nodes as fit (at least one), up
+# to the end of its leaf of the march, so its buffers stay the same size
+# whatever m is
+_PASS_VALUES = 1 << 16
 
 
 def solve_subdiffusion(spec: ProblemSpec) -> SolveResult:
@@ -434,20 +436,25 @@ def solve_subdiffusion(spec: ProblemSpec) -> SolveResult:
 
     Only the history b_{n-1} u0 + sum_j (b_{j-1} - b_j) u_{n-j}, which
     accumulates in row n until ``fracops._causal_march`` solves it, and the
-    banded solve run level by level.  The rest is one pass per block of
-    ``_CHUNK`` levels: the boundary and forcing values (a callable is called
-    once per level, in level order; a constant is one broadcast) and their
-    finiteness check, then one boundary coupling and one residual pass
-    (||A u - b|| / ||b|| per level, kept in ``diagnostics``).  Each is one
-    ``_Stencil.apply`` with every level's own face weights on a trailing
-    level axis, on a full-node array that is 0.0 off the nodes it reads.
+    banded solve run level by level; a level sums its history out of place,
+    so no row is scaled by c0.  The rest is one pass per run of levels in a
+    leaf of the march, as many as fit ``_PASS_VALUES`` node values (64
+    levels on up to 1024 nodes, 15 on 65 x 65): the boundary and forcing
+    values (a callable is called once per level, in level order; a constant
+    is one broadcast) and their finiteness check, the levels' factors, then
+    one boundary coupling, subtracted from the forcing rows, and one
+    residual pass (||A u - b|| / ||b|| per level, kept in ``diagnostics``).
+    Each is one ``_Stencil.apply`` with every level's own face weights on a
+    trailing level axis, on a full-node array that is 0.0 off the nodes it
+    reads.
     """
     space, time = spec.space, spec.time
     dt, m = time.dt, time.m
     c0, b, _ = _l1_scheme(spec.alpha, dt, m)
-    # d[j] = b_{j-1} - b_j weighs level n - j in the history of level n
+    # d[j] = b_{j-1} - b_j weighs level n - j in the history of level n;
+    # the leaf's own share of it is summed with c0 d_j, reversed
     d = np.concatenate(([0.0], b[:-1] - b[1:]))
-    d_rev = np.ascontiguousarray(d[:0:-1])
+    cd_rev = c0 * d[:0:-1]
 
     U = np.empty((m + 1,) + space.shape)
     U[0] = spec.u0
@@ -459,6 +466,7 @@ def solve_subdiffusion(spec: ProblemSpec) -> SolveResult:
     inner, outer = stencil.inner, stencil.outer
     take = slice(1, -1) if space.dimension == 1 else inner  # a view in 1D
     factors = [None] * len(ops)
+    levels = max(1, _PASS_VALUES // rows.shape[1])
 
     def factor(s, n):
         if factors[s] is None:
@@ -505,28 +513,25 @@ def solve_subdiffusion(spec: ProblemSpec) -> SolveResult:
         return G, F
 
     def leaf(lo, hi):
-        for c in range(lo, hi, _CHUNK):
-            e = min(c + _CHUNK, hi)
+        for c in range(lo, hi, levels):
+            e = min(c + levels, hi)
             G, F = data(c, e)
             run = state[c - 1:e - 1]
-            # each level's face weights on a trailing level axis; a block in
+            # each level's face weights on a trailing level axis; a pass in
             # one state broadcasts its own
             W = ops[run[0]] if (run == run[0]).all() else tuple(
                 np.stack(ws, axis=-1) for ws in zip(*(ops[s] for s in run)))
-            BG = interior(W, G, outer)
+            # the forcing rows become the right-hand sides, kept for the
+            # residual; rows are only read, so the boundary columns of this
+            # pass's rows, unused until set below, are never scaled by c0
+            F -= interior(W, G, outer)
+            F += c0 * rows[c:e, take]
+            chol = [factor(s, n) for s, n in zip(run, range(c, e))]
             for i, n in enumerate(range(c, e)):
-                # row n is free until its level is solved
-                hist = rows[n]
                 if n > lo:
-                    hist += d_rev[m - 1 - (n - lo):] @ rows[lo:n]
-                hist *= c0
-                # the forcing row becomes the right-hand side, kept for the
-                # residual
-                rhs = F[i]
-                np.add(hist[take], rhs, out=rhs)
-                rhs -= BG[i]
-                rows[n, take] = dpbtrs(factor(run[i], n), rhs)[0]
-            # set after the block: a history's boundary columns are unused
+                    F[i] += (cd_rev[m - 1 - (n - lo):] @ rows[lo:n])[take]
+                rows[n, take] = dpbtrs(chol[i], F[i])[0]
+            # set after the pass: a history's boundary columns are unused
             rows[c:e, outer] = G
             u = rows[c:e, take]
             res = interior(W, u, take) + c0 * u - F

@@ -588,6 +588,18 @@ def direct_volterra(kernel, f, rule):
 
 # several base blocks of the march and a length that halves unevenly
 LONG_M = 5 * F._BLOCK + 13
+# a march whose widest windows go through the FFT and whose narrower ones
+# are Toeplitz products
+WIDE_M = 2 * F._TOEPLITZ_SPAN + 13
+
+
+def march_kernels(m):
+    """A power kernel and a node table of m steps."""
+    return [
+        K.rl_kernel_table(0.6, 1.0 / m, m, sampling="cell_average", scale=2.0),
+        K.KernelTable(dt=0.01, values=np.exp(-0.03 * np.arange(m + 1))
+                      * (1.0 + 0.5 * np.cos(0.1 * np.arange(m + 1)))),
+    ]
 
 
 def test_volterra_zero_kernel_returns_rhs():
@@ -599,15 +611,12 @@ def test_volterra_zero_kernel_returns_rhs():
 
 
 @pytest.mark.parametrize("rule", ["trapezoid", "rectangle"])
-@pytest.mark.parametrize("kernel", [
-    K.rl_kernel_table(0.6, 1.0 / LONG_M, LONG_M, sampling="cell_average",
-                      scale=2.0),
-    K.KernelTable(dt=0.01, values=np.exp(-0.03 * np.arange(LONG_M + 1))
-                  * (1.0 + 0.5 * np.cos(0.1 * np.arange(LONG_M + 1)))),
-], ids=["power", "node_table"])
+@pytest.mark.parametrize(
+    "kernel", march_kernels(LONG_M) + march_kernels(WIDE_M),
+    ids=["power", "node_table", "power_wide", "node_table_wide"])
 def test_volterra_blocked_march_matches_direct_loop(rule, kernel):
     rng = np.random.default_rng(11)
-    for f in (np.ones(LONG_M + 1), rng.standard_normal(LONG_M + 1)):
+    for f in (np.ones(kernel.m + 1), rng.standard_normal(kernel.m + 1)):
         got = K.solve_volterra(kernel, f, rule=rule).values
         want = direct_volterra(kernel, f, rule)
         assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()

@@ -986,11 +986,14 @@ def direct_march(spec, dense=False):
 
 
 # several base blocks, a length that halves unevenly, and a flip period
-# that divides neither the base block nor the data chunk
+# that divides neither the base block nor a pass
 LONG_M = 5 * F._BLOCK + 13
+# past two spans of Toeplitz windows: the march's widest windows go through
+# the FFT, the narrower ones are Toeplitz products
+WIDE_M = 2 * F._TOEPLITZ_SPAN + 13
 
 
-def long_spec(dim, **kw):
+def long_spec(dim, m=LONG_M, **kw):
     rng = np.random.default_rng(40 + dim)
     if dim == 1:
         g = S.SpaceGrid.interval(0.0, 1.0, 16)
@@ -1000,14 +1003,14 @@ def long_spec(dim, **kw):
             forcing=lambda t, p: np.sin(2.0 * p[..., 0] - t),
             coefficients=S.checkerboard_coefficients(g, 2, 0.5, 4.0))
         defaults.update(kw)
-        return interval_spec(nx=16, m=LONG_M, T=2.0, **defaults)
+        return interval_spec(nx=16, m=m, T=2.0, **defaults)
     shape = rect_spec().space.shape
     defaults = dict(
         u0=rng.uniform(-1.0, 2.0, size=shape),
         boundary=lambda t, p: 0.5 * np.sin(4.0 * t + p[..., 0] - p[..., 1]),
         forcing=lambda t, p: np.cos(p[..., 1] + t))
     defaults.update(kw)
-    return rect_spec(time_flip=7, m=LONG_M, **defaults)
+    return rect_spec(time_flip=7, m=m, **defaults)
 
 
 def assert_matches_direct_march(spec):
@@ -1022,24 +1025,26 @@ def assert_matches_direct_march(spec):
     return res
 
 
-@pytest.mark.parametrize("dim", [1, 2])
-def test_blocked_history_matches_direct_march(dim):
-    assert_matches_direct_march(long_spec(dim))
+@pytest.mark.parametrize("dim, m", [
+    pytest.param(1, LONG_M, id="1"), pytest.param(2, LONG_M, id="2"),
+    pytest.param(1, WIDE_M, id="1-wide"), pytest.param(2, WIDE_M, id="2-wide")])
+def test_blocked_history_matches_direct_march(dim, m):
+    assert_matches_direct_march(long_spec(dim, m=m))
 
 
 def march_transforming_every_split(lo, hi, leaf, rows, w):
-    """The blocked march with its weight window transformed again at every
-    split."""
+    """The blocked march with its weight window built again at every split:
+    the same window helper, with a fresh cache each time."""
     if hi - lo <= F._BLOCK:
         return leaf(lo, hi)
     mid = (lo + hi) // 2
     march_transforming_every_split(lo, mid, leaf, rows, w)
-    rows[mid:hi] += F._fft_window(w, rows[lo:mid], mid - lo, hi - lo, {})
+    rows[mid:hi] += F._march_window(w, rows[lo:mid], mid - lo, hi - lo, {})
     march_transforming_every_split(mid, hi, leaf, rows, w)
 
 
 def scalar_relaxation(rule):
-    time = TimeGrid.from_horizon(2.0, LONG_M)
+    time = TimeGrid.from_horizon(2.0, WIDE_M)
     if rule == "trapezoid":
         return S.solve_scalar_relaxation(0.5, 3.0, 1.5, time).values
     kern = K.rl_kernel_table(0.5, time.dt, time.m, sampling="cell_average",
@@ -1049,11 +1054,12 @@ def scalar_relaxation(rule):
 
 @pytest.mark.parametrize("case", ["trapezoid", "rectangle", 1, 2])
 def test_march_spectrum_reuse_is_bitwise(monkeypatch, case):
-    # LONG_M splits into uneven halves, so a depth has two span lengths
+    # WIDE_M splits into uneven halves, so a depth has two span lengths,
+    # and reaches both window kinds
     if isinstance(case, str):
         run = lambda: scalar_relaxation(case)
     else:
-        spec = long_spec(case)
+        spec = long_spec(case, m=WIDE_M)
         run = lambda: S.solve_subdiffusion(spec).u
     got = run()
     monkeypatch.setattr(F, "_causal_march", march_transforming_every_split)
@@ -1186,16 +1192,43 @@ def block_size_cases():
 @pytest.mark.parametrize("spec", block_size_cases())
 def test_solve_bitwise_equal_for_every_block_size(monkeypatch, spec):
     # the coupling and residual passes apply each level's own weights,
-    # gathered per block: any block size gives the same bits
-    runs = []
-    for chunk in (1, 5, 16):
-        monkeypatch.setattr(S, "_CHUNK", chunk)
+    # gathered per pass: any pass length gives the same bits, up to a
+    # whole leaf of the march
+    nodes, apply, applied = spec.u0.size, S._Stencil.apply, []
+
+    def counted(W, U):
+        applied.append(None)
+        return apply(W, U)
+
+    monkeypatch.setattr(S._Stencil, "apply", staticmethod(counted))
+    runs, passes = [], []
+    for levels in (1, 5, 16, F._BLOCK):
+        monkeypatch.setattr(S, "_PASS_VALUES", levels * nodes)
         runs.append(S.solve_subdiffusion(spec))
+        # one coupling and one residual apply per pass
+        passes.append(len(applied) // 2)
+        applied.clear()
+    assert passes[0] > passes[1] > passes[2] > passes[3]
     assert len(runs[0]._operators[0]) == 2
     for res in runs[1:]:
         assert res.u.tobytes() == runs[0].u.tobytes()
         assert struct.pack(f"<{spec.time.m}d", *res.diagnostics) == \
             struct.pack(f"<{spec.time.m}d", *runs[0].diagnostics)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_stiff_pass_history_does_not_compound(monkeypatch):
+    # c0 = 6.4e5 at alpha = 1: a level's history summed into its own row
+    # and scaled there would carry c0^n into the boundary columns of a
+    # 64-level pass and overflow
+    g = S.SpaceGrid.interval(0.0, 1.0, 16)
+    spec = S.ProblemSpec(alpha=1.0, space=g,
+                         time=TimeGrid.from_horizon(1e-4, 64),
+                         u0=np.ones(g.shape), boundary=1.0)
+    monkeypatch.setattr(S, "_PASS_VALUES", F._BLOCK * spec.u0.size)
+    res = S.solve_subdiffusion(spec)
+    assert np.abs(res.u - 1.0).max() <= 1e-12
+    assert all(0.0 <= r <= 1e-12 for r in res.diagnostics)
 
 
 def backward_euler_march(spec):
