@@ -67,7 +67,12 @@ class FundamentalSolutionEvaluator:
             raise DomainError(f"dimension must be 1, 2 or 3, got {self.dimension}")
 
     def profile(self, t: float, rho) -> np.ndarray:
-        """Y(t, |x| = rho) for an array of radii, one rule sum per radius."""
+        """Y(t, |x| = rho) for an array of radii, one rule sum per radius.
+
+        The heat kernel of time tau_k = r_k t^alpha is exactly 0.0 at
+        rho^2 / (4 tau_k) > 750, and a long run of such terms is skipped
+        rather than computed (``kernels._exp_mixture``), bitwise as the full
+        sum; a radius whose square overflows reads 0.0."""
         t = _as_real(t, "t", 0.0)
         rho = np.atleast_1d(np.asarray(rho, dtype=float))
         if not np.all((rho >= 0.0) & (rho < math.inf)):
@@ -77,7 +82,9 @@ class FundamentalSolutionEvaluator:
         tau = nodes * t ** a                      # heat-kernel times r t^alpha
         coef = (a * t ** (a - 1.0) * weights * nodes
                 * (4.0 * math.pi * tau) ** (-0.5 * N))
-        return _exp_mixture(rho * rho, 0.25 / tau, coef)
+        with np.errstate(over="ignore"):
+            rho2 = rho * rho
+        return _exp_mixture(rho2, 0.25 / tau, coef)
 
     def evaluate(self, t: float, x) -> float:
         """Y(t, x); x may be a scalar or an N-vector."""
@@ -86,7 +93,7 @@ class FundamentalSolutionEvaluator:
             raise DomainError(
                 f"x must be scalar or have {self.dimension} components"
             )
-        rho = float(np.linalg.norm(xv))
+        rho = math.hypot(*xv)                     # no overflow on the way
         return float(self.profile(t, [rho])[0])
 
 
@@ -134,6 +141,8 @@ def optimality_experiment(alpha, N: int, p: float, epsilon_list,
     """
     a, p = _as_alpha(alpha), _as_real(p, "p", 0.0)
     eps_arr = [_as_real(e, "epsilon", 0.0, 1.0) for e in epsilon_list]
+    if not eps_arr:
+        raise DomainError("the epsilon list is empty")
     if evaluator is None:
         evaluator = FundamentalSolutionEvaluator(alpha=a, dimension=N)
     eps_min = min(eps_arr)

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from subharnack import cli, kernels, solver
+from subharnack import cli, fundsol, kernels, solver
 from subharnack.errors import ConfigError
 
 
@@ -305,6 +305,29 @@ def test_optimality_run_off_the_critical_exponent(tmp_path, p, gate, measure,
     assert float(summary[measure]) == pytest.approx(value, rel=1e-3)
     if p > 5.0 / 3.0:
         assert float(summary["expected_slope"]) == 0.625
+
+
+@pytest.mark.parametrize("p, gate, tilt", [
+    # integrals that keep growing like eps^-0.05 below the critical exponent
+    (1.0, "stabilizes", -0.05),
+    # a growth slope 0.2 short of the expected 0.625 above it
+    (2.5, "growth_rate", 0.2),
+])
+def test_optimality_off_critical_gate_can_fail(tmp_path, monkeypatch, p, gate,
+                                               tilt):
+    real = fundsol.optimality_experiment
+
+    def faulty(*args, **kwargs):
+        return [(e, v * e ** tilt) for e, v in real(*args, **kwargs)]
+
+    monkeypatch.setattr(fundsol, "optimality_experiment", faulty)
+    cfg = write_cfg(tmp_path, f"experiment=optimality\np={p}\n")
+    out = tmp_path / "out"
+    status = cli.main([cfg, "--out", str(out)])
+    assert status == 1
+    assert_verdict(out, "optimality", status)
+    summary = read_summary(out, "optimality")
+    assert [k for k, v in summary.items() if v == "fail"] == [gate, "status"]
 
 
 def test_numerical_failure_exits_3(tmp_path):

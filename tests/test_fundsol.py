@@ -164,6 +164,17 @@ def test_nonfinite_arguments_raise_domain_error(call):
         call()
 
 
+@pytest.mark.parametrize("alpha, dim", [(1.0, 1), (0.5, 1), (0.3, 3)])
+def test_profile_at_huge_radii_is_zero_without_warnings(alpha, dim):
+    # rho * rho overflows past 1.3e154; the kernel there is exactly 0.0
+    ev = FS.FundamentalSolutionEvaluator(alpha, dim)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = ev.profile(1.0, [1e200, 1e155, 1e100, 0.0])
+        assert ev.evaluate(1.0, 1e300) == 0.0
+    assert got[:3].tolist() == [0.0, 0.0, 0.0] and got[3] > 0.0
+
+
 def test_near_classical_profile_matches_gaussian():
     ev = FS.FundamentalSolutionEvaluator(alpha=0.999, dimension=1)
     t = 0.5
@@ -224,6 +235,8 @@ def test_optimality_input_validation(ev_half):
         FS.optimality_experiment(0.5, 1, -1.0, [0.1], evaluator=ev_half)
     with pytest.raises(DomainError):
         FS.optimality_experiment(0.5, 1, 1.0, [1.5], evaluator=ev_half)
+    with pytest.raises(DomainError, match="epsilon list is empty"):
+        FS.optimality_experiment(0.5, 1, 1.0, [], evaluator=ev_half)
 
 
 def test_optimality_overflow_raises_without_warnings(ev_half):

@@ -519,7 +519,8 @@ def test_m_wright_series_meets_kanter_density(alpha):
 
 
 def _unbuffered_exp_mixture(x, rates, weights):
-    """``_exp_mixture`` with a fresh matrix per block of x."""
+    """``_exp_mixture`` with a fresh matrix per block of x and every term
+    computed, the dead ones included."""
     flat = x.ravel()
     out = np.empty(flat.shape)
     for lo in range(0, flat.size, K._BLOCK):
@@ -534,6 +535,52 @@ def test_exp_mixture_buffer_is_bitwise_unbuffered(size):
     x = np.geomspace(1e-3, 1e4, size)
     assert np.array_equal(K._exp_mixture(x, nodes, weights),
                           _unbuffered_exp_mixture(x, nodes, weights))
+
+
+@pytest.mark.parametrize("alpha", (0.1, 0.5, 0.9, 1.0))
+def test_m_wright_rule_nodes_ascend(alpha):
+    # what keeps the dead terms of an _exp_mixture block one contiguous run
+    nodes, _ = K.m_wright_rule(alpha)
+    assert np.all(np.diff(nodes) > 0.0)
+
+
+def _mixture_rates(kind):
+    """The rays' ascending rates, or the profile's descending 0.25/tau."""
+    nodes, weights = K.m_wright_rule(0.7)
+    if kind == "ray":
+        return nodes, weights
+    tau = nodes * 0.3 ** 0.7
+    return 0.25 / tau, 0.7 * weights * nodes * (4.0 * math.pi * tau) ** -0.5
+
+
+@pytest.mark.parametrize("kind", ("ray", "profile"))
+def test_exp_mixture_skip_is_bitwise_the_full_sum(kind):
+    rates, weights = _mixture_rates(kind)
+    assert (np.diff(rates) > 0.0).all() == (kind == "ray")
+    n = K._BLOCK
+    live = np.geomspace(1e-9, 1.0, n) * 700.0 / rates.max()
+    dead = np.geomspace(1.0, 1e6, n) * 800.0 / rates.min()
+    # a dead run under _DEAD_SHARE of the terms, computed in full, and one
+    # over half of them, skipped
+    short = np.geomspace(1.0, 1e6, n) * 1000.0 / rates.max()
+    long = np.geomspace(1.0, 1e6, n) * 800.0 / np.median(rates)
+    # only the smallest rate's term is not 0.0, at 741 <= y <= 745: a
+    # subnormal, which a cut below 745.14 would lose
+    edge = np.linspace(741.0, 745.0, n) / rates.min()
+    zero = np.concatenate([[0.0], long[1:]])
+    shuffled = np.random.default_rng(3).permutation(long)
+    blocks = [live, dead, short, long, edge, zero, shuffled, long[:7]]
+    x = np.concatenate(blocks)
+    # unit weights keep the edge block's subnormal sums from underflowing
+    for w in (weights, np.ones_like(weights)):
+        got = K._exp_mixture(x, rates, w)
+        assert got.tobytes() == _unbuffered_exp_mixture(x, rates, w).tobytes()
+    got = np.split(got, np.cumsum([b.size for b in blocks])[:-1])
+    assert np.all(got[0] > 0.0) and np.all(got[1] == 0.0)
+    assert np.all((got[4] > 0.0) & (got[4] < 1e-320))
+    n_dead = [np.count_nonzero(rates * b.min() > 750.0) for b in (short, long)]
+    assert 0 < n_dead[0] < K._DEAD_SHARE * rates.size
+    assert rates.size / 2 <= n_dead[1] < rates.size
 
 
 # E_{alpha,beta}(-s) from mpmath at 60 digits (the ML_REF recipe).  A
