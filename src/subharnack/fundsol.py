@@ -70,15 +70,16 @@ class FundamentalSolutionEvaluator:
         """Y(t, |x| = rho) for an array of radii, one rule sum per radius.
 
         The heat kernel of time tau_k = r_k t^alpha is exactly 0.0 at
-        rho^2 / (4 tau_k) > 750, and a long run of such terms is skipped
-        rather than computed (``kernels._exp_mixture``), bitwise as the full
-        sum; a radius whose square overflows reads 0.0."""
+        rho^2 / (4 tau_k) > 750, and such terms are skipped rather than
+        computed (``kernels._exp_mixture``), bitwise as the full sum; a
+        radius whose square overflows reads 0.0."""
         t = _as_real(t, "t", 0.0)
         rho = np.atleast_1d(np.asarray(rho, dtype=float))
         if not np.all((rho >= 0.0) & (rho < math.inf)):
             raise DomainError("radii must be finite and nonnegative")
         a, N = self.alpha, self.dimension
         nodes, weights = m_wright_rule(a)
+        nodes, weights = nodes[::-1], weights[::-1]   # rates 0.25/tau ascend
         tau = nodes * t ** a                      # heat-kernel times r t^alpha
         coef = (a * t ** (a - 1.0) * weights * nodes
                 * (4.0 * math.pi * tau) ** (-0.5 * N))

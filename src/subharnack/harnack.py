@@ -272,6 +272,10 @@ def oscillation_decay(result: SolveResult, x0, r_list,
         raise DomainError("oscillation decay requires vanishing initial data")
     x0, eta = _as_point(x0, "x0"), _as_real(eta, "eta", 0.0)
     radii = [float(r) for r in r_list]
+    if len(radii) < 2:
+        raise DomainError(
+            f"oscillation decay fits a slope to at least two radii, "
+            f"got {len(radii)}")
     if any(r2 >= r1 for r1, r2 in zip(radii, radii[1:])):
         raise DomainError("radii must be strictly decreasing")
     alpha = spec.alpha

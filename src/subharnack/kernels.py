@@ -208,9 +208,10 @@ def _ml_series(alpha: float, beta: float, z: float, rtol: float):
 
 def _ml_asymptotic(alpha: float, beta: float, s):
     """E_{alpha,beta}(-s) for s >= 1e6, scalar or array:
-    -sum_{k=1..6} (-s)^-k / Gamma(beta - alpha k), by Horner in -1/s."""
+    -sum_{k=1..6} (-s)^-k / Gamma(beta - alpha k), by Horner in -1/s; an
+    underflow reads +0.0 (0.0 - v negates every nonzero v exactly)."""
     coeffs = rgamma(beta - alpha * np.arange(6.0, 0.0, -1.0))
-    return -np.polyval(np.append(coeffs, 0.0), -1.0 / s)
+    return 0.0 - np.polyval(np.append(coeffs, 0.0), -1.0 / s)
 
 
 def mittag_leffler(alpha: float, beta: float, z: float) -> float:
@@ -276,12 +277,6 @@ _BLOCK = 256
 #: exp(-y) is exactly 0.0 in double precision for y > 745.14; a term with
 #: rates_k x > _DEAD_EXPONENT is therefore written as 0.0, not computed
 _DEAD_EXPONENT = 750.0
-#: a block skips its dead terms only when they are at least this share of
-#: the rule: its live run is then a strided slice of each row, and on a
-#: 463-node rule (2-vCPU x86, NumPy 2.4) the strided exponential cost as
-#: much as or more than a dead run of 2-20 terms saved, while a run of 80
-#: or more saved time
-_DEAD_SHARE = 1.0 / 8.0
 
 
 def _exp_mixture(x: np.ndarray, rates: np.ndarray,
@@ -289,36 +284,22 @@ def _exp_mixture(x: np.ndarray, rates: np.ndarray,
     """sum_k weights_k exp(-x rates_k) for each x >= 0, in blocks of x that
     reuse one buffer: a fresh ~1 MB block may be mmapped and faulted in anew.
 
-    ``rates`` is monotone (ascending on the rays, descending in the
-    profile), so the terms of a block with rates_k min(x) > 750 form one run
-    at its large-rate end; each of them is exp(-y) at y > 745.14, exactly
-    0.0.  When that run holds ``_DEAD_SHARE`` of the terms or more it is
-    written as 0.0 rather than computed, and the live run is taken in place
-    through slices.  The matmul spans the whole block, so the result is
-    bitwise that of the full sum."""
+    ``rates`` ascend, so the terms of a block with rates_k min(x) > 750 are
+    one run at its end; each is exp(-y) at y > 745.14, exactly 0.0, and is
+    written as 0.0 rather than computed.  The matmul spans the whole block,
+    so the result is bitwise that of the full sum."""
     flat = x.ravel()
     out = np.empty(flat.shape)
     buf = np.empty((min(_BLOCK, flat.size), rates.size))
     neg = -rates
-    n = rates.size
-    head = n > 1 and rates[0] > rates[-1]   # dead run at the head
-    # a block skips its dead run once this rate's term is in it
-    least = max(1, int(_DEAD_SHARE * n))
-    knee = float(rates[least - 1] if head else rates[n - least])
     starts = range(0, flat.size, _BLOCK)
     for lo, low in zip(starts, np.minimum.reduceat(flat, starts).tolist()):
         blk = slice(lo, lo + _BLOCK)
         part = buf[:flat[blk].size]
-        live, live_neg = part, neg
-        if knee * low > _DEAD_EXPONENT:
-            n_dead = np.count_nonzero(rates * low > _DEAD_EXPONENT)
-            cut = n_dead if head else n - n_dead
-            first, rest = slice(0, cut), slice(cut, None)
-            dead, keep = (first, rest) if head else (rest, first)
-            part[:, dead] = 0.0
-            live, live_neg = part[:, keep], neg[keep]
-        np.multiply.outer(flat[blk], live_neg, out=live)
-        np.exp(live, out=live)
+        live = rates.size - np.count_nonzero(rates * low > _DEAD_EXPONENT)
+        part[:, live:] = 0.0
+        np.multiply.outer(flat[blk], neg[:live], out=part[:, :live])
+        np.exp(part[:, :live], out=part[:, :live])
         np.matmul(part, weights, out=out[blk])
     return out.reshape(x.shape)
 
@@ -468,11 +449,10 @@ def ml_on_negative_axis(alpha: float, beta: float):
     E_alpha(-s) = int e^(-s r) M_alpha(r) dr and E_{alpha,alpha}(-s) =
     alpha int r e^(-s r) M_alpha(r) dr, both summed over ``m_wright_rule``
     in blocks of s; positive and nonincreasing in s by construction.  The
-    terms with s r_k > 750 over a whole block are exactly 0.0, and a long
-    run of them is not computed (``_exp_mixture``); the sum is bitwise the
-    full one.  From s = 1e6 on, past the rule's smallest node, it is the
-    asymptotic sum.  Any other beta raises ``DomainError``, as does a
-    negative or NaN s.
+    terms with s r_k > 750 over a whole block are exactly 0.0 and are not
+    computed (``_exp_mixture``); the sum is bitwise the full one.  From
+    s = 1e6 on, past the rule's smallest node, it is the asymptotic sum.
+    Any other beta raises ``DomainError``, as does a negative or NaN s.
 
     Its error, measured against 60-digit values and not checked at run time,
     is under 8e-13 (beta = 1) and 1e-11 (beta = alpha) for alpha from 1e-8
@@ -647,9 +627,7 @@ def yosida_l1_distance(alpha, n: int) -> float:
     too, and every panel integrates a smooth function.  Against the same
     integrand on 140 80-point panels, split the same way, it is within
     2.1e-11 relative for alpha in {0.001, 0.3, 0.5, 0.7, 0.9, 0.999} and n
-    in {1, 16, 256, 65536}; the unsplit 140 x 40-point rule it replaces was
-    off by up to 8.4e-7 relative for alpha > 1/2, so those distances moved
-    by as much.
+    in {1, 16, 256, 65536}.
     """
     a, n = _as_alpha(alpha), _as_count(n, "n", 1)
     ray = ml_on_negative_axis(a, 1.0)

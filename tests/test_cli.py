@@ -6,9 +6,10 @@ import sys
 import weakref
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from subharnack import cli, fundsol, kernels, solver
+from subharnack import cli, fracops, fundsol, kernels, solver
 from subharnack.errors import ConfigError
 
 
@@ -136,6 +137,29 @@ def test_converge_order_is_per_doubling_of_m(tmp_path):
     summary = read_summary(out, "converge")
     assert summary["order_band"] == "pass"
     assert abs(float(summary["orders"]) - 1.5) <= 0.3
+
+
+@pytest.mark.parametrize("error, gate", [
+    (lambda m: 1e-3 * (64 / m) ** 0.5, "order_band"),   # small, order 0.5
+    (lambda m: 10.0 * (64 / m) ** 1.5, "error_small"),  # order 1.5, large
+])
+def test_each_converge_gate_can_fail(tmp_path, monkeypatch, error, gate):
+    # an injected relaxation path whose relative error at m levels is
+    # error(m): each fault fails its own gate and no other
+    exact = kernels.mittag_leffler(0.5, 1.0, -1.0)
+
+    def faulty(alpha, sigma, T, grid):
+        value = exact * (1.0 + error(grid.m))
+        return fracops.SampledPath(grid, np.full(grid.m + 1, value))
+
+    monkeypatch.setattr(solver, "solve_scalar_relaxation", faulty)
+    out = tmp_path / "out"
+    status = cli.main([write_cfg(tmp_path, "experiment=converge\n"),
+                       "--out", str(out)])
+    assert status == 1
+    summary = read_summary(out, "converge")
+    assert [k for k, v in summary.items() if v == "fail"] == [gate, "status"]
+    assert_verdict(out, "converge", status)
 
 
 def test_converge_reference_at_small_alpha_and_large_sigma(tmp_path):

@@ -175,6 +175,21 @@ def test_profile_at_huge_radii_is_zero_without_warnings(alpha, dim):
     assert got[:3].tolist() == [0.0, 0.0, 0.0] and got[3] > 0.0
 
 
+def test_profile_hands_the_mixture_ascending_rates(monkeypatch):
+    # _exp_mixture skips its exact zeros as one run at the end of the rates
+    seen, mixture = [], FS._exp_mixture
+
+    def spy(x, rates, weights):
+        seen.append(rates)
+        return mixture(x, rates, weights)
+
+    monkeypatch.setattr(FS, "_exp_mixture", spy)
+    for alpha in (0.1, 0.5, 0.9):
+        FS.FundamentalSolutionEvaluator(alpha, 2).profile(0.3, [0.0, 1.0, 50.0])
+    assert len(seen) == 3
+    assert all(r.size > 100 and np.all(np.diff(r) > 0.0) for r in seen)
+
+
 def test_near_classical_profile_matches_gaussian():
     ev = FS.FundamentalSolutionEvaluator(alpha=0.999, dimension=1)
     t = 0.5

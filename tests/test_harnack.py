@@ -289,6 +289,14 @@ def test_oscillation_degenerate_run():
         H.oscillation_decay(res, (0.5,), [0.2, 0.1])
 
 
+def test_oscillation_decay_needs_two_radii():
+    # a slope through one point (or none) is no fit
+    res = ramp_run()
+    for radii in ([], [0.3]):
+        with pytest.raises(DomainError, match=f"got {len(radii)}$"):
+            H.oscillation_decay(res, (0.62,), radii, eta=2.0)
+
+
 def test_oscillation_requires_zero_initial_data():
     res = constant_run(1.0)
     with pytest.raises(DomainError):

@@ -3,6 +3,7 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -479,6 +480,18 @@ def test_ml_ray_far_out_is_the_asymptotic_sum(alpha):
         assert np.abs(got / np.array(row[6:]) - 1.0).max() <= 1e-15
 
 
+@pytest.mark.parametrize("alpha", (0.3, 0.5, 0.7, 1.0))
+def test_ml_ray_underflow_reads_positive_zero(alpha):
+    # the asymptotic sum underflows at s = inf, at s = 1e300 for
+    # beta = alpha, and at alpha = 1 for every s >= 1e6; the ray is
+    # positive, so an underflow must read +0.0, not -0.0
+    s = np.array([1e6, 1e300, np.inf])
+    for beta in (1.0, alpha):
+        got = K.ml_on_negative_axis(alpha, beta)(s)
+        assert np.all(got >= 0.0) and not np.signbit(got).any()
+    assert not np.signbit(K.mittag_leffler(0.5, 0.5, -1e300))
+
+
 # r M_alpha(r) at r = e^u, alpha and u as floats, from the series summed
 # with mpmath at 50 digits over 300 terms and rounded to 20:
 #
@@ -545,23 +558,25 @@ def test_m_wright_rule_nodes_ascend(alpha):
 
 
 def _mixture_rates(kind):
-    """The rays' ascending rates, or the profile's descending 0.25/tau."""
+    """The rays' rates (the rule's nodes), or the profile's 0.25/tau over
+    the reversed rule: both ascend."""
     nodes, weights = K.m_wright_rule(0.7)
     if kind == "ray":
         return nodes, weights
+    nodes, weights = nodes[::-1], weights[::-1]
     tau = nodes * 0.3 ** 0.7
     return 0.25 / tau, 0.7 * weights * nodes * (4.0 * math.pi * tau) ** -0.5
 
 
 @pytest.mark.parametrize("kind", ("ray", "profile"))
-def test_exp_mixture_skip_is_bitwise_the_full_sum(kind):
+def test_exp_mixture_skip_is_bitwise_the_full_sum(kind, monkeypatch):
     rates, weights = _mixture_rates(kind)
-    assert (np.diff(rates) > 0.0).all() == (kind == "ray")
+    assert (np.diff(rates) > 0.0).all()
     n = K._BLOCK
     live = np.geomspace(1e-9, 1.0, n) * 700.0 / rates.max()
     dead = np.geomspace(1.0, 1e6, n) * 800.0 / rates.min()
-    # a dead run under _DEAD_SHARE of the terms, computed in full, and one
-    # over half of them, skipped
+    # a short dead run (under 1/8 of the terms) and one over half of them,
+    # both skipped
     short = np.geomspace(1.0, 1e6, n) * 1000.0 / rates.max()
     long = np.geomspace(1.0, 1e6, n) * 800.0 / np.median(rates)
     # only the smallest rate's term is not 0.0, at 741 <= y <= 745: a
@@ -579,8 +594,18 @@ def test_exp_mixture_skip_is_bitwise_the_full_sum(kind):
     assert np.all(got[0] > 0.0) and np.all(got[1] == 0.0)
     assert np.all((got[4] > 0.0) & (got[4] < 1e-320))
     n_dead = [np.count_nonzero(rates * b.min() > 750.0) for b in (short, long)]
-    assert 0 < n_dead[0] < K._DEAD_SHARE * rates.size
+    assert 0 < n_dead[0] < rates.size / 8
     assert rates.size / 2 <= n_dead[1] < rates.size
+    # and each block's exponential covers its live terms only
+    exp_shapes = []
+
+    def exp(y, out):
+        exp_shapes.append(y.shape)
+        return np.exp(y, out=out)
+
+    monkeypatch.setattr(K, "np", SimpleNamespace(**{**vars(np), "exp": exp}))
+    K._exp_mixture(np.concatenate([short, long]), rates, weights)
+    assert exp_shapes == [(n, rates.size - d) for d in n_dead]
 
 
 # E_{alpha,beta}(-s) from mpmath at 60 digits (the ML_REF recipe).  A
