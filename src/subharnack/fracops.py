@@ -5,6 +5,7 @@ the product-rule identities of d/dt (k * u) with regular kernels."""
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 from scipy.fft import irfft, next_fast_len, rfft
@@ -12,7 +13,9 @@ from scipy.special import gamma as gamma_fn
 
 from .errors import (DomainError, GridMismatchError, SingularKernelError,
                      _as_alpha, _as_count, _as_real)
-from .kernels import KernelTable, rl_kernel_table
+
+if TYPE_CHECKING:
+    from .kernels import KernelTable
 
 __all__ = [
     "TimeGrid",
@@ -85,12 +88,18 @@ def causal_sum(w, x) -> np.ndarray:
     len(x) outputs x covers.
 
     ``x`` may carry trailing axes (space, or a stack of traces that share
-    ``w``); ``w`` holds at least len(x) weights.  A 1-D ``x`` is summed
-    directly (exact products in a fixed order, so results are reproducible
-    bit for bit); any other ``x`` goes through one real FFT along axis 0,
-    whose rounding is a few ulps of sum_j |w[j]| * max |x| at every output.
+    ``w``); ``w`` holds at least len(x) weights (else ``DomainError``), and
+    an empty ``x`` gives an empty result.  A 1-D ``x`` is summed directly
+    (exact products in a fixed order, so results are reproducible bit for
+    bit); any other ``x`` goes through one real FFT along axis 0, whose
+    rounding is a few ulps of sum_j |w[j]| * max |x| at every output.
     """
     x = np.asarray(x, dtype=float)
+    if len(w) < x.shape[0]:
+        raise DomainError(f"causal_sum has {len(w)} weights for len(x) = "
+                          f"{x.shape[0]}")
+    if x.shape[0] == 0:
+        return x.copy()
     if x.ndim == 1:
         return np.convolve(w, x)[:x.shape[0]]
     return _fft_window(w, x, 0, x.shape[0], {})
@@ -170,18 +179,11 @@ def l1_weights(alpha: float, m: int) -> np.ndarray:
     return b
 
 
-def _l1_scheme(alpha: float, dt: float, m: int, dx=None):
+def _l1_scheme(alpha: float, dt: float, m: int):
     """The L1 scheme on m steps of size dt: its scale
-    c0 = dt^(-alpha)/Gamma(2-alpha), its weights b (``l1_weights``) and,
-    given the increments ``dx`` of a trace along axis 0, the memory
-    derivative c0 * causal_sum(b, dx), scaled in place (else None)."""
-    c0 = dt ** (-alpha) / gamma_fn(2.0 - alpha)
-    b = l1_weights(alpha, m)
-    if dx is None:
-        return c0, b, None
-    out = causal_sum(b, dx)
-    out *= c0
-    return c0, b, out
+    c0 = dt^(-alpha)/Gamma(2-alpha) and its weights b (``l1_weights``).  The
+    memory derivative of a trace with increments dx is c0 causal_sum(b, dx)."""
+    return dt ** (-alpha) / gamma_fn(2.0 - alpha), l1_weights(alpha, m)
 
 
 # ---------------------------------------------------------------------------
@@ -208,8 +210,11 @@ def _trapezoid_convolve(k: np.ndarray, v: np.ndarray, dt: float) -> np.ndarray:
 
 def _interior_max(lhs, rhs, grid: TimeGrid, t_min: float = 0.0) -> float:
     """Max |lhs - rhs| over the interior nodes with t >= t_min."""
-    keep = grid.nodes[1:-1] >= _as_real(t_min, "t_min")
-    return float(np.abs(lhs - rhs)[1:-1][keep].max())
+    inner, t_min = grid.nodes[1:-1], _as_real(t_min, "t_min")
+    if inner[-1] < t_min:
+        raise DomainError(f"no interior node has t >= t_min = {t_min}; the "
+                          f"last one is at t = {inner[-1]}")
+    return float(np.abs(lhs - rhs)[1:-1][inner >= t_min].max())
 
 
 def fundamental_identity_history(u: SampledPath, k: KernelTable, H, Hp) -> np.ndarray:
@@ -264,7 +269,8 @@ def _neg_gdot_pi(alpha: float, dt: float, m: int):
     M0[l], M1[l] are the zeroth/first moments over the lag cell
     [l dt, (l+1) dt] for l >= 1; w_first weights the s = dt node across the
     first cell, where the data vanishes linearly at s = 0 and only the first
-    moment of the (non-integrable) derivative is needed.
+    moment of the (non-integrable) derivative is needed.  G_cells[l] is the
+    integral of g_alpha itself over the lag cell [l dt, (l+1) dt], l >= 0.
     """
     ga = gamma_fn(alpha)
     t = np.arange(1, m + 2) * dt
@@ -274,7 +280,7 @@ def _neg_gdot_pi(alpha: float, dt: float, m: int):
     M0 = g_nodes[:m] - g_nodes[1: m + 1]
     M1 = -g_nodes[1: m + 1] * dt + G_cells[1: m + 1]
     w_first = (-g_nodes[0] * dt + G_cells[0]) / dt
-    return M0, M1, w_first
+    return M0, M1, w_first, G_cells
 
 
 def _comm1_terms(v: SampledPath, phi: SampledPath, alpha: float):
@@ -288,17 +294,17 @@ def _comm1_terms(v: SampledPath, phi: SampledPath, alpha: float):
         raise DomainError("commutation identity requires v(0) = 0")
     vdot = np.gradient(vv, dt)
     phid = np.gradient(ph, dt)
-    gcells = rl_kernel_table(a, dt, m, sampling="cell_average").cell_values()
-    # g against the cell midpoints of phi vdot, vdot and phid v, as one stack
+    M0, M1, w_first, G_cells = _neg_gdot_pi(a, dt, m)
+    # the cell integrals of g against the cell midpoints of phi vdot, vdot
+    # and phid v, as one stack
     data = np.column_stack([ph * vdot, vdot, phid * vv])
     conv = np.zeros((m + 1, 3))
-    conv[1:] = causal_sum(gcells, 0.5 * (data[:-1] + data[1:])) * dt
+    conv[1:] = causal_sum(G_cells[:m], 0.5 * (data[:-1] + data[1:]))
     lhs, conv_vdot, corr2 = conv.T
     term1 = ph * conv_vdot
     # corr1[j] = w_first D(1) + sum_{l=1}^{j-1} D(l) (M0 - M1/dt)[l-1]
     # + D(l+1) M1[l-1]/dt with D(l) = (phi_j - phi_{j-l}) v_{j-l}; the lag-j
     # term of the (M0 - M1/dt) part is left out, so that part runs on v_0 := 0
-    M0, M1, w_first = _neg_gdot_pi(a, dt, m)
     k_in = np.concatenate([[0.0], M0 - M1 / dt])
     k_end = np.concatenate([[0.0, w_first], M1[:-1] / dt])
     v_in = np.concatenate([[0.0], vv[1:]])

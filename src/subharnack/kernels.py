@@ -23,6 +23,7 @@ from scipy.special import gammaln, rgamma, sindg
 
 from .errors import (AccuracyError, DomainError, SingularStepError,
                      _as_alpha, _as_count, _as_real)
+from .fracops import _BLOCK as _MARCH_BLOCK, _causal_march
 
 __all__ = [
     "KernelTable",
@@ -506,11 +507,20 @@ def _pi_moments(kernel: KernelTable):
     raise DomainError("kernel table does not support product-integration moments")
 
 
-def _solve_nodes(kernel: KernelTable, f: np.ndarray, rule: str) -> np.ndarray:
-    # fracops imports this module: the march is imported where it is used
-    from .fracops import _BLOCK as _MARCH_BLOCK, _causal_march
+def solve_volterra(kernel: KernelTable, f, rule: str = "trapezoid") -> KernelTable:
+    """Solve x + (kernel * x) = f by implicit product integration for a
+    finite node-sampled right-hand side f (length kernel.m + 1).
 
+    The implicit "trapezoid" rule treats the unknown as piecewise linear with
+    exact kernel moments, "rectangle" as piecewise constant (positive and
+    monotone for stiff kernels); both march on ``fracops._causal_march``.
+    """
+    f = np.asarray(f, dtype=float)
     dt, m = kernel.dt, kernel.m
+    if f.shape != (m + 1,):
+        raise DomainError(f"f must have length {m + 1}, got shape {f.shape}")
+    if not np.all(np.isfinite(f)):
+        raise DomainError("f must be finite")
     x = np.zeros((m + 1, 1))
     x[0] = f[0]
     M0, M1 = _pi_moments(kernel)
@@ -534,41 +544,21 @@ def _solve_nodes(kernel: KernelTable, f: np.ndarray, rule: str) -> np.ndarray:
         raise SingularStepError("degenerate diagonal weight in implicit step")
     # every leaf solves the same lower-triangular Toeplitz block (diag on the
     # diagonal, w[l] on the l-th subdiagonal); its inverse is lower-triangular
-    # Toeplitz too, with first column c from forward substitution on e_0
+    # Toeplitz too, with first column c from forward substitution on e_0,
+    # filled by lag index
     k = min(_MARCH_BLOCK, m)
     c = np.zeros(k)
     c[0] = 1.0 / diag
     for n in range(1, k):
         c[n] = -(w[n:0:-1] @ c[:n]) / diag
-    tinv = np.zeros((k, k))
-    for n in range(k):
-        tinv[n:, n] = c[:k - n]
+    tinv = np.tril(c[np.subtract.outer(np.arange(k), np.arange(k))])
     col = x[:, 0]
 
     def leaf(lo, hi):
         col[lo:hi] = tinv[:hi - lo, :hi - lo] @ (f[lo:hi] - col[lo:hi])
 
     _causal_march(1, m + 1, leaf, x, w)
-    return col
-
-
-def solve_volterra(kernel: KernelTable, f, rule: str = "trapezoid") -> KernelTable:
-    """Solve x + (kernel * x) = f by implicit product integration for a
-    finite node-sampled right-hand side f (length kernel.m + 1).
-
-    The implicit "trapezoid" rule treats the unknown as piecewise linear with
-    exact kernel moments, "rectangle" as piecewise constant (positive and
-    monotone for stiff kernels); both march on ``fracops._causal_march``.
-    """
-    f_arr = np.asarray(f, dtype=float)
-    if f_arr.shape != (kernel.m + 1,):
-        raise DomainError(
-            f"f must have length {kernel.m + 1}, got shape {f_arr.shape}"
-        )
-    if not np.all(np.isfinite(f_arr)):
-        raise DomainError("f must be finite")
-    x = _solve_nodes(kernel, f_arr, rule)
-    return KernelTable(dt=kernel.dt, values=x, kind="custom", sampling="node")
+    return KernelTable(dt=dt, values=col, kind="custom", sampling="node")
 
 
 def yosida_kernels(alpha, n: int, dt: float, m: int):

@@ -20,7 +20,8 @@ from scipy.linalg.lapack import dpbtrf, dpbtrs
 
 from .errors import (DomainError, GridMismatchError, LinearSolveError,
                      _as_alpha, _as_count, _as_point, _as_real)
-from .fracops import SampledPath, TimeGrid, _causal_march, _l1_scheme
+from .fracops import (SampledPath, TimeGrid, _causal_march, _l1_scheme,
+                      causal_sum)
 from .kernels import rl_kernel_table, solve_volterra
 
 __all__ = [
@@ -450,7 +451,7 @@ def solve_subdiffusion(spec: ProblemSpec) -> SolveResult:
     """
     space, time = spec.space, spec.time
     dt, m = time.dt, time.m
-    c0, b, _ = _l1_scheme(spec.alpha, dt, m)
+    c0, b = _l1_scheme(spec.alpha, dt, m)
     # d[j] = b_{j-1} - b_j weighs level n - j in the history of level n;
     # the leaf's own share of it is summed with c0 d_j, reversed
     d = np.concatenate(([0.0], b[:-1] - b[1:]))
@@ -607,8 +608,9 @@ def supersolution_residual(result: SolveResult) -> float:
 
     # F[n - 1, b]: the memory derivative plus L u at level n, paired with
     # sigma_b
-    F = _l1_scheme(spec.alpha, spec.time.dt, m,
-                   np.diff(rows @ sigma.T, axis=0))[2]
+    c0, b = _l1_scheme(spec.alpha, spec.time.dt, m)
+    F = causal_sum(b, np.diff(rows @ sigma.T, axis=0))
+    F *= c0
     ops, state = result._operators
     # the columns L sigma_b: L is symmetric, so these are the rows sigma_b L
     columns = sigma.T.reshape(spec.space.shape + (3,))

@@ -1,4 +1,6 @@
 import argparse
+import dataclasses
+import math
 import os
 import re
 import subprocess
@@ -9,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from subharnack import cli, fracops, fundsol, kernels, solver
+from subharnack import cli, fracops, fundsol, harnack, kernels, solver
 from subharnack.errors import ConfigError
 
 
@@ -351,6 +353,77 @@ def test_optimality_off_critical_gate_can_fail(tmp_path, monkeypatch, p, gate,
     assert status == 1
     assert_verdict(out, "optimality", status)
     summary = read_summary(out, "optimality")
+    assert [k for k, v in summary.items() if v == "fail"] == [gate, "status"]
+
+
+def _last_infimum_zero(sweep, calls):
+    # the last exponent's box infimum reads 0, so its ratio is infinite
+    return sweep[:-1] + [dataclasses.replace(sweep[-1], essinf=0.0,
+                                             ratio=math.inf)]
+
+
+def _ratios_reversed(sweep, calls):
+    # the same ratios, falling in p
+    ratios = [r.ratio for r in reversed(sweep)]
+    return [dataclasses.replace(r, ratio=q) for r, q in zip(sweep, ratios)]
+
+
+def _fine_grid_ratios_up_10pct(sweep, calls):
+    # the refined grid's ratios read 10% above the base grid's
+    if calls == 1:
+        return sweep
+    return [dataclasses.replace(r, ratio=1.1 * r.ratio) for r in sweep]
+
+
+@pytest.mark.parametrize("fault, refine, gate", [
+    (_last_infimum_zero, 0, "ratios_finite"),
+    (_ratios_reversed, 0, "ratio_monotone_in_p"),
+    (_fine_grid_ratios_up_10pct, 1, "two_grid_stable"),
+])
+def test_each_harnack_gate_can_fail(tmp_path, monkeypatch, fault, refine,
+                                    gate):
+    # an injected fault in the measured sweep fails its own gate and no other
+    real, calls = harnack.harnack_ratio_sweep, []
+
+    def faulty(*args, **kwargs):
+        calls.append(None)
+        return fault(real(*args, **kwargs), len(calls))
+
+    monkeypatch.setattr(harnack, "harnack_ratio_sweep", faulty)
+    cfg = write_cfg(tmp_path, f"experiment=harnack\nrefine={refine}\n")
+    out = tmp_path / "out"
+    status = cli.main([cfg, "--out", str(out)])
+    assert status == 1
+    assert_verdict(out, "harnack", status)
+    summary = read_summary(out, "harnack")
+    assert [k for k, v in summary.items() if v == "fail"] == [gate, "status"]
+
+
+@pytest.mark.parametrize("oscillations, slope, gate", [
+    # flat: every box has the same oscillation, and the fit has no slope
+    (lambda r: [0.5] * len(r), 0.0, "slope_positive"),
+    # the second box oscillates more than the first
+    (lambda r: [r[0], 2.0 * r[0], *r[2:]], 1.0, "osc_monotone"),
+    # the smallest box oscillates twice as much as the fit predicts
+    (lambda r: [*r[:-1], 2.0 * r[-1]], 1.0, "smallest_box_covered"),
+])
+def test_each_continuity_gate_can_fail(tmp_path, monkeypatch, oscillations,
+                                       slope, gate):
+    # an injected decay fit osc = exp(intercept) r^slope over the CLI's radii,
+    # with the oscillations given: each fault fails its own gate only
+    def faulty(result, x0, r_list, eta=1.0):
+        radii = tuple(r_list)
+        osc = tuple(oscillations(radii))
+        intercept = math.log(osc[0] / radii[0] ** slope)
+        return harnack.OscillationFit(slope, intercept, radii, osc)
+
+    monkeypatch.setattr(harnack, "oscillation_decay", faulty)
+    cfg = write_cfg(tmp_path, "experiment=continuity\n")
+    out = tmp_path / "out"
+    status = cli.main([cfg, "--out", str(out)])
+    assert status == 1
+    assert_verdict(out, "continuity", status)
+    summary = read_summary(out, "continuity")
     assert [k for k, v in summary.items() if v == "fail"] == [gate, "status"]
 
 

@@ -70,6 +70,25 @@ def test_causal_sum_window_matches_loop(lo, hi, ndim):
         assert np.array_equal(got, F.causal_sum(w, x))
 
 
+@pytest.mark.parametrize("shape", [(4,), (4, 1), (4, 3, 2)],
+                         ids=["direct", "fft", "fft-3d"])
+def test_causal_sum_needs_a_weight_per_row(shape):
+    # missing weights are not read as zeros: both lengths are named
+    with pytest.raises(DomainError, match=r"2 weights for len\(x\) = 4"):
+        F.causal_sum(np.ones(2), np.ones(shape))
+    # with len(x) weights it sums: 1, 2, 3, 4 down axis 0, to FFT rounding
+    got = F.causal_sum(np.ones(4), np.ones(shape))
+    want = np.cumsum(np.ones(shape), axis=0)
+    assert np.abs(got - want).max() <= 1e-13 * 4
+
+
+@pytest.mark.parametrize("shape", [(0,), (0, 3), (0, 2, 2)])
+@pytest.mark.parametrize("nw", [0, 5])
+def test_causal_sum_of_empty_x_is_empty(shape, nw):
+    got = F.causal_sum(np.ones(nw), np.ones(shape))
+    assert got.shape == shape and got.dtype == float
+
+
 @pytest.mark.parametrize("m", [66, 100, 255, 4096])
 @pytest.mark.parametrize("cols", [1, 2, 3, 5])
 def test_stacked_sums_match_direct_per_column(m, cols):
@@ -187,7 +206,8 @@ def test_l1_weights_at_alpha_one_keep_the_first_weight():
 def l1_derivative(grid, values, v0, alpha):
     """The solver's L1 memory derivative of (v - v0) at nodes 1..m."""
     dx = np.diff(np.concatenate([[v0], values[1:]]))
-    return F._l1_scheme(alpha, grid.dt, grid.m, dx)[2]
+    c0, b = F._l1_scheme(alpha, grid.dt, grid.m)
+    return c0 * F.causal_sum(b, dx)
 
 
 def test_derivative_of_constant_is_zero():
@@ -275,6 +295,17 @@ def test_fundamental_identity_refines():
     assert vals[256] / vals[512] >= 1.7
 
 
+def test_verifier_with_no_node_past_t_min_names_it():
+    # horizon 1: the last interior node is at t = 31/32
+    grid = make_grid(32)
+    g_t, _ = K.yosida_kernels(0.5, 4, grid.dt, grid.m)
+    with pytest.raises(DomainError, match=r"t_min = 5\.0.*t = 0\.96875"):
+        F.fundamental_identity_residual(smooth_path(grid), g_t, *H2, t_min=5.0)
+    # the last interior node itself still counts
+    assert F.fundamental_identity_residual(
+        smooth_path(grid), g_t, *H2, t_min=31 / 32) > 0.0
+
+
 def test_fundamental_identity_history_nonnegative_for_convex_h():
     grid = make_grid(256)
     g_t, _ = K.yosida_kernels(0.5, 4, grid.dt, grid.m)
@@ -354,7 +385,7 @@ def loop_comm1_correction(v, phi, alpha):
     v(t_j - s) ds with exact derivative moments, one node at a time."""
     dt, m = v.grid.dt, v.grid.m
     vv, ph = v.values, phi.values
-    M0, M1, w_first = F._neg_gdot_pi(alpha, dt, m)
+    M0, M1, w_first, _ = F._neg_gdot_pi(alpha, dt, m)
     out = np.zeros(m + 1)
     for j in range(1, m + 1):
         lag = np.arange(0, j + 1)
@@ -457,7 +488,7 @@ def direct_commutation_1(v, phi, alpha):
         out[1:] = F.causal_sum(gcells, 0.5 * (data[:-1] + data[1:])) * dt
         return out
 
-    M0, M1, w_first = F._neg_gdot_pi(alpha, dt, m)
+    M0, M1, w_first, _ = F._neg_gdot_pi(alpha, dt, m)
     k_in = np.concatenate([[0.0], M0 - M1 / dt])
     k_end = np.concatenate([[0.0, w_first], M1[:-1] / dt])
     v_in = np.concatenate([[0.0], vv[1:]])

@@ -1064,6 +1064,7 @@ def test_march_spectrum_reuse_is_bitwise(monkeypatch, case):
     got = run()
     monkeypatch.setattr(F, "_causal_march", march_transforming_every_split)
     monkeypatch.setattr(S, "_causal_march", march_transforming_every_split)
+    monkeypatch.setattr(K, "_causal_march", march_transforming_every_split)
     assert np.array_equal(got, run())
 
 
