@@ -168,8 +168,8 @@ def rl_kernel_table(
 # ---------------------------------------------------------------------------
 
 #: terms of the series' first pass, and of each retry where a pass finds no
-#: tail cut
-_SERIES_TERMS_TRIED = (20000, 80000, 320000)
+#: tail cut or its largest term is its last
+_SERIES_TERMS_TRIED = (512, 20000, 80000, 320000)
 
 
 def _ml_series(alpha: float, beta: float, z: float, rtol: float):
@@ -177,7 +177,8 @@ def _ml_series(alpha: float, beta: float, z: float, rtol: float):
 
     ok is False when the alternating-term cancellation makes the float error
     floor exceed rtol, or when terms would overflow, or when they are not
-    negligible within the last of ``_SERIES_TERMS_TRIED``.
+    negligible within the last of ``_SERIES_TERMS_TRIED``.  The log-terms
+    are concave in n: a pass whose peak is not its last term has found it.
     """
     if z == 0.0:
         return 1.0 / gamma_fn(beta), True
@@ -190,7 +191,7 @@ def _ml_series(alpha: float, beta: float, z: float, rtol: float):
             return math.nan, False
         # truncate once terms are negligible in absolute terms past the peak
         tail = np.nonzero(logs[peak:] < -45.0)[0]
-        if tail.size:
+        if tail.size and peak < size - 1:
             break
     else:
         return math.nan, False
@@ -286,9 +287,9 @@ def _exp_mixture(x: np.ndarray, rates: np.ndarray,
     reuse one buffer: a fresh ~1 MB block may be mmapped and faulted in anew.
 
     ``rates`` ascend, so the terms of a block with rates_k min(x) > 750 are
-    one run at its end; each is exp(-y) at y > 745.14, exactly 0.0, and is
-    written as 0.0 rather than computed.  The matmul spans the whole block,
-    so the result is bitwise that of the full sum."""
+    one run at its end, found by binary search; each is exp(-y) at y >
+    745.14, exactly 0.0, and is written as 0.0 rather than computed.  The
+    matmul spans the whole block, so the result is bitwise the full sum."""
     flat = x.ravel()
     out = np.empty(flat.shape)
     buf = np.empty((min(_BLOCK, flat.size), rates.size))
@@ -297,7 +298,13 @@ def _exp_mixture(x: np.ndarray, rates: np.ndarray,
     for lo, low in zip(starts, np.minimum.reduceat(flat, starts).tolist()):
         blk = slice(lo, lo + _BLOCK)
         part = buf[:flat[blk].size]
-        live = rates.size - np.count_nonzero(rates * low > _DEAD_EXPONENT)
+        # the largest float whose product with low rounds to at most 750
+        cut = _DEAD_EXPONENT / low if low else math.inf
+        while cut * low > _DEAD_EXPONENT:
+            cut = math.nextafter(cut, 0.0)
+        while math.nextafter(cut, math.inf) * low <= _DEAD_EXPONENT:
+            cut = math.nextafter(cut, math.inf)
+        live = int(rates.searchsorted(cut, "right"))
         part[:, live:] = 0.0
         np.multiply.outer(flat[blk], neg[:live], out=part[:, :live])
         np.exp(part[:, :live], out=part[:, :live])
@@ -371,8 +378,11 @@ def _kanter_density(a: float, edge: float, u: np.ndarray) -> np.ndarray:
 
     Given phi, (log R - log B) / (1-a) = y is Gumbel, so the density is
     (1/(pi (1-a))) int_0^pi exp(y - e^y) dphi.  The angle integral is taken
-    in zeta = log(pi - phi), split where y crosses ``_GUMBEL_LEVELS``; the
-    crossings come from a table of log B, refined by two Newton steps.
+    in zeta = log(pi - phi), split where y crosses ``_GUMBEL_LEVELS``.  A
+    level at or above the edge crosses at phi = 0, the others come from a
+    table of log B refined by two Newton steps; only panels of positive
+    width get Gauss points, their terms filling zeros in the all-panels
+    layout, so the sum is bitwise that over every panel.
     """
     e = 1.0 - a
     log_pi = math.log(math.pi)
@@ -380,23 +390,29 @@ def _kanter_density(a: float, edge: float, u: np.ndarray) -> np.ndarray:
     # levels carry that tail down to a y < -84
     deep = -42.0 * 2.0 ** np.arange(1, math.ceil(-math.log2(a)) + 2)
     target = u[:, None] - e * np.concatenate([_GUMBEL_LEVELS, deep])
+    crosses = target < edge
+    t = target[crosses]
     z_tab = np.linspace(_LOG_R_MIN - 30.0, log_pi, 2000)[:-1]
     b_tab = np.maximum.accumulate(_kanter_log_b(z_tab, a)[0])
-    zeta = np.interp(target, b_tab, z_tab, right=log_pi)
-    below = target < b_tab[0]
-    zeta[below] = z_tab[0] + (target[below] - b_tab[0])   # log B ~ zeta there
+    z = np.interp(t, b_tab, z_tab, right=log_pi)
+    below = t < b_tab[0]
+    z[below] = z_tab[0] + (t[below] - b_tab[0])   # log B ~ zeta there
     for _ in range(2):
-        log_b, _, d_log_b = _kanter_log_b(zeta, a, slope=True)
+        log_b, _, d_log_b = _kanter_log_b(z, a, slope=True)
         d_log_b[d_log_b <= 0.0] = np.inf      # flat at phi = 0: stay put
-        zeta = np.minimum(
-            zeta + np.clip((target - log_b) / d_log_b, -1.0, 1.0), log_pi)
-    zeta[target >= edge] = log_pi             # level above log B(0): phi = 0
+        z = np.minimum(z + np.clip((t - log_b) / d_log_b, -1.0, 1.0), log_pi)
+    zeta = np.full(target.shape, log_pi)
+    zeta[crosses] = z
     # sorting keeps the panels contiguous should Newton cross two levels
-    z, wz = _gauss_panels(np.sort(zeta, axis=1), 16)
+    zeta = np.sort(zeta, axis=1)
+    lo, hi = zeta[:, :-1], zeta[:, 1:]
+    wide = lo < hi
+    z, wz = _gauss_panels(np.stack([lo[wide], hi[wide]], 1), 16)
     log_b, eta = _kanter_log_b(z, a)
-    y = (u[:, None] - log_b) / e
-    gumbel = np.exp(y - np.exp(np.minimum(y, 700.0)))
-    return np.sum(wz * eta * gumbel, axis=1) / (math.pi * e)
+    y = (u[np.nonzero(wide)[0], None] - log_b) / e
+    terms = np.zeros(wide.shape + (16,))
+    terms[wide] = wz * eta * np.exp(y - np.exp(np.minimum(y, 700.0)))
+    return np.sum(terms.reshape(u.size, -1), axis=1) / (math.pi * e)
 
 
 @lru_cache(maxsize=64)

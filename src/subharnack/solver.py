@@ -140,9 +140,6 @@ class CoefficientField:
     time_dependent: bool = True
     name: str = "custom"
 
-    def diag_at(self, time_index: int, points: np.ndarray, dim: int) -> np.ndarray:
-        return self._per_axis(self.evaluate(time_index, points), points, dim)
-
     @staticmethod
     def _per_axis(vals, points: np.ndarray, dim: int) -> np.ndarray:
         """``evaluate``'s values on ``points`` as (..., dim) diagonals."""

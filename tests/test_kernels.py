@@ -211,6 +211,60 @@ def test_ml_series_retries_with_more_terms():
     # past the last pass of 320000 terms the series still gives up
     with pytest.raises(AccuracyError, match="320000 series terms"):
         K.mittag_leffler(1e-5, 0.5, 0.99999)
+    # a pass whose largest term is its last is not summed: the first 20000
+    # terms of E_{1e-4,40}(1.003) lie below e^-45 but still grow, and
+    # their sum, 1.19e-21, once came back as the value
+    with pytest.raises(AccuracyError, match="320000 series terms"):
+        K.mittag_leffler(1e-4, 40.0, 1.003)
+
+
+def _series_one_long_pass(alpha, beta, z, rtol):
+    """The reference for ``_ml_series``: passes of 20000, 80000 and 320000
+    terms, the first that finds a tail cut summed; also returns the peak."""
+    logz = math.log(abs(z))
+    for size in (20000, 80000, 320000):
+        n = np.arange(0, size, dtype=float)
+        logs = n * logz - gammaln(alpha * n + beta)
+        peak = int(np.argmax(logs))
+        if logs[peak] > 690.0:
+            return math.nan, False, peak
+        tail = np.nonzero(logs[peak:] < -45.0)[0]
+        if tail.size:
+            break
+    else:
+        return math.nan, False, peak
+    terms = np.exp(logs[:peak + int(tail[0]) + 1])
+    if z < 0.0:
+        terms[1::2] *= -1.0
+    total = math.fsum(terms.tolist())
+    if z > 0.0:
+        return total, True, peak
+    err_floor = 5e-16 * math.exp(logs[peak])
+    return total, not (abs(total) < 1e-290 or err_floor > rtol * abs(total)), peak
+
+
+@pytest.mark.parametrize("alpha, beta, z, passes", [
+    (0.5, 1.0, -1.0, [512]), (0.3, 1.0, -0.5, [512]), (0.3, 1.0, -3.0, [512]),
+    (0.7, 1.0, -0.5, [512]), (0.7, 1.0, -3.0, [512]),
+    # the peak term lies near n = 10000, past the short pass
+    (0.1, 1.0, -2.0, [512, 20000]), (0.1, 1.0, 2.0, [512, 20000])])
+def test_ml_series_short_pass_is_bitwise_the_long_one(alpha, beta, z, passes,
+                                                      monkeypatch):
+    # spectral's series points are summed from one pass of 512 terms, bit
+    # for bit as from 20000; a peak past 512 takes the next pass
+    total, ok, peak = _series_one_long_pass(alpha, beta, z, K._ML_RTOL)
+    assert (peak >= 512) == (len(passes) > 1)
+    sizes = []
+
+    def spy(x):
+        sizes.append(x.size)
+        return gammaln(x)
+
+    monkeypatch.setattr(K, "gammaln", spy)
+    got = K._ml_series(alpha, beta, z, K._ML_RTOL)
+    assert sizes == passes
+    assert got[1] == ok and np.float64(got[0]).tobytes() == \
+        np.float64(total).tobytes()
 
 
 RULE_ALPHAS = (0.1, 0.3, 0.5, 0.7, 0.9, 0.95, 0.99, 0.999)
@@ -531,6 +585,93 @@ def test_m_wright_series_meets_kanter_density(alpha):
     assert np.abs(kanter / series - 1.0).max() <= 1e-12
 
 
+def _all_panels_kanter(a, edge, u):
+    """``_kanter_density`` with Newton on every level and 16 Gauss points on
+    every panel, zero width or not; returns the density and the sorted
+    panel edges."""
+    e = 1.0 - a
+    log_pi = math.log(math.pi)
+    deep = -42.0 * 2.0 ** np.arange(1, math.ceil(-math.log2(a)) + 2)
+    target = u[:, None] - e * np.concatenate([K._GUMBEL_LEVELS, deep])
+    z_tab = np.linspace(K._LOG_R_MIN - 30.0, log_pi, 2000)[:-1]
+    b_tab = np.maximum.accumulate(K._kanter_log_b(z_tab, a)[0])
+    zeta = np.interp(target, b_tab, z_tab, right=log_pi)
+    below = target < b_tab[0]
+    zeta[below] = z_tab[0] + (target[below] - b_tab[0])
+    for _ in range(2):
+        log_b, _, d_log_b = K._kanter_log_b(zeta, a, slope=True)
+        d_log_b[d_log_b <= 0.0] = np.inf
+        zeta = np.minimum(
+            zeta + np.clip((target - log_b) / d_log_b, -1.0, 1.0), log_pi)
+    zeta[target >= edge] = log_pi
+    zeta = np.sort(zeta, axis=1)
+    z, wz = K._gauss_panels(zeta, 16)
+    log_b, eta = K._kanter_log_b(z, a)
+    y = (u[:, None] - log_b) / e
+    gumbel = np.exp(y - np.exp(np.minimum(y, 700.0)))
+    return np.sum(wz * eta * gumbel, axis=1) / (math.pi * e), zeta
+
+
+KANTER_ALPHAS = (1e-8, 0.001, 0.01, 0.1, 0.3, 0.5, 0.7, 0.9, 0.99, 0.999,
+                 0.999999)
+
+
+@pytest.mark.parametrize("alpha", KANTER_ALPHAS)
+def test_kanter_density_is_bitwise_all_panels(alpha, monkeypatch):
+    # the density on the rule's own nodes, and the rule built on it, are
+    # bitwise what Newton on every level and every panel's Gauss points give
+    seen = []
+
+    def oracle(a, edge, u):
+        seen.append((a, edge, u))
+        return _all_panels_kanter(a, edge, u)[0]
+
+    with np.errstate(all="ignore"):
+        nodes, weights = K.m_wright_rule.__wrapped__(alpha)
+        monkeypatch.setattr(K, "_kanter_density", oracle)
+        ref_nodes, ref_weights = K.m_wright_rule.__wrapped__(alpha)
+        monkeypatch.undo()
+        (a, edge, u), = seen
+        got = K._kanter_density(a, edge, u)
+    assert got.tobytes() == oracle(a, edge, u).tobytes()
+    assert nodes.tobytes() == ref_nodes.tobytes()
+    assert weights.tobytes() == ref_weights.tobytes()
+
+
+def test_kanter_density_takes_only_live_panels(monkeypatch):
+    # at alpha = 0.5 about four panels in five have zero width; the main
+    # quadrature evaluates log B at 16 points of each live panel only, and
+    # Newton only at the levels below the edge
+    a = 0.5
+    seen, calls = [], []
+    density = K._kanter_density
+
+    def spy_density(a, edge, u):
+        seen.append((edge, u))
+        return density(a, edge, u)
+
+    log_b = K._kanter_log_b
+
+    def spy_log_b(zeta, a, slope=False):
+        calls.append((np.size(zeta), slope))
+        return log_b(zeta, a, slope)
+
+    monkeypatch.setattr(K, "_kanter_density", spy_density)
+    monkeypatch.setattr(K, "_kanter_log_b", spy_log_b)
+    K.m_wright_rule.__wrapped__(a)
+    monkeypatch.undo()
+    (edge, u), = seen
+    _, zeta = _all_panels_kanter(a, edge, u)
+    live = np.count_nonzero(np.diff(zeta, axis=1) > 0.0)
+    crossing = np.count_nonzero(u[:, None] - 0.5 * np.concatenate(
+        [K._GUMBEL_LEVELS, [-84.0, -168.0]]) < edge)
+    assert live < zeta.size / 4 and crossing < zeta.size / 4
+    table, newton1, newton2, main = calls
+    assert table == (1999, False) and main[1] is False
+    assert newton1 == newton2 == (crossing, True)
+    assert main[0] <= 16 * live
+
+
 def _unbuffered_exp_mixture(x, rates, weights):
     """``_exp_mixture`` with a fresh matrix per block of x and every term
     computed, the dead ones included."""
@@ -584,19 +725,28 @@ def test_exp_mixture_skip_is_bitwise_the_full_sum(kind, monkeypatch):
     edge = np.linspace(741.0, 745.0, n) / rates.min()
     zero = np.concatenate([[0.0], long[1:]])
     shuffled = np.random.default_rng(3).permutation(long)
-    blocks = [live, dead, short, long, edge, zero, shuffled, long[:7]]
+    # a block whose smallest x puts one rate's product at exactly 750: that
+    # term is the last live one
+    k, at750 = _exactly_at_dead_exponent(rates)
+    at750 = at750 * np.geomspace(1.0, 1e3, n)
+    blocks = [live, dead, short, long, edge, zero, shuffled, at750, long[:7]]
     x = np.concatenate(blocks)
     # unit weights keep the edge block's subnormal sums from underflowing
     for w in (weights, np.ones_like(weights)):
         got = K._exp_mixture(x, rates, w)
         assert got.tobytes() == _unbuffered_exp_mixture(x, rates, w).tobytes()
+        for point in (0.0, 3.0, 1e9):     # a one-point ray
+            one = K._exp_mixture(np.array([point]), rates, w)
+            assert one.tobytes() == _unbuffered_exp_mixture(
+                np.array([point]), rates, w).tobytes()
     got = np.split(got, np.cumsum([b.size for b in blocks])[:-1])
     assert np.all(got[0] > 0.0) and np.all(got[1] == 0.0)
     assert np.all((got[4] > 0.0) & (got[4] < 1e-320))
     n_dead = [np.count_nonzero(rates * b.min() > 750.0) for b in (short, long)]
     assert 0 < n_dead[0] < rates.size / 8
     assert rates.size / 2 <= n_dead[1] < rates.size
-    # and each block's exponential covers its live terms only
+    # and each block's exponential covers its live terms only: none of the
+    # dead block, all of the block holding 0 and of a one-point block at 0
     exp_shapes = []
 
     def exp(y, out):
@@ -604,8 +754,50 @@ def test_exp_mixture_skip_is_bitwise_the_full_sum(kind, monkeypatch):
         return np.exp(y, out=out)
 
     monkeypatch.setattr(K, "np", SimpleNamespace(**{**vars(np), "exp": exp}))
-    K._exp_mixture(np.concatenate([short, long]), rates, weights)
-    assert exp_shapes == [(n, rates.size - d) for d in n_dead]
+    checked = [short, long, dead, zero, at750, np.zeros(1), np.array([3.0])]
+    for b in checked:
+        K._exp_mixture(b, rates, weights)
+    assert exp_shapes == [(b.size, np.count_nonzero(rates * b.min() <= 750.0))
+                          for b in checked]
+    assert [s[1] for s in exp_shapes[2:5]] == [0, rates.size, k + 1]
+
+
+def test_exp_mixture_cut_follows_the_rounded_products(monkeypatch):
+    # 750 / min(x) may round to a rate whose product with min(x) rounds
+    # past 750 (dead), or just below one whose product rounds to 750 (live):
+    # the cut follows the products, not the quotient
+    x = np.random.default_rng(5).uniform(1.0, 1e3, 4000)
+    q = 750.0 / x
+    up = np.nextafter(q, np.inf)
+    over = np.flatnonzero(q * x > 750.0)[0]
+    under = np.flatnonzero(up * x <= 750.0)[0]
+    cases = [(x[over], q[over], 1), (x[under], up[under], 2)]
+    exp_shapes = []
+
+    def exp(y, out):
+        exp_shapes.append(y.shape)
+        return np.exp(y, out=out)
+
+    for low, rate, live in cases:
+        rates, ones = rate * np.array([0.5, 1.0, 2.0]), np.ones(3)
+        assert np.count_nonzero(rates * low <= 750.0) == live
+        got = K._exp_mixture(np.array([low]), rates, ones)
+        assert got.tobytes() == _unbuffered_exp_mixture(
+            np.array([low]), rates, ones).tobytes()
+        with monkeypatch.context() as m:
+            m.setattr(K, "np", SimpleNamespace(**{**vars(np), "exp": exp}))
+            K._exp_mixture(np.array([low]), rates, ones)
+    assert exp_shapes == [(1, 1), (1, 2)]
+
+
+def _exactly_at_dead_exponent(rates):
+    """(k, x) with rates[k] * x == 750 exactly and rates[k + 1] * x > 750."""
+    for k in range(rates.size - 2, -1, -1):
+        x = 750.0 / rates[k]
+        for cand in (x, np.nextafter(x, 0.0), np.nextafter(x, np.inf)):
+            if rates[k] * cand == 750.0 and rates[k + 1] * cand > 750.0:
+                return k, cand
+    raise AssertionError("no rate reaches 750 exactly")
 
 
 # E_{alpha,beta}(-s) from mpmath at 60 digits (the ML_REF recipe).  A

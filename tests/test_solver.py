@@ -329,7 +329,7 @@ def test_weak_form_detects_non_supersolution():
 def loop_faces(spec, n):
     """Per-axis face coefficients at level n by their definition, face by
     face: the harmonic mean of the field at the face's two quarter points."""
-    space, diag_at = spec.space, spec.coefficients.diag_at
+    space, fld = spec.space, spec.coefficients
     axes = space.axes()
     out = []
     for ax, h in enumerate(space.h):
@@ -342,7 +342,9 @@ def loop_faces(spec, n):
             for frac in (0.25, 0.75):
                 q = x.copy()
                 q[ax] += frac * h
-                a.append(diag_at(n, q[None], space.dimension)[0, ax])
+                pts = q[None]
+                a.append(fld._per_axis(fld.evaluate(n, pts), pts,
+                                       space.dimension)[0, ax])
             kf[idx] = 2.0 * a[0] * a[1] / (a[0] + a[1])
         out.append(kf)
     return out
@@ -562,7 +564,8 @@ def coo_operator(spec, n):
     quarters = np.concatenate((q, q))
     quarters[face, axis] += 0.25 * h
     quarters[face.size + face, axis] += 0.75 * h
-    vals = spec.coefficients.diag_at(n, quarters, dim)
+    fld = spec.coefficients
+    vals = fld._per_axis(fld.evaluate(n, quarters), quarters, dim)
     a1, a2 = vals[face, axis], vals[face.size + face, axis]
     w = 2.0 * a1 * a2 / (a1 + a2) / (h * h)
     rows = np.concatenate([np.concatenate((a, b, a, b)) for a, b in zip(lo, hi)])
